@@ -4,11 +4,10 @@ Unlike the figure benches, this one measures the *simulator*, not the
 simulated system: wall-clock for the cycle-stepped reference engine vs
 the event-skip engine on the same coarse-grain locking workload (short
 critical sections separated by long parallel compute, the regime the
-paper's Section F cost model assumes), along both dispatch cores
-(``compiled`` dense tables vs the ``interpreted`` transition-table IR),
-plus a raw table-lookup microbenchmark and process-parallel sweep
-scaling.  All engine/dispatch combinations must produce identical
-statistics; the timings land in ``BENCH_engine.json`` (schema v4) for
+paper's Section F cost model assumes), plus a raw table-lookup
+microbenchmark and process-parallel sweep scaling.  Both engines must
+produce identical statistics; the timings land in
+``BENCH_engine.json`` for
 ``scripts/perf_guard.py``, including the observability hook-layer
 overhead section (null observer vs tracing off vs tracing on).
 """
@@ -80,14 +79,12 @@ def _snapshot(stats, n: int) -> dict:
     return d
 
 
-def _time_run(config, programs, fast_forward: bool, repeats: int = 3,
-              dispatch: str | None = None):
+def _time_run(config, programs, fast_forward: bool, repeats: int = 3):
     """Best-of-``repeats`` wall clock and the final stats."""
     best = None
     stats = None
     for _ in range(repeats):
-        sim = Simulator(config, programs, fast_forward=fast_forward,
-                        dispatch=dispatch)
+        sim = Simulator(config, programs, fast_forward=fast_forward)
         t0 = time.perf_counter()
         stats = sim.run()
         elapsed = time.perf_counter() - t0
@@ -97,13 +94,8 @@ def _time_run(config, programs, fast_forward: bool, repeats: int = 3,
 
 
 def run_engine_comparison() -> dict:
-    """Time stepped vs fast-forward along both dispatch cores.
-
-    The four runs must produce identical statistics.  The flat
-    ``stepped_*``/``fast_forward_*`` keys describe the default
-    (compiled) core -- the shape v2 readers knew -- and
-    ``dispatch[core]`` carries the per-core timings (schema v3).
-    """
+    """Time stepped vs fast-forward; both runs must produce identical
+    statistics."""
     n = ENGINE_PARAMS["processors"]
     config = _config(n)
     programs = lock_contention(
@@ -111,54 +103,38 @@ def run_engine_comparison() -> dict:
         rounds=ENGINE_PARAMS["rounds"],
         think_cycles=ENGINE_PARAMS["think_cycles"],
     )
-    per_core: dict[str, dict] = {}
-    snapshots: dict[tuple[str, bool], dict] = {}
-    for core in ("compiled", "interpreted"):
-        stepped_s, stepped_stats = _time_run(config, programs,
-                                             fast_forward=False,
-                                             dispatch=core)
-        ff_s, ff_stats = _time_run(config, programs, fast_forward=True,
-                                   dispatch=core)
-        snapshots[(core, False)] = _snapshot(stepped_stats, n)
-        snapshots[(core, True)] = _snapshot(ff_stats, n)
-        cycles = stepped_stats.cycles
-        per_core[core] = {
-            "cycles": cycles,
-            "stepped_seconds": stepped_s,
-            "stepped_cycles_per_sec": cycles / stepped_s,
-            "fast_forward_seconds": ff_s,
-            "fast_forward_cycles_per_sec": cycles / ff_s,
-            "speedup": stepped_s / ff_s,
-        }
-    reference = snapshots[("interpreted", False)]
-    for key, snapshot in snapshots.items():
-        assert snapshot == reference, (
-            f"{key} diverged from the interpreted stepped engine"
-        )
+    stepped_s, stepped_stats = _time_run(config, programs,
+                                         fast_forward=False)
+    ff_s, ff_stats = _time_run(config, programs, fast_forward=True)
+    assert _snapshot(ff_stats, n) == _snapshot(stepped_stats, n), (
+        "fast-forward diverged from the stepped engine")
+    cycles = stepped_stats.cycles
     return {
         **ENGINE_PARAMS,
         "protocol": "bitar-despain",
         "workload": "lock_contention",
-        **per_core["compiled"],
-        "dispatch": per_core,
+        "cycles": cycles,
+        "stepped_seconds": stepped_s,
+        "stepped_cycles_per_sec": cycles / stepped_s,
+        "fast_forward_seconds": ff_s,
+        "fast_forward_cycles_per_sec": cycles / ff_s,
+        "speedup": stepped_s / ff_s,
     }
 
 
 def run_lookup_microbench() -> dict:
-    """Raw transition-lookup throughput: interpreted IR vs compiled
-    dense tables, over every (state, event, guard) context the
-    protocol's own rules exercise -- the exact dispatch work the
-    per-event hot path performs."""
+    """Raw transition-lookup throughput: the reference guard scan
+    (``TransitionTable.lookup``) vs the guard-bit row probe every run
+    uses (``lookup_bits``), over every (state, event, guard) context
+    the protocol's own rules exercise."""
     from repro.protocols import PROTOCOLS
-    from repro.protocols.compiled import (bit_families_for, compile_table,
-                                          context_of_bits)
-    from repro.protocols.table import GUARD_FAMILIES
+    from repro.protocols.table import GUARD_FAMILIES, bit_families_for
 
     table = PROTOCOLS[LOOKUP_PROTOCOL].table
-    compiled = compile_table(table)
+    vocab = table.vocabulary
     # One probe per rule: complete its (possibly partial) guard into a
     # full context by defaulting every unmentioned family to its
-    # negative atom, so both cores resolve a defined transition.
+    # negative atom, so both paths resolve a defined transition.
     probes = []
     seen = set()
     for rule in table.rules:
@@ -171,35 +147,35 @@ def run_lookup_microbench() -> dict:
             continue
         seen.add(key)
         probes.append((rule.state, rule.event,
-                       context_of_bits(rule.event, bits), bits))
+                       vocab.context_of_bits(rule.event, bits), bits))
 
     for state, event, ctx, bits in probes:
-        assert table.lookup(state, event, ctx) is compiled.lookup_bits(
-            state, event, bits), "cores disagree on a probe"
+        assert table.lookup(state, event, ctx) is table.lookup_bits(
+            state, event, bits), "scan and rows disagree on a probe"
 
     t0 = time.perf_counter()
     for _ in range(LOOKUP_ROUNDS):
         for state, event, ctx, _ in probes:
             table.lookup(state, event, ctx)
-    interpreted_s = time.perf_counter() - t0
+    scan_s = time.perf_counter() - t0
 
-    lookup_bits = compiled.lookup_bits
+    lookup_bits = table.lookup_bits
     t0 = time.perf_counter()
     for _ in range(LOOKUP_ROUNDS):
         for state, event, _, bits in probes:
             lookup_bits(state, event, bits)
-    compiled_s = time.perf_counter() - t0
+    bits_s = time.perf_counter() - t0
 
     lookups = LOOKUP_ROUNDS * len(probes)
     return {
         "protocol": LOOKUP_PROTOCOL,
         "probes": len(probes),
         "lookups": lookups,
-        "interpreted_seconds": interpreted_s,
-        "interpreted_lookups_per_sec": lookups / interpreted_s,
-        "compiled_seconds": compiled_s,
-        "compiled_lookups_per_sec": lookups / compiled_s,
-        "speedup": interpreted_s / compiled_s,
+        "scan_seconds": scan_s,
+        "scan_lookups_per_sec": lookups / scan_s,
+        "bits_seconds": bits_s,
+        "bits_lookups_per_sec": lookups / bits_s,
+        "speedup": scan_s / bits_s,
     }
 
 
@@ -476,21 +452,21 @@ def test_fast_forward_speedup(benchmark):
     _merge_result("engine", result)
 
 
-def test_lookup_dispatch(benchmark):
+def test_table_lookup(benchmark):
     result = benchmark.pedantic(run_lookup_microbench, rounds=1, iterations=1,
                                 warmup_rounds=0)
     print(f"\nLookup: {result['protocol']}, {result['probes']} probes x "
           f"{LOOKUP_ROUNDS} rounds")
     print(render_table(
-        ["core", "seconds", "lookups/sec"],
-        [["interpreted", f"{result['interpreted_seconds']:.3f}",
-          f"{result['interpreted_lookups_per_sec']:,.0f}"],
-         ["compiled", f"{result['compiled_seconds']:.3f}",
-          f"{result['compiled_lookups_per_sec']:,.0f}"]],
+        ["lookup", "seconds", "lookups/sec"],
+        [["reference scan", f"{result['scan_seconds']:.3f}",
+          f"{result['scan_lookups_per_sec']:,.0f}"],
+         ["guard-bit rows", f"{result['bits_seconds']:.3f}",
+          f"{result['bits_lookups_per_sec']:,.0f}"]],
     ))
     print(f"speedup: {result['speedup']:.1f}x")
     assert result["speedup"] > 1.0, (
-        f"compiled lookup slower than the interpreter "
+        f"guard-bit lookup slower than the reference scan "
         f"({result['speedup']:.2f}x)"
     )
     _merge_result("lookup", result)

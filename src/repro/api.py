@@ -73,9 +73,6 @@ class RunResult:
     stats: SimStats
     #: Present when the run was observed (``sample_interval > 0``).
     obs: ObsResult | None = None
-    #: Which execution core drove the protocol: ``compiled`` (dense
-    #: dispatch tables) or ``interpreted`` (the transition-table IR).
-    dispatch: str = "compiled"
     #: Which interconnect fabric carried the run (a
     #: :data:`~repro.common.config.TOPOLOGY_KINDS` name; schema v5).
     topology: str = "snoop"
@@ -93,7 +90,6 @@ class RunResult:
             "kind": "run-result",
             "protocol": self.protocol,
             "workload": self.workload,
-            "dispatch": self.dispatch,
             "topology": self.topology,
             "directory_entry": self.directory_entry,
             "lock_style": self.lock_style,
@@ -126,8 +122,6 @@ class SweepResult:
     point_status: list[dict] = field(default_factory=list)
     #: Plain-data retry/timeout/restart counters.
     resilience: dict = field(default_factory=dict)
-    #: Which execution core drove every point (compiled/interpreted).
-    dispatch: str = "compiled"
     #: Which interconnect fabric carried every point (schema v5).
     topology: str = "snoop"
     #: Directory sharer-set representation, or ``None`` off the
@@ -143,7 +137,6 @@ class SweepResult:
             "kind": "sweep-result",
             "protocol": self.protocol,
             "workload": self.workload,
-            "dispatch": self.dispatch,
             "topology": self.topology,
             "directory_entry": self.directory_entry,
             "xs": list(self.xs),
@@ -302,18 +295,6 @@ def _build_config(
     )
 
 
-def _resolve_dispatch(dispatch: "str | None") -> str:
-    """Resolve and validate a dispatch-mode choice (None = the
-    ``REPRO_DISPATCH``/compiled default)."""
-    from repro.protocols import DISPATCH_MODES, default_dispatch
-
-    mode = dispatch if dispatch is not None else default_dispatch()
-    if mode not in DISPATCH_MODES:
-        raise ValueError(f"unknown dispatch mode {mode!r}; "
-                         f"expected one of {', '.join(DISPATCH_MODES)}")
-    return mode
-
-
 # -- the verbs --------------------------------------------------------------
 
 
@@ -343,14 +324,8 @@ def simulate(
     sample_interval: int = 0,
     tracing: bool = False,
     max_wall_seconds: float | None = None,
-    dispatch: str | None = None,
 ) -> RunResult:
     """Run one workload on one protocol.
-
-    ``dispatch`` selects the protocol execution core -- ``"compiled"``
-    (dense dispatch tables) or ``"interpreted"`` (the transition-table
-    IR); the default follows ``REPRO_DISPATCH`` (else compiled).  Both
-    cores produce bit-identical statistics.
 
     The fabric knobs mirror the CLI: ``directory_banks`` sizes the
     directory fabric's home banks, ``directory_entry`` (plus
@@ -372,7 +347,6 @@ def simulate(
     """
     from repro.sim.engine import run_workload
 
-    dispatch = _resolve_dispatch(dispatch)
     if config is None:
         config = _build_config(
             protocol, processors=processors, buses=buses,
@@ -402,8 +376,7 @@ def simulate(
                             tracing=tracing)
     stats = run_workload(config, programs, check_interval=check_interval,
                          fast_forward=fast_forward, obs=obs,
-                         max_wall_seconds=max_wall_seconds,
-                         dispatch=dispatch)
+                         max_wall_seconds=max_wall_seconds)
     obs_result = obs.result() if obs is not None else None
     if obs_result is not None and obs_result.attribution is not None:
         # The observability layer cannot know the protocol name; stamp it
@@ -416,7 +389,6 @@ def simulate(
         config=config,
         stats=stats,
         obs=obs_result,
-        dispatch=dispatch,
         topology=config.topology.kind,
         lock_style=style_label,
         directory_entry=(config.topology.directory_entry
@@ -435,7 +407,6 @@ _SWEEP_METRICS = {
 def _sweep_point(n, *, protocol: str, workload: str,
                  fast_forward: bool = False, sample_interval: int = 0,
                  max_wall_seconds: float | None = None,
-                 dispatch: str | None = None,
                  topology: "TopologyConfig | str | None" = None,
                  clusters: int | None = None):
     """One sweep point; module-level so ``jobs > 1`` can pickle it (the
@@ -452,32 +423,25 @@ def _sweep_point(n, *, protocol: str, workload: str,
     programs = build_workload(workload, config)
     if not sample_interval:
         return run_workload(config, programs, fast_forward=fast_forward,
-                            max_wall_seconds=max_wall_seconds,
-                            dispatch=dispatch)
+                            max_wall_seconds=max_wall_seconds)
     from repro.analysis.sweeps import ObservedPoint
     from repro.obs import Observability
 
     obs = Observability(interval=sample_interval)
     stats = run_workload(config, programs, fast_forward=fast_forward,
-                         obs=obs, max_wall_seconds=max_wall_seconds,
-                         dispatch=dispatch)
+                         obs=obs, max_wall_seconds=max_wall_seconds)
     return ObservedPoint(stats=stats, obs=obs.result())
 
 
-def _warm_sweep_worker(*, protocol: str, dispatch: str | None = None) -> None:
-    """Worker-process warmup: pay the heavy imports and compile the
-    protocol's dispatch table once per worker instead of once per point
-    (the compiled form is cached on the table object, which every point
+def _warm_sweep_worker(*, protocol: str) -> None:
+    """Worker-process warmup: pay the heavy imports and build the
+    protocol table's guard-bit rows once per worker instead of once per
+    point (the rows are cached on the table object, which every point
     in the process then reuses)."""
     import repro.sim.engine  # noqa: F401 - heavy import, once per worker
     from repro.protocols import get_protocol
 
-    cls = get_protocol(protocol, dispatch)
-    table = getattr(cls, "table", None)
-    if table is not None and cls.dispatch == "compiled":
-        from repro.protocols.compiled import compile_table
-
-        compile_table(table)
+    get_protocol(protocol).table.guard_rows()
 
 
 def sweep(
@@ -493,7 +457,6 @@ def sweep(
     keep_going: bool = False,
     faults: "str | object | None" = None,
     fault_seed: int = 0,
-    dispatch: str | None = None,
     topology: "TopologyConfig | str | None" = None,
     clusters: int | None = None,
     directory_banks: int | None = None,
@@ -528,7 +491,6 @@ def sweep(
 
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults, seed=fault_seed)
-    dispatch = _resolve_dispatch(dispatch)
     resolved_topology = _resolve_topology(
         topology, clusters=clusters, directory_banks=directory_banks,
         directory_entry=directory_entry,
@@ -538,8 +500,7 @@ def sweep(
     run = functools.partial(
         _sweep_point, protocol=protocol, workload=workload,
         fast_forward=fast_forward, sample_interval=sample_interval,
-        max_wall_seconds=timeout, dispatch=dispatch,
-        topology=resolved_topology,
+        max_wall_seconds=timeout, topology=resolved_topology,
     )
     policy = ExecutionPolicy(
         max_attempts=max_attempts,
@@ -551,8 +512,7 @@ def sweep(
     plan = Sweep(xs=list(processors), run=run, metrics=dict(_SWEEP_METRICS))
     series = plan.execute(jobs=jobs, policy=policy,
                           warmup=functools.partial(
-                              _warm_sweep_worker, protocol=protocol,
-                              dispatch=dispatch),
+                              _warm_sweep_worker, protocol=protocol),
                           progress=progress)
     return SweepResult(
         protocol=protocol,
@@ -563,7 +523,6 @@ def sweep(
         observations=(list(plan.observations) if sample_interval else None),
         point_status=[outcome.to_dict() for outcome in plan.outcomes],
         resilience=dict(plan.resilience),
-        dispatch=dispatch,
         topology=resolved_topology.kind,
         directory_entry=(resolved_topology.directory_entry
                          if resolved_topology.kind == "directory" else None),

@@ -1,5 +1,5 @@
 """Interconnect-fabric registry (the topology analogue of the protocol
-dispatch registry).
+registry).
 
 Each :data:`~repro.common.config.TOPOLOGY_KINDS` entry maps to a builder
 that assembles the corresponding fabric from a
@@ -14,8 +14,7 @@ that assembles the corresponding fabric from a
 * ``clustered`` -- :class:`~repro.bus.hierarchy.ClusteredBusSystem`.
 * ``directory`` -- :class:`~repro.directory_backend.DirectorySystem`.
 
-``REPRO_TOPOLOGY`` overrides the session default the same way
-``REPRO_DISPATCH`` overrides the dispatch core.
+``REPRO_TOPOLOGY`` overrides the session default.
 """
 
 from __future__ import annotations

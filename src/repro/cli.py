@@ -32,10 +32,9 @@ from repro.analysis import (
     traffic_metrics,
 )
 from repro.bus.fabric import FABRIC_KINDS, TOPOLOGY_ENV
-from repro.protocols import DISPATCH_ENV, DISPATCH_MODES, PROTOCOLS
+from repro.protocols import PROTOCOLS
 from repro.workloads.registry import (WORKLOADS, canonical_workload_name,
-                                      default_lock_style,
-                                      default_words_per_block)
+                                      default_lock_style)
 
 #: Flags removed after their PR-3 deprecation window: old spelling ->
 #: the replacement named in the exit-2 error.
@@ -161,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the generated workload to a trace file")
     run.add_argument("--json", action="store_true",
                      help="emit the full statistics as JSON")
-    run.add_argument("--dispatch", choices=DISPATCH_MODES, default=None,
-                     help="protocol execution core (default: compiled, or "
-                          f"the {DISPATCH_ENV} environment variable)")
     run.add_argument("--fast-forward", action="store_true",
                      help="event-skip execution (identical statistics, "
                           "much faster on workloads with quiet spans)")
@@ -212,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--clusters", type=int, default=None, metavar="K",
                        help="clusters of the clustered fabric")
     _add_fabric_flags(sweep)
-    sweep.add_argument("--dispatch", choices=DISPATCH_MODES, default=None,
-                       help="protocol execution core (default: compiled, or "
-                            f"the {DISPATCH_ENV} environment variable)")
     sweep.add_argument("--fast-forward", action="store_true",
                        help="event-skip execution for every sweep point")
     sweep.add_argument("-j", "--jobs", type=int, default=1,
@@ -394,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Deprecated aliases kept for callers of the old helper names.
-_default_wpb = default_words_per_block
-_default_style = default_lock_style
-
-
 def command_run(args: argparse.Namespace) -> int:
     from repro import api
 
@@ -453,7 +441,6 @@ def command_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             check_interval=args.check_interval,
             fast_forward=args.fast_forward,
-            dispatch=args.dispatch,
             sample_interval=args.sample_interval if observe else 0,
             tracing=tracing,
             max_wall_seconds=args.max_wall_seconds,
@@ -586,7 +573,6 @@ def command_sweep(args: argparse.Namespace) -> int:
             args.workload,
             processors=args.processors,
             fast_forward=args.fast_forward,
-            dispatch=args.dispatch,
             topology=args.topology,
             clusters=args.clusters,
             directory_banks=args.directory_banks,

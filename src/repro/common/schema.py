@@ -25,8 +25,8 @@ Version history
    sweeps; consumers of partial sweeps must skip ``null`` points (the
    per-point status says why each one is missing).
 3. Compiled dispatch core: ``run-result`` and ``sweep-result`` payloads
-   gain a top-level ``dispatch`` key (``"compiled"`` or
-   ``"interpreted"``, the execution core that drove the protocol).
+   gain a top-level ``dispatch`` key naming the execution core that
+   drove the protocol (compiled or interpreted; removed in v8).
    ``BENCH_engine.json`` gains ``engine.dispatch`` (per-core
    stepped/fast-forward timings), a ``lookup`` section (the
    interpreted-vs-compiled table-lookup microbenchmark), and the
@@ -85,6 +85,17 @@ Version history
    ``perf_guard``'s limited-pointer traffic ceiling).  Migration: v6
    readers that ignore unknown keys keep working; none of the
    pre-existing keys changed meaning.
+8. One protocol execution core: ``run-result`` and ``sweep-result``
+   payloads drop the top-level ``dispatch`` key (every run uses the
+   transition tables' guard-bit lookup).  ``SystemConfig``
+   serializations can no longer carry ``num_buses``: the v5 alias is
+   gone and a payload naming it fails to load with a ``ConfigError``.
+   ``BENCH_engine.json`` drops ``engine.dispatch`` (the per-core
+   timings), and its ``lookup`` section names its two timings
+   ``scan_*`` (the reference guard scan) and ``bits_*`` (the guard-bit
+   rows).  Migration: v7 run/sweep results and configs still load;
+   readers of ``dispatch`` must stop expecting it, and a v7
+   ``BENCH_engine.json`` must be re-measured.
 """
 
 from __future__ import annotations
@@ -92,7 +103,7 @@ from __future__ import annotations
 from repro.common.errors import ReproError
 
 #: Current version of all exported JSON payload shapes.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Key under which the version is stamped.
 SCHEMA_KEY = "schema_version"

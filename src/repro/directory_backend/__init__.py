@@ -5,7 +5,7 @@ banks: every transaction serializes at its block's home bank, which
 forwards it point-to-point only to the caches the directory lists as
 holding (or waiting on) the block, instead of broadcasting to all N.
 The protocols themselves -- their transition tables, the linter, the
-model checker, and compiled dispatch -- apply unchanged: the directory
+model checker, and the table lookup -- apply unchanged: the directory
 is purely a delivery fabric that prunes snoops the filtered caches would
 have answered with a miss anyway.  The home-bank policy itself is
 TransitionTable IR (:mod:`repro.directory_backend.table`), and the

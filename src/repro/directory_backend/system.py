@@ -5,9 +5,9 @@ Blocks interleave across ``directory_banks`` home banks exactly as they
 interleave across buses in the multi-bus system, so every transaction on
 a block serializes at its home bank -- the same single-writer argument,
 with the bank in the bus's role.  Instead of broadcasting, the bank
-dispatches the request through the home-bank
-:class:`~repro.directory_backend.table.DirectoryTable` (compiled to
-dense dispatch like any protocol table) and executes the matched row's
+looks the request up in the home-bank
+:class:`~repro.directory_backend.table.DirectoryTable` (through the same
+guard-bit rows as any protocol table) and executes the matched row's
 actions: probe-set selection, membership refresh, message tallies, and
 hop/lookup timing.
 
@@ -51,7 +51,6 @@ from repro.directory_backend.table import (
     guard_bits_of,
     home_state_of,
 )
-from repro.protocols.compiled import compile_table
 from repro.protocols.table import Rule
 
 if TYPE_CHECKING:
@@ -85,7 +84,8 @@ class DirectoryFabric(Bus):
         self._last_probed: set[CacheId] = set()
         # Resolved per instance so a class-level ``table`` patch (the mc
         # mutation harness) is honoured by instances created under it.
-        self._dispatch = compile_table(self.table)
+        self._table = self.table
+        self._table.guard_rows()
         self._active_row: Rule | None = None
 
     # -- delivery -----------------------------------------------------------
@@ -104,7 +104,7 @@ class DirectoryFabric(Bus):
         # read-source arbitration deterministic and bus-identical.
         ports = self._ports
         peers = any(cid != rid and sharers.listed(cid) for cid in ports)
-        row = self._dispatch.lookup_bits(
+        row = self._table.lookup_bits(
             home_state_of(entry), DIR_EVENT_OF[txn.op],
             guard_bits_of(entry, rid, peers))
         self._active_row = row

@@ -4,8 +4,8 @@ PR 8 gave the directory fabric a fixed, procedural probe policy; this
 module lifts it into the same :class:`~repro.protocols.table.Rule`
 vocabulary the cache-side protocols use, so the home bank is lintable
 (``repro lint``), mutable (the mc harness edits rows, not code), and
-compilable (the :class:`~repro.protocols.compiled.CompiledTable` dense
-dispatch, via a directory :class:`DispatchVocabulary`).
+executed by the same :meth:`~repro.protocols.table.TransitionTable.lookup_bits`
+probe, over a directory :class:`~repro.protocols.table.TableVocabulary`.
 
 **States** are the classic directory-entry occupancies: ``UNCACHED``
 (no sharer listed), ``SHARED`` (clean sharers listed), ``OWNED`` (a
@@ -59,8 +59,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.bus.transaction import BusOp
-from repro.protocols.compiled import DispatchVocabulary
-from repro.protocols.table import Rule, TransitionTable, rule
+from repro.protocols.table import Rule, TableVocabulary, TransitionTable, rule
 
 if TYPE_CHECKING:
     from repro.common.types import CacheId
@@ -128,8 +127,8 @@ ACCOUNTING_ACTIONS = ("count-response", "tally-traffic", "pay-lookup",
 DIR_ACTIONS = DELIVERY_ACTIONS + MEMBERSHIP_ACTIONS + ACCOUNTING_ACTIONS
 
 
-#: The dense index spaces the compiler lowers directory tables against.
-DIRECTORY_VOCABULARY = DispatchVocabulary(
+#: The index spaces of directory tables' guard-bit rows.
+DIRECTORY_VOCABULARY = TableVocabulary(
     tuple(HomeState), tuple(DirEvent), DIR_GUARD_FAMILIES,
     lambda event: DIR_BIT_FAMILIES)
 
@@ -139,12 +138,11 @@ class DirectoryTable(TransitionTable):
 
     Same rule vocabulary, index, ``lookup``, and ``without``/``rewrite``
     mutation helpers as the cache-side tables; only the vocabulary (and
-    therefore the compiled dense shapes) differs.
+    therefore the shape of the guard-bit rows) differs.
     """
 
     #: Dispatched on by ``repro.lint.rules.lint_table``.
     table_kind = "directory"
-    #: Picked up by ``repro.protocols.compiled.compile_table``.
     vocabulary = DIRECTORY_VOCABULARY
 
     def reachable_states(self) -> frozenset:
@@ -209,7 +207,7 @@ def home_state_of(entry: "DirectoryEntry") -> HomeState:
 
 def guard_bits_of(entry: "DirectoryEntry", requester: "CacheId",
                   peers: bool) -> int:
-    """Encode the request's guard context as compiled dispatch bits
+    """Encode the request's guard context as guard bits
     (bit order per :data:`DIR_BIT_FAMILIES`).  ``peers`` is whether any
     other cache is listed -- the caller computes it from the ports it
     is about to scan anyway."""

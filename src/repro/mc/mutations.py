@@ -77,7 +77,7 @@ def _table_patch(cls, builder: Callable[[], TransitionTable]):
 
 def _directory_table_patch(builder: Callable[[], TransitionTable]):
     """Patch the home-bank policy on the directory fabric class (the
-    fabric resolves its compiled dispatch per instance, so instances
+    fabric resolves its table per instance, so instances
     created under the patch honour it)."""
     def apply():
         from repro.directory_backend.system import DirectoryFabric

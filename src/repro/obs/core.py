@@ -169,7 +169,7 @@ class Observability:
         self.slices: list[dict] = []
         #: Causal span tracer (``tracing=True``); every hook below
         #: forwards to it, and it only ever sees event cycles, so its
-        #: output is engine- and dispatch-independent.
+        #: output is engine-independent.
         self.tracer = None
         if tracing:
             from repro.obs.tracing import SpanTracer

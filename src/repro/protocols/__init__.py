@@ -6,8 +6,7 @@ write-in columns are ``TABLE1_PROTOCOLS``, in the paper's column order.
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Type
+from typing import Type
 
 from repro.common.errors import UnknownProtocolError
 from repro.core.lock_protocol import BitarDespainProtocol
@@ -52,53 +51,31 @@ TABLE1_PROTOCOLS: tuple[str, ...] = (
 WRITE_UPDATE_PROTOCOLS: tuple[str, ...] = ("dragon", "firefly", "rudolph-segall")
 
 
-#: Dispatch modes a protocol class can execute under.
-DISPATCH_MODES: tuple[str, ...] = ("compiled", "interpreted")
-
-#: Environment override for the default dispatch mode.
-DISPATCH_ENV = "REPRO_DISPATCH"
-
-
-def default_dispatch() -> str:
-    """The session-default dispatch mode (``REPRO_DISPATCH`` or
-    ``compiled``)."""
-    mode = os.environ.get(DISPATCH_ENV, "").strip().lower()
-    return mode if mode in DISPATCH_MODES else "compiled"
-
-
 def get_protocol(name: str,
                  dispatch: str | None = None) -> Type[CoherenceProtocol]:
     """Look up a protocol class by registry name.
 
-    ``dispatch`` selects the execution core: ``"interpreted"`` returns
-    the registered class unchanged; ``"compiled"`` (the default, unless
-    ``REPRO_DISPATCH`` says otherwise) returns its dense-dispatch
-    variant for table-driven protocols (non-table protocols have
-    nothing to compile and pass through).
+    ``dispatch`` selects nothing: every protocol runs on its table's
+    guard-bit lookup.  It remains only for the benchmark under
+    ``perfbench/``, which passes ``"compiled"``; any value other than
+    that and ``None`` raises :class:`ValueError`.
     """
+    if dispatch not in (None, "compiled"):
+        raise ValueError(f"dispatch={dispatch!r} is not supported; "
+                         f"pass None")
     try:
-        cls = PROTOCOLS[name]
+        return PROTOCOLS[name]
     except KeyError:
         known = ", ".join(sorted(PROTOCOLS))
         raise UnknownProtocolError(
             f"unknown protocol {name!r}; known protocols: {known}"
         ) from None
-    mode = dispatch if dispatch is not None else default_dispatch()
-    if mode not in DISPATCH_MODES:
-        raise ValueError(f"unknown dispatch mode {mode!r}; "
-                         f"expected one of {', '.join(DISPATCH_MODES)}")
-    if mode == "compiled":
-        from repro.protocols.compiled import compile_protocol_class
-        return compile_protocol_class(cls)
-    return cls
 
 
 __all__ = [
     "PROTOCOLS",
     "TABLE1_PROTOCOLS",
     "WRITE_UPDATE_PROTOCOLS",
-    "DISPATCH_MODES",
     "CoherenceProtocol",
-    "default_dispatch",
     "get_protocol",
 ]

@@ -80,10 +80,6 @@ class CoherenceProtocol(abc.ABC):
     #: Registry key, e.g. ``"goodman"``.
     name: ClassVar[str] = ""
 
-    #: Dispatch mode the class executes under (``"interpreted"`` for the
-    #: hook/interpreter surface; the compiled wrapper overrides this).
-    dispatch: ClassVar[str] = "interpreted"
-
     def __init__(self, cache: "SnoopingCache") -> None:
         self.cache = cache
 

@@ -53,7 +53,7 @@ from repro.protocols.base import (
 from repro.sim.events import EventKind
 
 if TYPE_CHECKING:
-    from repro.cache.cache import PendingAccess
+    from repro.cache.cache import PendingAccess, SnoopingCache
     from repro.cache.line import CacheLine
 
 
@@ -174,6 +174,66 @@ def guard_families_for(event: Event) -> frozenset[str]:
     return COMPLETION_GUARD_FAMILIES
 
 
+# -- guard bits -------------------------------------------------------------
+
+#: Bit order of the processor-event guard families.  Bit ``i`` set means
+#: the context carries ``GUARD_FAMILIES[family][0]``.
+PROCESSOR_BIT_FAMILIES: tuple[str, ...] = ("hint", "interleave")
+#: Bit order of the completion-event guard families, matching the bits
+#: ``TableProtocol._lookup_completion`` sets.
+COMPLETION_BIT_FAMILIES: tuple[str, ...] = (
+    "intent", "sharing", "supplier", "lock-intent", "mem-lock",
+    "mem-waiter", "wait-win",
+)
+
+assert frozenset(PROCESSOR_BIT_FAMILIES) == PROCESSOR_GUARD_FAMILIES
+assert frozenset(COMPLETION_BIT_FAMILIES) == COMPLETION_GUARD_FAMILIES
+
+
+def bit_families_for(event: Event) -> tuple[str, ...]:
+    """The ordered guard-bit families of ``event``'s class."""
+    families = guard_families_for(event)
+    if families is PROCESSOR_GUARD_FAMILIES:
+        return PROCESSOR_BIT_FAMILIES
+    if families is COMPLETION_GUARD_FAMILIES:
+        return COMPLETION_BIT_FAMILIES
+    return ()
+
+
+class TableVocabulary:
+    """The index spaces a table's guard-bit rows are built over.
+
+    A full guard context is one integer: bit ``i`` is 1 when the context
+    carries the *first* atom of the event's ``i``-th bit family
+    (``hint``, ``shared``, ...) and 0 for the second.  The cache-side
+    tables use :data:`CACHE_VOCABULARY`; the directory home-bank table
+    (:mod:`repro.directory_backend.table`) supplies its own.
+    """
+
+    def __init__(self, states, events, guard_families,
+                 bit_families_for) -> None:
+        self.states = tuple(states)
+        self.events = tuple(events)
+        self.guard_families = dict(guard_families)
+        self.bit_families_for = bit_families_for
+        self.state_index = {s: i for i, s in enumerate(self.states)}
+        self.event_index = {e: i for i, e in enumerate(self.events)}
+        self.n_events = len(self.events)
+
+    def context_of_bits(self, event, bits: int) -> frozenset[str]:
+        """The full guard context encoded by ``bits`` for ``event``."""
+        atoms = []
+        for i, family in enumerate(self.bit_families_for(event)):
+            positive, negative = self.guard_families[family]
+            atoms.append(positive if bits & (1 << i) else negative)
+        return frozenset(atoms)
+
+
+#: The cache-side protocol vocabulary.
+CACHE_VOCABULARY = TableVocabulary(
+    tuple(CacheState), tuple(Event), GUARD_FAMILIES, bit_families_for)
+
+
 # -- actions ----------------------------------------------------------------
 
 #: Bus-request suffix (``bus:<name>`` / ``rebus:<name>``) -> operation.
@@ -289,7 +349,15 @@ class TransitionTable:
     ``transient_states`` are intermediate states the machinery converts
     in zero time (never observable on a snoop).  ``errors`` hold the
     message templates of ``error:<key>`` actions.
+
+    Execution goes through :meth:`lookup_bits`, which probes rows
+    precomputed once per table over its :attr:`vocabulary`;
+    :meth:`lookup` is the reference guard scan the linter, the diagrams
+    and the equivalence tests use.
     """
+
+    #: Index spaces of :meth:`guard_rows`.
+    vocabulary: ClassVar[TableVocabulary] = CACHE_VOCABULARY
 
     def __init__(self, name: str, rules: Iterable[Rule], *,
                  lost_copy: Mapping[BusOp, BusOp] | None = None,
@@ -311,6 +379,7 @@ class TransitionTable:
             key: tuple(sorted(bucket, key=lambda r: -len(r.guard)))
             for key, bucket in index.items()
         }
+        self._rows: list[list[Rule | None] | None] | None = None
 
     # -- lookup ----------------------------------------------------------
 
@@ -319,13 +388,57 @@ class TransitionTable:
 
     def lookup(self, state: CacheState, event: Event,
                ctx: frozenset[str]) -> Rule:
+        """The reference scan: the most specific row whose guard is a
+        subset of ``ctx`` (which may be partial)."""
         bucket = self._index.get((state, event))
         if bucket:
             for r in bucket:
                 if r.matches(ctx):
                     return r
+        raise self._missing(state, event, ctx)
+
+    def guard_rows(self) -> list[list[Rule | None] | None]:
+        """``rows[state_idx * n_events + event_idx][bits]``: the row
+        :meth:`lookup` picks for each full guard context (``None`` where
+        it would raise; a ``None`` cell for an empty bucket).  Built on
+        first use and cached: tables are immutable, the mutation helpers
+        return fresh instances."""
+        if self._rows is None:
+            vocab = self.vocabulary
+            rows: list[list[Rule | None] | None] = []
+            for state in vocab.states:
+                for event in vocab.events:
+                    bucket = self.rules_for(state, event)
+                    if not bucket:
+                        rows.append(None)
+                        continue
+                    cell: list[Rule | None] = []
+                    for bits in range(2 ** len(vocab.bit_families_for(event))):
+                        ctx = vocab.context_of_bits(event, bits)
+                        cell.append(next(
+                            (r for r in bucket if r.guard <= ctx), None))
+                    rows.append(cell)
+            self._rows = rows
+        return self._rows
+
+    def lookup_bits(self, state, event, bits: int) -> Rule:
+        """:meth:`lookup` of the full context ``bits`` encodes: two list
+        probes, the same :class:`ProtocolError` for a missing row."""
+        rows = self._rows
+        if rows is None:
+            rows = self.guard_rows()
+        vocab = self.vocabulary
+        cell = rows[vocab.state_index[state] * vocab.n_events
+                    + vocab.event_index[event]]
+        row = cell[bits] if cell is not None else None
+        if row is None:
+            raise self._missing(state, event,
+                                vocab.context_of_bits(event, bits))
+        return row
+
+    def _missing(self, state, event, ctx: frozenset[str]) -> ProtocolError:
         atoms = "{" + ",".join(sorted(ctx)) + "}"
-        raise ProtocolError(
+        return ProtocolError(
             f"{self.name}: no transition for state {state.value!r} on "
             f"{event.value} under {atoms}"
         )
@@ -452,6 +565,9 @@ def derive_atomic_rmw(table: TransitionTable) -> bool:
 
 # -- the interpreter --------------------------------------------------------
 
+#: Op kinds whose completion context carries the ``writish`` atom.
+_WRITISH_KINDS = frozenset({OpKind.WRITE, OpKind.RELEASE})
+
 
 class TableProtocol(CoherenceProtocol):
     """Executes a :class:`TransitionTable` through the base hook surface.
@@ -463,49 +579,50 @@ class TableProtocol(CoherenceProtocol):
 
     table: ClassVar[TransitionTable]
 
-    # -- guard contexts --------------------------------------------------
-
-    def _processor_ctx(self, addr: WordAddr,
-                       private_hint: bool = False) -> frozenset[str]:
-        block = self.cache.block_of(addr)
-        wrote = self.cache.scratch.get(("rs-wrote", block), False)
-        return frozenset({
-            "hint" if private_hint else "no-hint",
-            "wrote-last" if wrote else "first-write",
-        })
-
-    def _completion_ctx(self, pending: "PendingAccess",
-                        txn: BusTransaction, response) -> frozenset[str]:
-        writish = pending.op.kind in (OpKind.WRITE, OpKind.RELEASE)
-        return frozenset({
-            "writish" if writish else "readish",
-            "shared" if response.shared_hit else "unshared",
-            "dirty-supplier" if response.supplier_dirty else "clean-supplier",
-            "lock-intent" if txn.lock_intent else "no-lock-intent",
-            "mem-owner" if response.memory_lock_owner else "mem-other",
-            "mem-waiter" if response.memory_lock_waiter else "no-mem-waiter",
-            "won-wait" if txn.high_priority else "not-won-wait",
-        })
+    def __init__(self, cache: "SnoopingCache") -> None:
+        super().__init__(cache)
+        # Resolved per instance so a class-level ``table`` patch (the mc
+        # mutation harness) is honoured by instances created under it.
+        self._table = self.table
+        self._table.guard_rows()
 
     # -- lookup seams ----------------------------------------------------
-    # The three call shapes through which every table probe flows.  The
-    # interpreter builds a frozenset context and scans; the compiled
-    # dispatch layer (repro.protocols.compiled) overrides exactly these
-    # with guard-bit probes into precomputed dense arrays.
+    # The three call shapes through which every table probe flows.  Each
+    # encodes its guard context as bits in the order of
+    # PROCESSOR_BIT_FAMILIES / COMPLETION_BIT_FAMILIES (snoops consult
+    # no guards) and probes the table's guard-bit rows.
 
     def _lookup_processor(self, state: CacheState, event: Event,
                           addr: WordAddr, private_hint: bool) -> Rule:
-        return self.table.lookup(state, event,
-                                 self._processor_ctx(addr, private_hint))
+        cache = self.cache
+        bits = 1 if private_hint else 0
+        if cache.scratch and cache.scratch.get(
+                ("rs-wrote", cache.block_of(addr)), False):
+            bits |= 2
+        return self._table.lookup_bits(state, event, bits)
 
     def _lookup_completion(self, state: CacheState, event: Event,
                            pending: "PendingAccess", txn: BusTransaction,
                            response) -> Rule:
-        return self.table.lookup(
-            state, event, self._completion_ctx(pending, txn, response))
+        bits = 0
+        if pending.op.kind in _WRITISH_KINDS:
+            bits |= 1
+        if response.shared_hit:
+            bits |= 2
+        if response.supplier_dirty:
+            bits |= 4
+        if txn.lock_intent:
+            bits |= 8
+        if response.memory_lock_owner:
+            bits |= 16
+        if response.memory_lock_waiter:
+            bits |= 32
+        if txn.high_priority:
+            bits |= 64
+        return self._table.lookup_bits(state, event, bits)
 
     def _lookup_snoop(self, state: CacheState, event: Event) -> Rule:
-        return self.table.lookup(state, event, frozenset())
+        return self._table.lookup_bits(state, event, 0)
 
     # -- processor side --------------------------------------------------
 

@@ -25,7 +25,7 @@ class TestConstruction:
     def test_zero_buses_rejected(self):
         with pytest.raises(ConfigError):
             TopologyConfig(kind="multibus", buses=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError, match="num_buses"):
             SystemConfig(num_buses=0)
 
     def test_block_interleaving(self):

@@ -1,80 +1,58 @@
-"""Compiled-dispatch equivalence: the dense tables ARE the interpreter.
+"""Table-lookup equivalence: the guard-bit rows ARE the reference scan.
 
-For every protocol, every ``(state, event, guard-subset)`` in the full
-cross-product -- each guard family contributing its positive atom, its
-negative atom, or nothing at all -- :meth:`TransitionTable.lookup` and
-the compiled table must agree exactly: the same winning row (hence the
-same ``(next_state, actions)``), or a :class:`ProtocolError` from both
-with the *identical* message naming the missing transition.  Full
-contexts additionally go through :meth:`CompiledTable.lookup_bits`, the
-guard-bit probe the hot seams use.
+Each table compiles, once, a row per ``(state, event)`` holding the
+winner of every full guard context (:meth:`TransitionTable.guard_rows`),
+and every run executes through :meth:`TransitionTable.lookup_bits`.
+For all ten protocol tables and the directory home-bank table, every
+``(state, event, guard bits)`` cell must agree exactly with the
+reference scan :meth:`TransitionTable.lookup` over the context those
+bits encode: the same winning row, or a :class:`ProtocolError` from
+both with the *identical* message naming the missing transition.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from repro.cache.state import CacheState
 from repro.common.errors import ProtocolError
+from repro.directory_backend.table import HOME_BANK_TABLE
 from repro.protocols import PROTOCOLS
-from repro.protocols.compiled import (
-    bit_families_for,
-    bits_of_context,
-    compile_table,
-)
-from repro.protocols.table import Event, GUARD_FAMILIES
-
-STATES = tuple(CacheState)
-EVENTS = tuple(Event)
+from repro.protocols.table import TransitionTable
 
 
-def _contexts(event: Event):
-    """Every guard subset of ``event``'s alphabet: per family the
-    positive atom, the negative atom, or absence."""
-    choices = []
-    for family in bit_families_for(event):
-        positive, negative = GUARD_FAMILIES[family]
-        choices.append((frozenset(), frozenset({positive}),
-                        frozenset({negative})))
-    for combo in itertools.product(*choices):
-        yield frozenset().union(*combo)
-
-
-def _outcome(lookup, state, event, ctx):
+def _outcome(lookup, *args):
     try:
-        rule = lookup(state, event, ctx)
+        return ("rule", lookup(*args))
     except ProtocolError as exc:
         return ("error", str(exc))
-    return ("rule", rule.next_state, rule.actions)
+
+
+def _check_every_cell(table: TransitionTable) -> int:
+    vocab = table.vocabulary
+    checked = 0
+    for state in vocab.states:
+        for event in vocab.events:
+            for bits in range(2 ** len(vocab.bit_families_for(event))):
+                ctx = vocab.context_of_bits(event, bits)
+                expected = _outcome(table.lookup, state, event, ctx)
+                actual = _outcome(table.lookup_bits, state, event, bits)
+                assert actual == expected, (
+                    f"{table.name}: {state.value} x {event.value} x bits "
+                    f"{bits:#x}: lookup_bits {actual} != lookup {expected}"
+                )
+                checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_compiled_matches_interpreter(name):
-    table = PROTOCOLS[name].table
-    compiled = compile_table(table)
-    checked = 0
-    for state, event in itertools.product(STATES, EVENTS):
-        for ctx in _contexts(event):
-            expected = _outcome(table.lookup, state, event, ctx)
-            actual = _outcome(compiled.lookup, state, event, ctx)
-            assert actual == expected, (
-                f"{name}: {state.value} x {event.value} x "
-                f"{sorted(ctx)}: compiled {actual} != "
-                f"interpreted {expected}"
-            )
-            bits = bits_of_context(event, ctx)
-            if bits is not None:  # full context: the hot-path probe too
-                via_bits = _outcome(
-                    lambda s, e, _c: compiled.lookup_bits(s, e, bits),
-                    state, event, ctx)
-                assert via_bits == expected, (
-                    f"{name}: {state.value} x {event.value} x bits "
-                    f"{bits:#x}: lookup_bits {via_bits} != "
-                    f"interpreted {expected}"
-                )
-            checked += 1
-    # 8 states x (6 processor events x 3^2 + 6 snoop events x 3^0 +
-    # 7 fill/done events x 3^7) contexts.
-    assert checked == len(STATES) * (6 * 9 + 6 + 7 * 3 ** 7)
+    checked = _check_every_cell(PROTOCOLS[name].table)
+    # 8 states x (6 processor events x 2^2 + 6 snoop events x 2^0 +
+    # 7 fill/done events x 2^7) full contexts.
+    assert checked == 8 * (6 * 4 + 6 + 7 * 2 ** 7)
+
+
+def test_directory_rows_match_reference_scan():
+    # 4 home states x 5 request classes x 2^3 full contexts.
+    assert _check_every_cell(HOME_BANK_TABLE) == 4 * 5 * 8
+
