@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.config import (CacheConfig, SystemConfig, TopologyConfig,
                                  WaitMode)
+from repro.common.errors import ConfigError
 from repro.common.schema import stamp
 from repro.mc.check import CheckReport
 from repro.mc.check import check as _mc_check
@@ -224,8 +225,12 @@ def _resolve_topology(
     deprecated overload).  ``directory_entry`` /
     ``directory_pointers`` / ``directory_region_size`` select the
     sharer-set representation; ``hop_cycles`` / ``lookup_cycles``
-    override the link and home-bank timing.
+    override the link and home-bank timing.  A given knob is never
+    defaulted away: zero or negative values reach
+    :class:`TopologyConfig`'s validation and raise :class:`ConfigError`.
     """
+    if buses < 1:
+        raise ConfigError(f"buses must be positive, got {buses}")
     overrides = _topology_overrides(
         directory_banks, directory_entry, directory_pointers,
         directory_region_size, hop_cycles, lookup_cycles)
@@ -242,11 +247,13 @@ def _resolve_topology(
     if kind == "multibus":
         base = TopologyConfig(kind="multibus", buses=buses)
     elif kind == "clustered":
-        base = TopologyConfig(kind="clustered", clusters=clusters or 2)
+        base = TopologyConfig(kind="clustered",
+                              clusters=2 if clusters is None else clusters)
     elif kind == "directory":
-        base = TopologyConfig(
-            kind="directory",
-            directory_banks=directory_banks or clusters or 1)
+        if directory_banks is None:
+            directory_banks = 1 if clusters is None else clusters
+        base = TopologyConfig(kind="directory",
+                              directory_banks=directory_banks)
         overrides.pop("directory_banks", None)
     else:
         # "snoop" -- and anything unknown, which TopologyConfig rejects
@@ -491,6 +498,9 @@ def sweep(
 
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults, seed=fault_seed)
+    for n in processors:
+        if n < 1:
+            raise ConfigError(f"num_processors must be positive, got {n}")
     resolved_topology = _resolve_topology(
         topology, clusters=clusters, directory_banks=directory_banks,
         directory_entry=directory_entry,

@@ -19,7 +19,6 @@ from repro.common.config import TimingConfig
 from repro.common.types import NEVER, CacheId, Stamp
 from repro.protocols.base import Outcome
 from repro.protocols.features import ReadSourcePolicy
-from repro.sim.events import EventKind
 
 from repro.obs.core import NULL_OBS
 
@@ -27,7 +26,6 @@ if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
-    from repro.sim.events import TraceLog
     from repro.sim.stats import SimStats
 
 
@@ -61,7 +59,6 @@ class Bus:
         timing: TimingConfig,
         clock: "Clock",
         stats: "SimStats",
-        trace: "TraceLog",
         obs: "Observability" = NULL_OBS,
         index: int = 0,
     ) -> None:
@@ -69,7 +66,6 @@ class Bus:
         self.timing = timing
         self.clock = clock
         self.stats = stats
-        self.trace = trace
         self.obs = obs
         #: Optional :class:`~repro.sim.schedule.Scheduler` resolving
         #: arbitration and read-source ties; ``None`` keeps the built-in
@@ -194,8 +190,6 @@ class Bus:
 
     def _execute(self, port: BusPort, txn: BusTransaction) -> None:
         now = self.clock.cycle
-        if self.trace.active:
-            self.trace.emit(now, EventKind.BUS_TXN, txn=str(txn))
         if self.obs.active:
             # Open the transaction span before snooping so the snoop-time
             # hooks (invalidations, wakeups, aborts) attach to it as the
@@ -286,10 +280,6 @@ class Bus:
                 self.obs.record_c2c(txn.block, response.supplier)
             if response.arbitration_candidates:
                 self.stats.source_arbitrations += 1
-            if self.trace.active:
-                self.trace.emit(self.clock.cycle, EventKind.SUPPLY,
-                                block=txn.block, by=f"cache{response.supplier}",
-                                dirty=response.supplier_dirty)
             return list(reply.data)
 
         data = self.memory.read_block(txn.block)
@@ -298,9 +288,6 @@ class Bus:
             self.stats.source_losses += 1
             if self.obs.active:
                 self.obs.record_source_loss(txn.block)
-        if self.trace.active:
-            self.trace.emit(self.clock.cycle, EventKind.SUPPLY,
-                            block=txn.block, by="memory", dirty=False)
         return data
 
     def _tracks_source_loss(self, port: BusPort) -> bool:

@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
-    from repro.sim.events import TraceLog
     from repro.sim.stats import SimStats
 
 #: Fabric kinds the registry can build (same namespace as
@@ -48,34 +47,33 @@ def default_topology() -> str:
 
 
 def _build_snoop(topology: TopologyConfig, memory, timing, clock, stats,
-                 trace, obs):
+                 obs):
     from repro.bus.bus import Bus
 
-    return Bus(memory, timing, clock, stats, trace, obs=obs)
+    return Bus(memory, timing, clock, stats, obs=obs)
 
 
 def _build_multibus(topology: TopologyConfig, memory, timing, clock, stats,
-                    trace, obs):
+                    obs):
     from repro.bus.multibus import MultiBusSystem
 
     return MultiBusSystem(topology.buses, memory, timing, clock, stats,
-                          trace, obs)
+                          obs)
 
 
 def _build_clustered(topology: TopologyConfig, memory, timing, clock, stats,
-                     trace, obs):
+                     obs):
     from repro.bus.hierarchy import ClusteredBusSystem
 
     return ClusteredBusSystem(topology, memory, timing, clock, stats,
-                              trace, obs)
+                              obs)
 
 
 def _build_directory(topology: TopologyConfig, memory, timing, clock, stats,
-                     trace, obs):
+                     obs):
     from repro.directory_backend import DirectorySystem
 
-    return DirectorySystem(topology, memory, timing, clock, stats, trace,
-                           obs)
+    return DirectorySystem(topology, memory, timing, clock, stats, obs)
 
 
 _FABRICS: dict[str, Callable] = {
@@ -103,12 +101,11 @@ def build_fabric(
     timing: TimingConfig,
     clock: "Clock",
     stats: "SimStats",
-    trace: "TraceLog",
     obs: "Observability",
 ):
     """Assemble the fabric a :class:`TopologyConfig` describes."""
     return get_fabric(topology.kind)(topology, memory, timing, clock,
-                                     stats, trace, obs)
+                                     stats, obs)
 
 
 __all__ = [

@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
-    from repro.sim.events import TraceLog
     from repro.sim.stats import SimStats
 
 
@@ -51,7 +50,6 @@ class ClusteredBusSystem(MultiBusSystem):
         timing: TimingConfig,
         clock: "Clock",
         stats: "SimStats",
-        trace: "TraceLog",
         obs: "Observability" = None,  # type: ignore[assignment]
     ) -> None:
         from repro.obs.core import NULL_OBS
@@ -68,7 +66,7 @@ class ClusteredBusSystem(MultiBusSystem):
         self.link_messages = 0
         super().__init__(
             self.clusters * self.buses_per_cluster, memory, timing, clock,
-            stats, trace, obs if obs is not None else NULL_OBS,
+            stats, obs if obs is not None else NULL_OBS,
         )
 
     def _make_bus(self, index: int) -> Bus:
@@ -92,8 +90,7 @@ class ClusterBus(Bus):
 
     def __init__(self, system: ClusteredBusSystem, index: int) -> None:
         super().__init__(system.memory, system.timing, system.clock,
-                         system.stats, system.trace, obs=system.obs,
-                         index=index)
+                         system.stats, obs=system.obs, index=index)
         self._system = system
 
     def _snoop_all(

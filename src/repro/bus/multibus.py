@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
-    from repro.sim.events import TraceLog
     from repro.sim.stats import SimStats
 
 
@@ -91,7 +90,6 @@ class MultiBusSystem:
         timing: TimingConfig,
         clock: "Clock",
         stats: "SimStats",
-        trace: "TraceLog",
         obs: "Observability" = NULL_OBS,
     ) -> None:
         if n_buses < 1:
@@ -101,7 +99,6 @@ class MultiBusSystem:
         self.timing = timing
         self.clock = clock
         self.stats = stats
-        self.trace = trace
         self.obs = obs
         self.buses = [self._make_bus(i) for i in range(n_buses)]
 
@@ -109,7 +106,7 @@ class MultiBusSystem:
         """Factory for one serialization domain; subclasses (clustered,
         directory) substitute their own Bus subclass here."""
         return Bus(self.memory, self.timing, self.clock, self.stats,
-                   self.trace, obs=self.obs, index=index)
+                   obs=self.obs, index=index)
 
     @property
     def scheduler(self):

@@ -28,14 +28,12 @@ from repro.common.types import NEVER, BlockAddr, CacheId, Stamp, WordAddr, block
 from repro.obs.core import NULL_OBS
 from repro.processor.isa import Op, OpKind
 from repro.protocols.base import Done, NeedBus, Outcome, TxnResult
-from repro.sim.events import EventKind
 
 if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.protocols.base import CoherenceProtocol
     from repro.sim.clock import Clock, StampClock
-    from repro.sim.events import TraceLog
     from repro.sim.stats import SimStats
     from repro.verify.oracle import WriteOracle
 
@@ -97,7 +95,6 @@ class SnoopingCache:
         clock: "Clock",
         stamp_clock: "StampClock",
         stats: "SimStats",
-        trace: "TraceLog",
         obs: "Observability" = NULL_OBS,
     ) -> None:
         self.id = cache_id
@@ -105,7 +102,6 @@ class SnoopingCache:
         self.clock = clock
         self.stamp_clock = stamp_clock
         self.stats = stats
-        self.trace = trace
         self.obs = obs
         self.array = CacheArray(config)
         self.busy_wait = BusyWaitRegister()
@@ -495,9 +491,6 @@ class SnoopingCache:
         self.stats.lock_waits_started += 1
         if self.obs.active:
             self.obs.record_wait_start(self.id, txn.block, self.now())
-        if self.trace.active:
-            self.trace.emit(self.now(), EventKind.WAIT, cache=self.id,
-                            block=txn.block, action="armed")
 
     def _finish_pending(self, pending: PendingAccess, txn: BusTransaction,
                         response) -> None:
@@ -644,9 +637,6 @@ class SnoopingCache:
             pending.posted_at = self.now()  # bus-wait measured from the wakeup
             if self.obs.active:
                 self.obs.record_wait_wakeup(self.id, txn.block, self.now())
-            if self.trace.active:
-                self.trace.emit(self.now(), EventKind.WAIT, cache=self.id,
-                                block=txn.block, action="fired")
             return SnoopReply(hit=True)  # tells the bus the unlock was taken up
         return SnoopReply.miss()
 
@@ -677,18 +667,11 @@ class SnoopingCache:
         victim = self.array.choose_victim(block)
         if victim.valid:
             self._purge(victim)
-        line = self.array.install(victim, block, state, words, self.now())
-        if self.trace.active:
-            self.trace.emit(self.now(), EventKind.STATE_CHANGE, cache=self.id,
-                            block=block, state=state.value)
-        return line
+        return self.array.install(victim, block, state, words, self.now())
 
     def _purge(self, victim: CacheLine) -> None:
         assert self.protocol is not None and self.memory is not None
         self.stats.purges += 1
-        if self.trace.active:
-            self.trace.emit(self.now(), EventKind.PURGE, cache=self.id,
-                            block=victim.block, state=victim.state.value)
         if victim.locked:
             # Section E.3 "minor modification": spill the lock to memory.
             self.memory.write_lock_tag(victim.block, self.id)

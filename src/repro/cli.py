@@ -561,12 +561,19 @@ def _sweep_progress_printer():
 
 def command_sweep(args: argparse.Namespace) -> int:
     from repro import api
-    from repro.common.errors import SweepPointError
+    from repro.common.errors import ConfigError, SweepPointError
 
     _reject_fabric_conflicts(args)
     progress = None
     if args.progress and sys.stderr.isatty():
         progress = _sweep_progress_printer()
+    faults = args.inject_faults
+    if faults is not None:
+        from repro.faults import FaultPlan
+
+        # Parsed outside the handler below: a malformed fault spec is
+        # not a system configuration and raises ConfigError as before.
+        faults = FaultPlan.parse(faults, seed=args.fault_seed)
     try:
         result = api.sweep(
             args.protocol,
@@ -586,10 +593,12 @@ def command_sweep(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             max_attempts=1 + max(0, args.retries),
             keep_going=args.keep_going,
-            faults=args.inject_faults,
+            faults=faults,
             fault_seed=args.fault_seed,
             progress=progress,
         )
+    except ConfigError as exc:
+        return _config_error(exc)
     except SweepPointError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         print("repro: (use --keep-going for partial results)",
@@ -984,14 +993,30 @@ def command_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_error(exc: Exception) -> int:
+    """A flag value the system configuration rejects is a usage error:
+    print the message, which names the field, and exit 2."""
+    print(f"repro: error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _exit_2_on_config_error(command, args: argparse.Namespace) -> int:
+    from repro.common.errors import ConfigError
+
+    try:
+        return command(args)
+    except ConfigError as exc:
+        return _config_error(exc)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        return command_run(args)
+        return _exit_2_on_config_error(command_run, args)
     if args.command == "sweep":
         return command_sweep(args)
     if args.command == "compare":
-        return command_compare(args)
+        return _exit_2_on_config_error(command_compare, args)
     if args.command == "conformance":
         return command_conformance(args)
     if args.command == "check":

@@ -96,6 +96,15 @@ Version history
    rows).  Migration: v7 run/sweep results and configs still load;
    readers of ``dispatch`` must stop expecting it, and a v7
    ``BENCH_engine.json`` must be re-measured.
+9. One instrumentation surface: observability sample rows drop the
+   ``events`` field (per-kind tallies of the removed trace log).  The
+   same rows already carry the ``SimStats`` counters for bus
+   transactions (``transactions``, ``txn_mix``), supplies
+   (``c2c_transfers``, ``memory_fetches``) and lock events
+   (``lock_acquisitions``, ``unlock_broadcasts``, ``lock_waiters``);
+   per-interval install, purge and wait-fire tallies have no
+   replacement.  Migration: v8 payloads still load; readers of a
+   sample's ``events`` must stop expecting it.
 """
 
 from __future__ import annotations
@@ -103,7 +112,7 @@ from __future__ import annotations
 from repro.common.errors import ReproError
 
 #: Current version of all exported JSON payload shapes.
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Key under which the version is stamped.
 SCHEMA_KEY = "schema_version"

@@ -33,7 +33,6 @@ from repro.protocols.features import (
 )
 from repro.protocols.table import Event, TableProtocol, TransitionTable, rule
 from repro.bus.transaction import BusOp
-from repro.sim.events import EventKind
 
 if TYPE_CHECKING:
     from repro.cache.cache import PendingAccess
@@ -106,9 +105,9 @@ _TABLE = TransitionTable(
         # the unlock instruction (Figure 8): the final write to the
         # locked block; broadcast only if a waiter was recorded.  A
         # spilled lock refetches with lock, then unlocks (multi-phase).
-        rule(_L, Event.PR_UNLOCK, _WD, ["apply-write", "trace-unlock"]),
+        rule(_L, Event.PR_UNLOCK, _WD, ["apply-write"]),
         rule(_LW, Event.PR_UNLOCK, _WD,
-             ["apply-write", "broadcast-unlock", "trace-unlock"]),
+             ["apply-write", "broadcast-unlock"]),
         rule(_WD, Event.PR_UNLOCK, _WD, ["error:not-locked"]),
         rule(_WC, Event.PR_UNLOCK, _WC, ["error:not-locked"]),
         rule(_RSD, Event.PR_UNLOCK, _RSD, ["error:not-locked"]),
@@ -259,6 +258,3 @@ class BitarDespainProtocol(TableProtocol):
                 self.cache.obs.record_unlock_queued(
                     self.cache.id, line.block, self.cache.now())
         line.state = CacheState.WRITE_DIRTY
-        self.cache.trace.emit(self.cache.now(), EventKind.LOCK,
-                              cache=self.cache.id, block=line.block,
-                              action="unlocked")

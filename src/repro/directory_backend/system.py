@@ -57,7 +57,6 @@ if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
-    from repro.sim.events import TraceLog
     from repro.sim.stats import SimStats
 
 
@@ -76,8 +75,7 @@ class DirectoryFabric(Bus):
 
     def __init__(self, system: "DirectorySystem", index: int) -> None:
         super().__init__(system.memory, system.timing, system.clock,
-                         system.stats, system.trace, obs=system.obs,
-                         index=index)
+                         system.stats, obs=system.obs, index=index)
         self._system = system
         self.directory = DirectoryState(
             index, representation_factory(system.topology))
@@ -233,14 +231,13 @@ class DirectorySystem(MultiBusSystem):
         timing: TimingConfig,
         clock: "Clock",
         stats: "SimStats",
-        trace: "TraceLog",
         obs: "Observability" = None,  # type: ignore[assignment]
     ) -> None:
         from repro.obs.core import NULL_OBS
 
         self.topology = topology
         super().__init__(topology.directory_banks, memory, timing, clock,
-                         stats, trace, obs if obs is not None else NULL_OBS)
+                         stats, obs if obs is not None else NULL_OBS)
 
     def _make_bus(self, index: int) -> Bus:
         return DirectoryFabric(self, index)

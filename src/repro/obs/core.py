@@ -1,13 +1,13 @@
 """The observability layer: wiring, publication hooks, and results.
 
 One :class:`Observability` instance rides along one simulation run.  The
-:class:`~repro.sim.engine.Simulator` binds it to the run's ``TraceLog``
-(the sampler's event feed) and its ``SimStats``, and hands it to the
-bus, caches, and processors, which publish into it through the
-``record_*`` hooks -- each call site guarded by ``if obs.active:`` so
-that with observability disabled (the shared :data:`NULL_OBS` null
-object) the hot path costs exactly one attribute check, mirroring the
-``NULL_TRACE`` pattern.
+:class:`~repro.sim.engine.Simulator` binds it to the run's ``SimStats``
+(the sampler's counter feed) and hands it to the bus, caches, and
+processors, which publish into it through the ``record_*`` hooks.
+``obs.active`` is the simulator's one instrumentation gate: every call
+site is guarded by ``if obs.active:``, so with observability disabled
+(the shared :data:`NULL_OBS` null object) the hot path costs exactly
+one attribute check.
 
 Outputs are collected into an :class:`ObsResult`, a plain-data bundle
 (picklable, JSON-able) of the interval sample series, the metric
@@ -17,15 +17,13 @@ and exporter passes in :mod:`repro.obs.heatmap` / :mod:`repro.obs.export`.
 
 from __future__ import annotations
 
-from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.obs.registry import MetricRegistry
 from repro.obs.sampler import IntervalSampler
 
 if TYPE_CHECKING:
-    from repro.sim.events import TraceEvent, TraceLog
     from repro.sim.stats import SimStats
 
 
@@ -58,14 +56,13 @@ class ObsResult:
 class NullObservability:
     """The disabled layer: ``active`` is False and every hook is a no-op.
 
-    Shared across simulators (like ``NULL_TRACE``), hence it refuses to
-    be bound to a run.
+    Shared across simulators, hence it refuses to be bound to a run.
     """
 
     active = False
     next_advance = 0
 
-    def bind(self, trace: "TraceLog", stats: "SimStats") -> None:
+    def bind(self, stats: "SimStats") -> None:
         raise RuntimeError(
             "cannot bind the shared null observability; construct the "
             "simulator with obs=Observability(...)"
@@ -176,8 +173,6 @@ class Observability:
 
             self.tracer = SpanTracer(self.registry)
         self._stats: "SimStats | None" = None
-        self._trace: "TraceLog | None" = None
-        self._event_counts: TallyCounter = TallyCounter()
         #: Lock bookkeeping for handoffs, queue depth, and wait slices.
         self._last_owner: dict[int, int] = {}
         self._open_waits: dict[int, tuple[int, int]] = {}  # pid -> (block, start)
@@ -226,32 +221,21 @@ class Observability:
 
     # -- wiring (called by the Simulator) ----------------------------------
 
-    def bind(self, trace: "TraceLog", stats: "SimStats") -> None:
-        """Attach to one run's trace log and statistics.
+    def bind(self, stats: "SimStats") -> None:
+        """Attach to one run's statistics, the sampler's counter feed.
 
-        The trace subscription is the sampler's event feed; rebinding to
-        a different run is an error (construct a fresh Observability).
+        Rebinding to a different run is an error (construct a fresh
+        Observability).
         """
-        if self._trace is not None:
-            if self._trace is trace and self._stats is stats:
+        if self._stats is not None:
+            if self._stats is stats:
                 return
             raise RuntimeError(
                 "Observability is already bound to a run; use one "
                 "instance per simulation"
             )
-        self._trace = trace
         self._stats = stats
-        trace.subscribe(self._on_trace_event)
         self.sampler.attach(stats, self._gauges)
-
-    def unbind(self) -> None:
-        """Detach the trace listener (leaves collected data intact)."""
-        if self._trace is not None:
-            self._trace.unsubscribe(self._on_trace_event)
-            self._trace = None
-
-    def _on_trace_event(self, event: "TraceEvent") -> None:
-        self._event_counts[event.kind.value] += 1
 
     def _gauges(self) -> dict:
         depth: dict[int, int] = {}
@@ -260,7 +244,6 @@ class Observability:
         return {
             "lock_waiters": len(self._open_waits),
             "lock_queue_depth": dict(sorted(depth.items())),
-            "events": dict(self._event_counts),
         }
 
     # -- engine phase callback ---------------------------------------------

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 
 #: Sample fields whose values are nested mappings; CSV encodes them as
 #: JSON cells, JSONL keeps them structured.
-_NESTED_SAMPLE_FIELDS = ("txn_mix", "lock_queue_depth", "events")
+_NESTED_SAMPLE_FIELDS = ("txn_mix", "lock_queue_depth")
 
 
 def _result(obs: "Observability | ObsResult") -> "ObsResult":

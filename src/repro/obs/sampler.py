@@ -5,9 +5,10 @@ into a time series: one row per ``interval`` simulated cycles, plus a
 final partial row at run end.  It is driven by the engine's phase
 callback (:meth:`on_advance`, called whenever ``stats.cycles`` changes,
 once per cycle under the stepped engine and once per bulk skip under
-fast-forward) and reads event-derived gauges maintained by the
-:class:`~repro.obs.core.Observability` layer from the ``TraceLog``
-listener hook and the component publication hooks.
+fast-forward).  Counters come from the run's ``SimStats``; the lock
+waiter and queue-depth gauges come from the
+:class:`~repro.obs.core.Observability` layer's component publication
+hooks.
 
 Fast-forward equivalence
 ------------------------
@@ -105,7 +106,6 @@ class IntervalSampler:
             "unlock_broadcasts": stats.unlock_broadcasts,
             "lock_waiters": gauges["lock_waiters"],
             "lock_queue_depth": gauges["lock_queue_depth"],
-            "events": gauges["events"],
         })
         self._last_emitted = cycle
         self._prev_cycle = cycle

@@ -50,7 +50,6 @@ from repro.protocols.base import (
     Outcome,
     TxnResult,
 )
-from repro.sim.events import EventKind
 
 if TYPE_CHECKING:
     from repro.cache.cache import PendingAccess, SnoopingCache
@@ -256,7 +255,6 @@ PROCESSOR_ACTIONS = frozenset({
     "lock-in-place",     # zero-time cache-state lock (Figure 6)
     "apply-write",       # cache.apply_write (unlock's final write)
     "broadcast-unlock",  # queue a detached UNLOCK_BROADCAST
-    "trace-unlock",      # emit the lock-release trace event
 })
 SNOOP_ACTIONS = frozenset({
     "supply",        # supply the block, dirty status travelling along
@@ -702,8 +700,6 @@ class TableProtocol(CoherenceProtocol):
         if action == "lock-in-place":
             assert line is not None
             line.state = CacheState.LOCK
-            cache.trace.emit(cache.now(), EventKind.LOCK, cache=cache.id,
-                             block=line.block, action="locked-in-place")
             return
         if action == "apply-write":
             assert line is not None and stamp is not None
@@ -716,11 +712,6 @@ class TableProtocol(CoherenceProtocol):
             if cache.obs.active:
                 cache.obs.record_unlock_queued(cache.id, line.block,
                                                cache.now())
-            return
-        if action == "trace-unlock":
-            assert line is not None
-            cache.trace.emit(cache.now(), EventKind.LOCK, cache=cache.id,
-                             block=line.block, action="unlocked")
             return
         raise ProtocolError(f"{self.name}: unknown processor action "
                             f"{action!r}")
@@ -923,8 +914,6 @@ class TableProtocol(CoherenceProtocol):
             return
         if action == "refuse-lock":
             reply.locked = True
-            cache.trace.emit(cache.now(), EventKind.LOCK, cache=cache.id,
-                             block=line.block, action="waiter-recorded")
             return
         if action == "apply-update":
             assert txn.word is not None and txn.stamp is not None

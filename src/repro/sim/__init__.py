@@ -1,15 +1,15 @@
-"""Simulation kernel: clock, engine, statistics, tracing."""
+"""Simulation kernel: clock, engine, statistics.
+
+Instrumentation lives in :mod:`repro.obs`; a simulator built with
+``obs=Observability(...)`` reports through it.
+"""
 
 from repro.sim.clock import Clock, StampClock
-from repro.sim.events import EventKind, TraceEvent, TraceLog
 from repro.sim.stats import ProcessorStats, SimStats
 
 __all__ = [
     "Clock",
-    "EventKind",
     "ProcessorStats",
     "SimStats",
     "StampClock",
-    "TraceEvent",
-    "TraceLog",
 ]

@@ -36,7 +36,6 @@ from repro.processor.program import Program
 from repro.obs.core import NULL_OBS, Observability
 from repro.protocols import get_protocol
 from repro.sim.clock import Clock, StampClock
-from repro.sim.events import NULL_TRACE, TraceLog
 from repro.sim.schedule import ChoiceKind, Scheduler
 from repro.sim.stats import SimStats
 from repro.verify.invariants import InvariantChecker
@@ -69,7 +68,6 @@ class Simulator:
         config: SystemConfig,
         programs: Sequence[Program],
         *,
-        trace: bool = False,
         check_interval: int = 0,
         fast_forward: bool | None = None,
         obs: Observability | None = None,
@@ -100,19 +98,13 @@ class Simulator:
         self.clock = Clock()
         self.stamp_clock = StampClock()
         self.stats = SimStats()
-        self.trace = TraceLog(enabled=True) if trace else NULL_TRACE
-        #: Observability rides the trace listener hook, so enabling it
-        #: promotes the shared null trace to a private (storage-disabled)
-        #: log that forwards events to the sampler.
         self.obs = obs if obs is not None else NULL_OBS
-        if self.obs.active and self.trace is NULL_TRACE:
-            self.trace = TraceLog(enabled=False)
         self.memory = MainMemory(config.cache.words_per_block)
         from repro.bus.fabric import build_fabric
 
         assert config.topology is not None
         self.bus = build_fabric(config.topology, self.memory, config.timing,
-                                self.clock, self.stats, self.trace, self.obs)
+                                self.clock, self.stats, self.obs)
         self.bus.scheduler = scheduler
         self.oracle = WriteOracle(self.stats, strict=config.strict_verify)
 
@@ -138,7 +130,6 @@ class Simulator:
                 clock=self.clock,
                 stamp_clock=self.stamp_clock,
                 stats=self.stats,
-                trace=self.trace,
                 obs=self.obs,
             )
             cache.protocol = protocol_cls(cache)
@@ -168,7 +159,7 @@ class Simulator:
             for i in range(config.num_processors)
         ]
         if self.obs.active:
-            self.obs.bind(self.trace, self.stats)
+            self.obs.bind(self.stats)
 
         self.checker = InvariantChecker.for_system(
             self.caches, self.memory, self.oracle,
@@ -535,7 +526,6 @@ def run_workload(
     *,
     max_cycles: int | None = None,
     check_interval: int = 0,
-    trace: bool = False,
     fast_forward: bool | None = None,
     obs: Observability | None = None,
     max_wall_seconds: float | None = None,
@@ -544,7 +534,6 @@ def run_workload(
 
     ``max_wall_seconds`` arms the engine watchdog (see
     :meth:`Simulator.run`)."""
-    sim = Simulator(config, programs, trace=trace,
-                    check_interval=check_interval, fast_forward=fast_forward,
-                    obs=obs)
+    sim = Simulator(config, programs, check_interval=check_interval,
+                    fast_forward=fast_forward, obs=obs)
     return sim.run(max_cycles=max_cycles, max_wall_seconds=max_wall_seconds)

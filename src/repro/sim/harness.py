@@ -15,7 +15,6 @@ from repro.memory.main_memory import MainMemory
 from repro.processor.isa import Op, OpKind
 from repro.protocols import get_protocol
 from repro.sim.clock import Clock, StampClock
-from repro.sim.events import TraceLog
 from repro.sim.stats import SimStats
 from repro.verify.oracle import WriteOracle
 
@@ -32,16 +31,14 @@ class ManualSystem:
         timing: TimingConfig | None = None,
         with_oracle: bool = True,
         strict: bool = True,
-        trace: bool = False,
     ) -> None:
         self.clock = Clock()
         self.stamp_clock = StampClock()
         self.stats = SimStats()
-        self.trace = TraceLog(enabled=trace)
         cache_config = cache_config or CacheConfig()
         timing = timing or TimingConfig()
         self.memory = MainMemory(cache_config.words_per_block)
-        self.bus = Bus(self.memory, timing, self.clock, self.stats, self.trace)
+        self.bus = Bus(self.memory, timing, self.clock, self.stats)
         self.oracle = WriteOracle(self.stats, strict=strict) if with_oracle else None
         protocol_cls = get_protocol(protocol)
         self.caches: list[SnoopingCache] = []
@@ -52,7 +49,6 @@ class ManualSystem:
                 clock=self.clock,
                 stamp_clock=self.stamp_clock,
                 stats=self.stats,
-                trace=self.trace,
             )
             cache.protocol = protocol_cls(cache)
             cache.memory = self.memory

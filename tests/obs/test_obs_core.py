@@ -13,7 +13,6 @@ from repro.obs import NULL_OBS, Observability, ObsResult
 from repro.obs.core import NullObservability
 from repro.processor.program import LockStyle
 from repro.sim.engine import Simulator
-from repro.sim.events import NULL_TRACE, TraceLog
 from repro.sim.stats import SimStats
 from repro.workloads import lock_contention
 
@@ -27,7 +26,7 @@ class TestNullObservability:
 
     def test_refuses_binding(self):
         with pytest.raises(RuntimeError):
-            NULL_OBS.bind(TraceLog(), SimStats())
+            NULL_OBS.bind(SimStats())
 
     def test_disabled_simulator_uses_shared_null_object(self):
         config = SystemConfig(num_processors=2)
@@ -43,18 +42,19 @@ class TestBinding:
         programs = lock_contention(config, rounds=1)
         obs = Observability()
         sim = Simulator(config, programs, obs=obs)
-        # The sampler needs the trace listener hook even when the user
-        # asked for no trace retention.
-        assert sim.trace is not NULL_TRACE
-        assert sim.trace.active
+        # The sampler reads the run's own counters.
+        assert obs.sampler._stats is sim.stats
+        sim.run()
+        assert obs.sampler.samples[-1]["transactions"] == (
+            sim.stats.total_transactions)
 
     def test_rebinding_to_another_run_raises(self):
         obs = Observability()
-        trace, stats = TraceLog(), SimStats()
-        obs.bind(trace, stats)
-        obs.bind(trace, stats)  # same run: idempotent
+        stats = SimStats()
+        obs.bind(stats)
+        obs.bind(stats)  # same run: idempotent
         with pytest.raises(RuntimeError):
-            obs.bind(TraceLog(), SimStats())
+            obs.bind(SimStats())
 
     def test_one_instance_per_simulation_enforced_end_to_end(self):
         config = SystemConfig(num_processors=2)
@@ -63,13 +63,6 @@ class TestBinding:
         Simulator(config, programs, obs=obs).run()
         with pytest.raises(RuntimeError):
             Simulator(config, programs, obs=obs)
-
-    def test_unbind_detaches_listener(self):
-        obs = Observability()
-        trace = TraceLog()
-        obs.bind(trace, SimStats())
-        obs.unbind()
-        assert not trace.active
 
 
 class TestSampling:

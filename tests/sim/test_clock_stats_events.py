@@ -1,11 +1,8 @@
-"""Clock, stamp clock, statistics, and trace log."""
-
-import warnings
+"""Clock, stamp clock, and statistics."""
 
 import pytest
 
 from repro.sim.clock import Clock, StampClock
-from repro.sim.events import EventKind, TraceLog
 from repro.sim.stats import ProcessorStats, SimStats
 
 
@@ -82,97 +79,3 @@ class TestProcessorStats:
                            done_cycles=5)
         assert p.total_cycles == 15
 
-
-class TestTraceLog:
-    def test_disabled_by_default(self):
-        log = TraceLog()
-        log.emit(1, EventKind.BUS_TXN, txn="x")
-        assert len(log) == 0
-
-    def test_enabled_records(self):
-        log = TraceLog(enabled=True)
-        log.emit(1, EventKind.LOCK, cache=0)
-        assert len(log) == 1
-        assert log.events(EventKind.LOCK)[0].detail["cache"] == 0
-
-    def test_kind_filter(self):
-        log = TraceLog(enabled=True)
-        log.emit(1, EventKind.LOCK)
-        log.emit(2, EventKind.PURGE)
-        assert len(log.events(EventKind.PURGE)) == 1
-
-    def test_capacity_cap(self):
-        log = TraceLog(enabled=True, capacity=2)
-        for i in range(5):
-            log.emit(i, EventKind.WAIT)
-        assert len(log) == 2
-
-    def test_capacity_counts_dropped_events(self):
-        log = TraceLog(enabled=True, capacity=2)
-        assert not log.truncated
-        for i in range(5):
-            log.emit(i, EventKind.WAIT)
-        assert log.dropped_events == 3
-        assert log.truncated
-
-    def test_listeners_see_events_past_capacity(self):
-        log = TraceLog(enabled=True, capacity=1)
-        seen = []
-        log.subscribe(seen.append)
-        for i in range(3):
-            log.emit(i, EventKind.WAIT)
-        assert len(log) == 1
-        assert len(seen) == 3
-
-    def test_events_warns_on_truncation(self):
-        log = TraceLog(enabled=True, capacity=1)
-        log.emit(0, EventKind.WAIT)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert len(log.events()) == 1  # full log: no warning
-        log.emit(1, EventKind.WAIT)
-        with pytest.warns(UserWarning, match="1 events dropped"):
-            log.events()
-
-    def test_listener_called_even_when_disabled(self):
-        log = TraceLog(enabled=False)
-        seen = []
-        log.subscribe(seen.append)
-        log.emit(1, EventKind.VERIFY, x=1)
-        assert len(seen) == 1
-
-    def test_unsubscribe_recomputes_active(self):
-        log = TraceLog(enabled=False)
-        first, second = [], []
-        log.subscribe(first.append)
-        log.subscribe(second.append)
-        log.unsubscribe(first.append)
-        assert log.active  # one listener left
-        log.unsubscribe(second.append)
-        assert not log.active
-        log.emit(1, EventKind.WAIT)
-        assert not first and not second
-
-    def test_unsubscribe_keeps_enabled_log_active(self):
-        log = TraceLog(enabled=True)
-        listener = lambda event: None
-        log.subscribe(listener)
-        log.unsubscribe(listener)
-        assert log.active
-
-    def test_unsubscribe_unknown_listener_raises(self):
-        log = TraceLog()
-        with pytest.raises(ValueError):
-            log.unsubscribe(lambda event: None)
-
-    def test_render(self):
-        log = TraceLog(enabled=True)
-        log.emit(3, EventKind.SUPPLY, by="memory")
-        assert "memory" in log.render()
-
-    def test_render_notes_truncation(self):
-        log = TraceLog(enabled=True, capacity=1)
-        log.emit(0, EventKind.WAIT)
-        log.emit(1, EventKind.WAIT)
-        log.emit(2, EventKind.WAIT)
-        assert "2 further events dropped (capacity 1)" in log.render()

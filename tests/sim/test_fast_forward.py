@@ -19,7 +19,6 @@ from repro.processor import isa
 from repro.processor.program import LockStyle, Program
 from repro.protocols import PROTOCOLS
 from repro.sim.engine import Simulator, set_fast_forward_default
-from repro.sim.events import NULL_TRACE, EventKind, TraceLog
 from repro.workloads import lock_contention, producer_consumer
 from repro.workloads.false_sharing import dubois_briggs_sharing
 
@@ -161,38 +160,19 @@ class TestDeadlockEquivalence:
         assert stats.processor(0).compute_cycles == 5000
 
 
-class TestTraceEquivalence:
-    def test_event_streams_identical(self):
+class TestObsEquivalence:
+    def test_per_cycle_obs_identical(self):
+        """Stepped and fast-forward runs observed every cycle report the
+        same samples, slices and causal spans."""
         config = _config("bitar-despain")
         programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        stepped = Simulator(config, programs, trace=True)
-        stepped.run(fast_forward=False)
-        fast = Simulator(config, programs, trace=True)
-        fast.run(fast_forward=True)
-        assert stepped.trace.events() == fast.trace.events()
-        assert len(fast.trace.events(EventKind.BUS_TXN)) > 0
-
-
-class TestNullTrace:
-    def test_disabled_simulator_uses_shared_null_object(self):
-        config = _config("bitar-despain", n=2)
-        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        sim = Simulator(config, programs)
-        assert sim.trace is NULL_TRACE
-        assert not NULL_TRACE.active
-
-    def test_null_trace_records_nothing(self):
-        NULL_TRACE.emit(0, EventKind.BUS_TXN, txn="x")
-        assert len(NULL_TRACE) == 0
-
-    def test_null_trace_refuses_subscribers(self):
-        with pytest.raises(RuntimeError):
-            NULL_TRACE.subscribe(lambda event: None)
-
-    def test_enabled_trace_is_private_and_active(self):
-        config = _config("bitar-despain", n=2)
-        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        sim = Simulator(config, programs, trace=True)
-        assert isinstance(sim.trace, TraceLog)
-        assert sim.trace is not NULL_TRACE
-        assert sim.trace.active
+        results = []
+        for fast_forward in (False, True):
+            obs = Observability(interval=1, tracing=True)
+            sim = Simulator(config, programs, obs=obs)
+            sim.run(fast_forward=fast_forward)
+            results.append(obs.result().to_dict())
+        stepped, fast = results
+        assert stepped == fast
+        assert len(fast["samples"]) == fast["cycles"]
+        assert fast["slices"] and fast["spans"]

@@ -215,6 +215,28 @@ class TestFabricFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--directory-entry", "sparse"])
 
+    @pytest.mark.parametrize("argv, field", [
+        (["run", "-n", "0"], "num_processors"),
+        (["run", "--directory-pointers", "0"], "directory_pointers"),
+        (["run", "--directory-region-size", "0"], "directory_region_size"),
+        (["run", "--topology", "directory", "--hop-cycles", "-1"],
+         "hop_cycles"),
+        (["run", "--topology", "clustered", "--clusters", "0"], "clusters"),
+        (["run", "--topology", "directory", "--directory-banks", "0"],
+         "directory_banks"),
+        (["run", "--buses", "0"], "buses"),
+        (["sweep", "--processors", "2", "0"], "num_processors"),
+        (["sweep", "--processors", "2", "--topology", "clustered",
+          "--clusters", "0"], "clusters"),
+        (["compare", "-n", "0"], "num_processors"),
+    ])
+    def test_bad_topology_input_exits_2_naming_the_field(
+            self, argv, field, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert field in err
+
 
 class TestResilienceFlags:
     def test_chaos_sweep_recovers(self, capsys):
