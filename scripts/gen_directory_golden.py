@@ -3,11 +3,8 @@
 
 The golden pins the directory backend's observable behavior -- the full
 SimStats payload plus the fabric's message tallies -- across all ten
-protocols x {stepped, fast-forward} on the ``sharing`` workload.  The
-file was recorded when the simulator had two protocol execution cores,
-so each (protocol, mode) cell is keyed once per core (``compiled`` and
-``interpreted``) with identical payloads; the generator writes the one
-remaining core's result under both keys.  ``tests/bus/test_directory_conformance.py``
+protocols x {stepped, fast-forward} on the ``sharing`` workload, one
+cell per (protocol, mode).  ``tests/bus/test_directory_conformance.py``
 replays the same matrix and diffs against this file, so any refactor of
 ``repro.directory_backend`` (table-driven dispatch, sharer-set
 representations) must reproduce the pre-refactor full-bit-vector
@@ -33,7 +30,7 @@ except ModuleNotFoundError:  # running from a checkout without install
     from repro import api
 
 from repro.common.config import TopologyConfig
-from repro.common.schema import SCHEMA_KEY
+from repro.common.schema import SCHEMA_KEY, SCHEMA_VERSION
 from repro.directory_backend import DirectorySystem
 from repro.protocols import PROTOCOLS
 from repro.sim.engine import Simulator
@@ -44,12 +41,6 @@ OUT = Path(__file__).resolve().parent.parent / "tests" / "bus" / \
 
 PROCESSORS = 4
 WORKLOAD = "sharing"
-#: Key suffixes of each (protocol, mode) cell: one per recorded core.
-CORE_SUFFIXES = ("/compiled", "/interpreted")
-#: The schema version the golden was recorded at.  Its cells are
-#: unstamped SimStats payloads, whose shape later versions left alone,
-#: so the stamp stays put and the file stays byte-identical.
-GOLDEN_SCHEMA_VERSION = 7
 
 
 def matrix_cell(protocol: str, fast_forward: bool) -> dict:
@@ -71,16 +62,15 @@ def build_golden() -> dict:
     cells = {}
     for protocol in sorted(PROTOCOLS):
         for mode in ("stepped", "fast-forward"):
-            cell = matrix_cell(protocol, mode == "fast-forward")
-            for suffix in CORE_SUFFIXES:
-                cells[f"{protocol}/{mode}{suffix}"] = cell
+            cells[f"{protocol}/{mode}"] = matrix_cell(
+                protocol, mode == "fast-forward")
     return {
         "kind": "directory-conformance-golden",
         "workload": WORKLOAD,
         "processors": PROCESSORS,
         "directory_banks": 2,
         "cells": cells,
-        SCHEMA_KEY: GOLDEN_SCHEMA_VERSION,
+        SCHEMA_KEY: SCHEMA_VERSION,
     }
 
 

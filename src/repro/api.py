@@ -29,11 +29,10 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.common.config import (CacheConfig, SystemConfig, TopologyConfig,
                                  WaitMode)
-from repro.common.errors import ConfigError
 from repro.common.schema import stamp
 from repro.mc.check import CheckReport
 from repro.mc.check import check as _mc_check
@@ -175,129 +174,28 @@ class ConformanceReport:
 # -- config assembly --------------------------------------------------------
 
 
-def _topology_overrides(
-    directory_banks: int | None,
-    directory_entry: str | None,
-    directory_pointers: int | None,
-    directory_region_size: int | None,
-    hop_cycles: int | None,
-    lookup_cycles: int | None,
-) -> dict:
-    """The TopologyConfig field overrides of the facade's fabric knobs
-    (only the knobs actually given)."""
-    overrides: dict = {}
-    if directory_banks is not None:
-        overrides["directory_banks"] = directory_banks
-    if directory_entry is not None:
-        overrides["directory_entry"] = directory_entry
-    if directory_pointers is not None:
-        overrides["directory_pointers"] = directory_pointers
-    if directory_region_size is not None:
-        overrides["directory_region_size"] = directory_region_size
-    if hop_cycles is not None:
-        overrides["inter_cluster_hop_cycles"] = hop_cycles
-    if lookup_cycles is not None:
-        overrides["directory_lookup_cycles"] = lookup_cycles
-    return overrides
-
-
-def _resolve_topology(
-    topology: "TopologyConfig | str | None",
-    *,
-    buses: int = 1,
-    clusters: int | None = None,
-    directory_banks: int | None = None,
-    directory_entry: str | None = None,
-    directory_pointers: int | None = None,
-    directory_region_size: int | None = None,
-    hop_cycles: int | None = None,
-    lookup_cycles: int | None = None,
-) -> TopologyConfig:
-    """Resolve the facade's fabric keywords into a
-    :class:`TopologyConfig`.
-
-    ``topology`` may be a full config (used as-is, with any explicit
-    knobs applied on top), a kind name, or ``None`` -- which follows
-    the ``REPRO_TOPOLOGY`` session default (else ``snoop``).
-    ``buses > 1`` selects the multi-bus fabric; ``clusters`` sizes the
-    clustered fabric (and doubles as the bank count for ``directory``
-    when ``directory_banks`` is not given, matching the CLI's
-    deprecated overload).  ``directory_entry`` /
-    ``directory_pointers`` / ``directory_region_size`` select the
-    sharer-set representation; ``hop_cycles`` / ``lookup_cycles``
-    override the link and home-bank timing.  A given knob is never
-    defaulted away: zero or negative values reach
-    :class:`TopologyConfig`'s validation and raise :class:`ConfigError`.
-    """
-    if buses < 1:
-        raise ConfigError(f"buses must be positive, got {buses}")
-    overrides = _topology_overrides(
-        directory_banks, directory_entry, directory_pointers,
-        directory_region_size, hop_cycles, lookup_cycles)
-    if isinstance(topology, TopologyConfig):
-        return replace(topology, **overrides) if overrides else topology
-    kind = topology
-    if kind is None:
-        from repro.bus.fabric import default_topology
-
-        kind = default_topology()
-        if buses > 1 and kind in ("snoop", "multibus"):
-            # The explicit bus count outranks the env default.
-            return TopologyConfig(kind="multibus", buses=buses)
-    if kind == "multibus":
-        base = TopologyConfig(kind="multibus", buses=buses)
-    elif kind == "clustered":
-        base = TopologyConfig(kind="clustered",
-                              clusters=2 if clusters is None else clusters)
-    elif kind == "directory":
-        if directory_banks is None:
-            directory_banks = 1 if clusters is None else clusters
-        base = TopologyConfig(kind="directory",
-                              directory_banks=directory_banks)
-        overrides.pop("directory_banks", None)
-    else:
-        # "snoop" -- and anything unknown, which TopologyConfig rejects
-        # with the canonical error message.
-        base = TopologyConfig(kind=kind)
-    return replace(base, **overrides) if overrides else base
-
-
 def _build_config(
     protocol: str,
     *,
     processors: int = 4,
-    buses: int = 1,
-    topology: "TopologyConfig | str | None" = None,
-    clusters: int | None = None,
-    directory_banks: int | None = None,
-    directory_entry: str | None = None,
-    directory_pointers: int | None = None,
-    directory_region_size: int | None = None,
-    hop_cycles: int | None = None,
-    lookup_cycles: int | None = None,
+    topology: TopologyConfig | None = None,
     words_per_block: int | None = None,
     num_blocks: int = 64,
     work_while_waiting: bool = False,
     seed: int = 0,
 ) -> SystemConfig:
-    """The CLI's defaulting rules, shared by every facade verb."""
+    """The CLI's defaulting rules, shared by every facade verb.
+    ``topology=None`` is the paper's single snooping bus."""
+    if words_per_block is None:
+        words_per_block = default_words_per_block(protocol)
     return SystemConfig(
         num_processors=processors,
         protocol=protocol,
-        topology=_resolve_topology(
-            topology, buses=buses, clusters=clusters,
-            directory_banks=directory_banks,
-            directory_entry=directory_entry,
-            directory_pointers=directory_pointers,
-            directory_region_size=directory_region_size,
-            hop_cycles=hop_cycles, lookup_cycles=lookup_cycles),
+        topology=topology,
         strict_verify=protocol != "write-through",
         wait_mode=WaitMode.WORK if work_while_waiting else WaitMode.SPIN,
-        cache=CacheConfig(
-            words_per_block=words_per_block
-            or default_words_per_block(protocol),
-            num_blocks=num_blocks,
-        ),
+        cache=CacheConfig(words_per_block=words_per_block,
+                          num_blocks=num_blocks),
         seed=seed,
     )
 
@@ -313,15 +211,7 @@ def simulate(
     config: SystemConfig | None = None,
     programs: list[Program] | None = None,
     lock_style: LockStyle | None = None,
-    buses: int = 1,
-    topology: "TopologyConfig | str | None" = None,
-    clusters: int | None = None,
-    directory_banks: int | None = None,
-    directory_entry: str | None = None,
-    directory_pointers: int | None = None,
-    directory_region_size: int | None = None,
-    hop_cycles: int | None = None,
-    lookup_cycles: int | None = None,
+    topology: TopologyConfig | None = None,
     words_per_block: int | None = None,
     num_blocks: int = 64,
     work_while_waiting: bool = False,
@@ -334,13 +224,8 @@ def simulate(
 ) -> RunResult:
     """Run one workload on one protocol.
 
-    The fabric knobs mirror the CLI: ``directory_banks`` sizes the
-    directory fabric's home banks, ``directory_entry`` (plus
-    ``directory_pointers`` / ``directory_region_size``) selects the
-    sharer-set representation, and ``hop_cycles`` / ``lookup_cycles``
-    override the network-hop and home-bank-lookup latencies.
-
-    Pass ``config`` and/or ``programs`` for full control; otherwise the
+    ``topology`` selects the interconnect fabric (``None``: the single
+    snooping bus).  Pass ``config`` and/or ``programs`` for full control; otherwise the
     convenience keywords assemble them with the CLI's defaulting rules
     (four-word blocks except Rudolph-Segall, strict verification except
     classic write-through, cache-lock style on the proposal).
@@ -356,13 +241,7 @@ def simulate(
 
     if config is None:
         config = _build_config(
-            protocol, processors=processors, buses=buses,
-            topology=topology, clusters=clusters,
-            directory_banks=directory_banks,
-            directory_entry=directory_entry,
-            directory_pointers=directory_pointers,
-            directory_region_size=directory_region_size,
-            hop_cycles=hop_cycles, lookup_cycles=lookup_cycles,
+            protocol, processors=processors, topology=topology,
             words_per_block=words_per_block, num_blocks=num_blocks,
             work_while_waiting=work_while_waiting, seed=seed,
         )
@@ -414,8 +293,7 @@ _SWEEP_METRICS = {
 def _sweep_point(n, *, protocol: str, workload: str,
                  fast_forward: bool = False, sample_interval: int = 0,
                  max_wall_seconds: float | None = None,
-                 topology: "TopologyConfig | str | None" = None,
-                 clusters: int | None = None):
+                 topology: TopologyConfig | None = None):
     """One sweep point; module-level so ``jobs > 1`` can pickle it (the
     workload is looked up by name inside the worker process).  With a
     ``sample_interval``, the point runs observed and returns an
@@ -425,8 +303,7 @@ def _sweep_point(n, *, protocol: str, workload: str,
     with diagnostics even on the serial path."""
     from repro.sim.engine import run_workload
 
-    config = _build_config(protocol, processors=int(n),
-                           topology=topology, clusters=clusters)
+    config = _build_config(protocol, processors=int(n), topology=topology)
     programs = build_workload(workload, config)
     if not sample_interval:
         return run_workload(config, programs, fast_forward=fast_forward,
@@ -464,18 +341,12 @@ def sweep(
     keep_going: bool = False,
     faults: "str | object | None" = None,
     fault_seed: int = 0,
-    topology: "TopologyConfig | str | None" = None,
-    clusters: int | None = None,
-    directory_banks: int | None = None,
-    directory_entry: str | None = None,
-    directory_pointers: int | None = None,
-    directory_region_size: int | None = None,
-    hop_cycles: int | None = None,
-    lookup_cycles: int | None = None,
+    topology: TopologyConfig | None = None,
     progress=None,
 ) -> SweepResult:
     """Run ``workload`` at each processor count (optionally in parallel
-    worker processes) and collect the scaling series.
+    worker processes) and collect the scaling series.  Every point runs
+    on ``topology`` (``None``: the single snooping bus).
 
     Resilience knobs (see :mod:`repro.analysis.resilient`):
     ``timeout`` bounds each point's wall-clock seconds (enforced by the
@@ -498,19 +369,15 @@ def sweep(
 
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults, seed=fault_seed)
+    if topology is None:
+        topology = TopologyConfig()
     for n in processors:
-        if n < 1:
-            raise ConfigError(f"num_processors must be positive, got {n}")
-    resolved_topology = _resolve_topology(
-        topology, clusters=clusters, directory_banks=directory_banks,
-        directory_entry=directory_entry,
-        directory_pointers=directory_pointers,
-        directory_region_size=directory_region_size,
-        hop_cycles=hop_cycles, lookup_cycles=lookup_cycles)
+        # Every point's config is checked before any point runs.
+        _build_config(protocol, processors=n, topology=topology)
     run = functools.partial(
         _sweep_point, protocol=protocol, workload=workload,
         fast_forward=fast_forward, sample_interval=sample_interval,
-        max_wall_seconds=timeout, topology=resolved_topology,
+        max_wall_seconds=timeout, topology=topology,
     )
     policy = ExecutionPolicy(
         max_attempts=max_attempts,
@@ -533,9 +400,9 @@ def sweep(
         observations=(list(plan.observations) if sample_interval else None),
         point_status=[outcome.to_dict() for outcome in plan.outcomes],
         resilience=dict(plan.resilience),
-        topology=resolved_topology.kind,
-        directory_entry=(resolved_topology.directory_entry
-                         if resolved_topology.kind == "directory" else None),
+        topology=topology.kind,
+        directory_entry=(topology.directory_entry
+                         if topology.kind == "directory" else None),
     )
 
 

@@ -13,13 +13,10 @@ that assembles the corresponding fabric from a
   the port-view wrapper itself is exercised by the conformance matrix).
 * ``clustered`` -- :class:`~repro.bus.hierarchy.ClusteredBusSystem`.
 * ``directory`` -- :class:`~repro.directory_backend.DirectorySystem`.
-
-``REPRO_TOPOLOGY`` overrides the session default.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import TOPOLOGY_KINDS, TimingConfig, TopologyConfig
@@ -34,17 +31,6 @@ if TYPE_CHECKING:
 #: Fabric kinds the registry can build (same namespace as
 #: ``TopologyConfig.kind``).
 FABRIC_KINDS: tuple[str, ...] = TOPOLOGY_KINDS
-
-#: Environment override for the default topology kind.
-TOPOLOGY_ENV = "REPRO_TOPOLOGY"
-
-
-def default_topology() -> str:
-    """The session-default fabric kind (``REPRO_TOPOLOGY`` or
-    ``snoop``)."""
-    kind = os.environ.get(TOPOLOGY_ENV, "").strip().lower()
-    return kind if kind in FABRIC_KINDS else "snoop"
-
 
 def _build_snoop(topology: TopologyConfig, memory, timing, clock, stats,
                  obs):
@@ -110,8 +96,6 @@ def build_fabric(
 
 __all__ = [
     "FABRIC_KINDS",
-    "TOPOLOGY_ENV",
-    "default_topology",
     "get_fabric",
     "build_fabric",
 ]

@@ -31,7 +31,9 @@ from repro.analysis import (
     render_table2,
     traffic_metrics,
 )
-from repro.bus.fabric import FABRIC_KINDS, TOPOLOGY_ENV
+from repro.bus.fabric import FABRIC_KINDS
+from repro.common.config import TopologyConfig
+from repro.common.errors import ConfigError
 from repro.protocols import PROTOCOLS
 from repro.workloads.registry import (WORKLOADS, canonical_workload_name,
                                       default_lock_style)
@@ -59,13 +61,15 @@ class _RemovedFlag(argparse.Action):
 
 
 def _add_fabric_flags(parser: argparse.ArgumentParser) -> None:
-    """The directory-fabric knobs shared by ``run`` and ``sweep``."""
+    """The fabric geometry knobs shared by ``run`` and ``sweep``."""
     from repro.directory_backend import DIRECTORY_ENTRY_KINDS
 
+    parser.add_argument("--clusters", type=int, default=None, metavar="K",
+                        help="clusters of the clustered fabric (default 2)")
     parser.add_argument("--directory-banks", type=int, default=None,
                         metavar="K",
                         help="home banks of the directory fabric "
-                             "(replaces overloading --clusters)")
+                             "(default 1)")
     parser.add_argument("--directory-entry", choices=DIRECTORY_ENTRY_KINDS,
                         default=None,
                         help="sharer-set representation of the directory "
@@ -88,15 +92,51 @@ def _add_fabric_flags(parser: argparse.ArgumentParser) -> None:
                              "cycles")
 
 
-def _reject_fabric_conflicts(args: argparse.Namespace) -> None:
-    """``--clusters`` still names the clustered fabric's clusters (and,
-    for compatibility, directory banks), but giving it alongside the
-    explicit ``--directory-banks`` is ambiguous: exit 2 naming both."""
-    if args.clusters is not None and args.directory_banks is not None:
-        print("repro: error: --clusters and --directory-banks cannot be "
-              "combined; use --directory-banks for the directory fabric "
-              "and --clusters for the clustered fabric", file=sys.stderr)
-        raise SystemExit(2)
+#: Fabric flags: argparse dest -> (TopologyConfig field, the fabric
+#: kinds the flag applies to).
+_TOPOLOGY_FLAGS = {
+    "buses": ("buses", ("snoop", "multibus")),
+    "clusters": ("clusters", ("clustered",)),
+    "hop_cycles": ("inter_cluster_hop_cycles", ("clustered", "directory")),
+    "directory_banks": ("directory_banks", ("directory",)),
+    "directory_entry": ("directory_entry", ("directory",)),
+    "directory_pointers": ("directory_pointers", ("directory",)),
+    "directory_region_size": ("directory_region_size", ("directory",)),
+    "lookup_cycles": ("directory_lookup_cycles", ("directory",)),
+}
+
+
+def _topology(args: argparse.Namespace) -> TopologyConfig:
+    """The one place the fabric flags become a :class:`TopologyConfig`.
+
+    The kind is ``--topology``, else ``multibus`` when ``--buses`` > 1,
+    else ``snoop``; ``clustered`` defaults to 2 clusters.  Every given
+    flag becomes its field, so the config's own validation names a bad
+    value; a given flag the kind does not use is a usage error."""
+    given = {dest: getattr(args, dest) for dest in _TOPOLOGY_FLAGS
+             if getattr(args, dest, None) is not None}
+    kind = args.topology or (
+        "multibus" if given.get("buses", 1) > 1 else "snoop")
+    fields = {_TOPOLOGY_FLAGS[dest][0]: value
+              for dest, value in given.items()}
+    if kind == "clustered":
+        fields.setdefault("clusters", 2)
+    topology = TopologyConfig(kind=kind, **fields)
+    stray = [dest for dest in given if kind not in _TOPOLOGY_FLAGS[dest][1]]
+    if stray:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in stray)
+        hint = ("; use --directory-banks for its home banks"
+                if kind == "directory" and "clusters" in stray else "")
+        raise ConfigError(f"{flags}: not used by the {kind} fabric{hint}")
+    return topology
+
+
+def _sample_interval(args: argparse.Namespace) -> int:
+    """``--sample-interval``, which must be a positive cycle count."""
+    if args.sample_interval < 1:
+        raise ConfigError(f"--sample-interval must be positive, "
+                          f"got {args.sample_interval}")
+    return args.sample_interval
 
 
 def _workload_name(value: str) -> str:
@@ -129,13 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="registered workload name (see 'repro "
                           "protocols' docs; underscore spellings accepted)")
     run.add_argument("-n", "--processors", type=int, default=4)
-    run.add_argument("--buses", type=int, default=1,
-                     help="broadcast buses (1 or 2; blocks interleave)")
+    run.add_argument("--buses", type=int, default=None,
+                     help="block-interleaved broadcast buses (default 1)")
     run.add_argument("--topology", choices=FABRIC_KINDS, default=None,
-                     help="interconnect fabric (default: snoop, or the "
-                          f"{TOPOLOGY_ENV} environment variable)")
-    run.add_argument("--clusters", type=int, default=None, metavar="K",
-                     help="clusters of the clustered fabric")
+                     help="interconnect fabric (default: multibus when "
+                          "--buses > 1, else snoop)")
     _add_fabric_flags(run)
     run.add_argument("--words-per-block", type=int, default=None,
                      help="block size in words (default 4; 1 for rudolph-segall)")
@@ -204,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[2, 4, 8])
     sweep.add_argument("--topology", choices=FABRIC_KINDS, default=None,
                        help="interconnect fabric for every sweep point "
-                            f"(default: snoop, or {TOPOLOGY_ENV})")
-    sweep.add_argument("--clusters", type=int, default=None, metavar="K",
-                       help="clusters of the clustered fabric")
+                            "(default: snoop)")
     _add_fabric_flags(sweep)
     sweep.add_argument("--fast-forward", action="store_true",
                        help="event-skip execution for every sweep point")
@@ -390,16 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 def command_run(args: argparse.Namespace) -> int:
     from repro import api
 
-    _reject_fabric_conflicts(args)
-    fabric = dict(
-        clusters=args.clusters,
-        directory_banks=args.directory_banks,
-        directory_entry=args.directory_entry,
-        directory_pointers=args.directory_pointers,
-        directory_region_size=args.directory_region_size,
-        hop_cycles=args.hop_cycles,
-        lookup_cycles=args.lookup_cycles,
-    )
+    topology = _topology(args)
+    sample_interval = _sample_interval(args)
     programs = None
     if args.trace:
         from repro.workloads.trace import load_trace
@@ -411,8 +439,7 @@ def command_run(args: argparse.Namespace) -> int:
 
         if programs is None:
             config = api._build_config(
-                args.protocol, processors=args.processors, buses=args.buses,
-                topology=args.topology, **fabric,
+                args.protocol, processors=args.processors, topology=topology,
                 words_per_block=args.words_per_block,
                 num_blocks=args.num_blocks,
                 work_while_waiting=args.work_while_waiting, seed=args.seed,
@@ -432,16 +459,14 @@ def command_run(args: argparse.Namespace) -> int:
             processors=args.processors,
             programs=programs,
             lock_style=style,
-            buses=args.buses,
-            topology=args.topology,
-            **fabric,
+            topology=topology,
             words_per_block=args.words_per_block,
             num_blocks=args.num_blocks,
             work_while_waiting=args.work_while_waiting,
             seed=args.seed,
             check_interval=args.check_interval,
             fast_forward=args.fast_forward,
-            sample_interval=args.sample_interval if observe else 0,
+            sample_interval=sample_interval if observe else 0,
             tracing=tracing,
             max_wall_seconds=args.max_wall_seconds,
         )
@@ -561,44 +586,29 @@ def _sweep_progress_printer():
 
 def command_sweep(args: argparse.Namespace) -> int:
     from repro import api
-    from repro.common.errors import ConfigError, SweepPointError
+    from repro.common.errors import SweepPointError
 
-    _reject_fabric_conflicts(args)
+    topology = _topology(args)
+    sample_interval = _sample_interval(args)
     progress = None
     if args.progress and sys.stderr.isatty():
         progress = _sweep_progress_printer()
-    faults = args.inject_faults
-    if faults is not None:
-        from repro.faults import FaultPlan
-
-        # Parsed outside the handler below: a malformed fault spec is
-        # not a system configuration and raises ConfigError as before.
-        faults = FaultPlan.parse(faults, seed=args.fault_seed)
     try:
         result = api.sweep(
             args.protocol,
             args.workload,
             processors=args.processors,
             fast_forward=args.fast_forward,
-            topology=args.topology,
-            clusters=args.clusters,
-            directory_banks=args.directory_banks,
-            directory_entry=args.directory_entry,
-            directory_pointers=args.directory_pointers,
-            directory_region_size=args.directory_region_size,
-            hop_cycles=args.hop_cycles,
-            lookup_cycles=args.lookup_cycles,
+            topology=topology,
             jobs=args.jobs,
-            sample_interval=args.sample_interval if args.metrics_out else 0,
+            sample_interval=sample_interval if args.metrics_out else 0,
             timeout=args.timeout,
             max_attempts=1 + max(0, args.retries),
             keep_going=args.keep_going,
-            faults=faults,
+            faults=args.inject_faults,
             fault_seed=args.fault_seed,
             progress=progress,
         )
-    except ConfigError as exc:
-        return _config_error(exc)
     except SweepPointError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         print("repro: (use --keep-going for partial results)",
@@ -993,51 +1003,45 @@ def command_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_error(exc: Exception) -> int:
-    """A flag value the system configuration rejects is a usage error:
-    print the message, which names the field, and exit 2."""
-    print(f"repro: error: {exc}", file=sys.stderr)
-    return 2
+def command_table2(args: argparse.Namespace) -> int:
+    print(render_table2())
+    return 0
+
+
+def command_figure10(args: argparse.Namespace) -> int:
+    print(render_figure10())
+    return 0
+
+
+_COMMANDS = {
+    "run": command_run,
+    "sweep": command_sweep,
+    "compare": command_compare,
+    "conformance": command_conformance,
+    "check": command_check,
+    "scenario": command_scenario,
+    "lint": command_lint,
+    "diagram": command_diagram,
+    "table1": command_table1,
+    "table2": command_table2,
+    "figure10": command_figure10,
+    "protocols": command_protocols,
+}
 
 
 def _exit_2_on_config_error(command, args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigError
-
+    """A value the configuration rejects is a usage error: print the
+    message, which names the field or flag, and exit 2."""
     try:
         return command(args)
     except ConfigError as exc:
-        return _config_error(exc)
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _exit_2_on_config_error(command_run, args)
-    if args.command == "sweep":
-        return command_sweep(args)
-    if args.command == "compare":
-        return _exit_2_on_config_error(command_compare, args)
-    if args.command == "conformance":
-        return command_conformance(args)
-    if args.command == "check":
-        return command_check(args)
-    if args.command == "scenario":
-        return command_scenario(args)
-    if args.command == "lint":
-        return command_lint(args)
-    if args.command == "diagram":
-        return command_diagram(args)
-    if args.command == "table1":
-        return command_table1(args)
-    if args.command == "table2":
-        print(render_table2())
-        return 0
-    if args.command == "figure10":
-        print(render_figure10())
-        return 0
-    if args.command == "protocols":
-        return command_protocols(args)
-    return 1  # pragma: no cover
+    return _exit_2_on_config_error(_COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":  # pragma: no cover

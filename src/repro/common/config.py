@@ -313,8 +313,9 @@ class TopologyConfig:
                 f"expected one of {', '.join(DIRECTORY_ENTRY_KINDS)}"
             )
         if self.kind == "snoop" and self.buses != 1:
-            raise ConfigError("a snoop topology has exactly one bus; "
-                              "use kind='multibus' for more")
+            raise ConfigError(f"a snoop topology has exactly one bus, got "
+                              f"buses={self.buses}; use kind='multibus' "
+                              f"for more")
 
     @property
     def num_buses(self) -> int:
@@ -360,11 +361,15 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         if self.num_processors <= 0:
-            raise ConfigError("num_processors must be positive")
+            raise ConfigError(f"num_processors must be positive, "
+                              f"got {self.num_processors}")
         if self.deadlock_horizon <= 0:
             raise ConfigError("deadlock_horizon must be positive")
         if self.topology is None:
             object.__setattr__(self, "topology", TopologyConfig())
+        elif not isinstance(self.topology, TopologyConfig):
+            raise ConfigError(f"topology must be a TopologyConfig, "
+                              f"got {self.topology!r}")
 
     def to_dict(self) -> dict:
         """Serialize to plain data (enums by value, nested configs as

@@ -18,7 +18,7 @@ from repro.common.schema import stamp
 from repro.mc.counterexample import Counterexample, from_outcome
 from repro.mc.explore import ExploreResult, explore
 from repro.mc.fuzz import FuzzResult, fuzz
-from repro.mc.mutations import MUTATIONS, Mutation
+from repro.mc.mutations import MUTATIONS, Mutation, get_mutation
 from repro.mc.scenarios import SCENARIOS, Scenario, get_scenario
 from repro.mc.shrink import shrink
 from repro.protocols import PROTOCOLS
@@ -188,6 +188,10 @@ def check(
     report = CheckReport(protocols=sorted(protocols)
                          if protocols is not None else sorted(PROTOCOLS))
     scenario_list = _resolve_scenarios(scenarios)
+    if mutations is True:
+        selected = list(MUTATIONS.values())
+    else:
+        selected = [get_mutation(name) for name in mutations or ()]
     deadline = (started + fuzz_budget) if fuzz_budget is not None else None
 
     fuzz_pairs = [
@@ -222,14 +226,11 @@ def check(
         if session.counterexample is not None:
             report.counterexamples.append(session.counterexample)
 
-    if mutations:
-        selected = (list(MUTATIONS.values()) if mutations is True
-                    else [MUTATIONS[name] for name in mutations])
-        for mutation in selected:
-            result = test_mutation(mutation)
-            report.mutation_results.append(result)
-            if result.counterexample is not None:
-                report.counterexamples.append(result.counterexample)
+    for mutation in selected:
+        result = test_mutation(mutation)
+        report.mutation_results.append(result)
+        if result.counterexample is not None:
+            report.counterexamples.append(result.counterexample)
 
     if counterexample_dir is not None and report.counterexamples:
         directory = Path(counterexample_dir)

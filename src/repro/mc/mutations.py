@@ -27,6 +27,7 @@ from typing import Callable, ContextManager
 
 from repro.bus.signals import BusResponse
 from repro.cache.state import CacheState
+from repro.common.errors import ConfigError
 from repro.core.lock_protocol import BitarDespainProtocol
 from repro.protocols.base import CoherenceProtocol
 from repro.protocols.illinois import IllinoisProtocol
@@ -378,4 +379,5 @@ def get_mutation(name: str) -> Mutation:
         return MUTATIONS[name]
     except KeyError:
         known = ", ".join(sorted(MUTATIONS))
-        raise KeyError(f"unknown mutation {name!r} (known: {known})") from None
+        raise ConfigError(
+            f"unknown mutation {name!r} (known: {known})") from None

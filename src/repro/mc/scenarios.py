@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.config import CacheConfig, SystemConfig, TopologyConfig
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.processor.isa import lock, read, rmw, test_and_set, unlock, write
 from repro.processor.program import LockStyle, Program
 
@@ -299,4 +299,5 @@ def get_scenario(name: str) -> Scenario:
         return SCENARIOS[name]
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r} (known: {known})") from None
+        raise ConfigError(
+            f"unknown scenario {name!r} (known: {known})") from None

@@ -81,6 +81,14 @@ class TestSystemConfigIntegration:
             rebuilt = SystemConfig.from_dict(config.to_dict())
         assert rebuilt == config
 
+    def test_kind_string_rejected(self):
+        with pytest.raises(ConfigError, match="topology must be a "
+                                              "TopologyConfig"):
+            SystemConfig(topology="directory")
+        with pytest.raises(ConfigError, match="'directory'"):
+            api.simulate("bitar-despain", "sharing", processors=2,
+                         topology="directory")
+
     def test_replace_topology(self):
         # replace() re-passes every field; it must neither warn nor
         # conflict with the topology it swaps in.
@@ -105,40 +113,17 @@ class TestFabricRegistry:
         with pytest.raises(ConfigError, match="unknown fabric kind"):
             get_fabric("torus")
 
-    def test_env_override(self, monkeypatch):
-        from repro.bus.fabric import TOPOLOGY_ENV, default_topology
+    def test_explicit_buses_select_multibus(self):
+        from repro.cli import _topology, build_parser
 
-        monkeypatch.delenv(TOPOLOGY_ENV, raising=False)
-        assert default_topology() == "snoop"
-        monkeypatch.setenv(TOPOLOGY_ENV, "directory")
-        assert default_topology() == "directory"
-        monkeypatch.setenv(TOPOLOGY_ENV, "bogus")
-        assert default_topology() == "snoop"
-
-    def test_env_override_reaches_the_engine(self, monkeypatch):
-        from repro.bus.fabric import TOPOLOGY_ENV
-        from repro.directory_backend import DirectorySystem
-        from repro.sim.engine import Simulator
-        from repro.workloads.registry import build_workload
-
-        monkeypatch.setenv(TOPOLOGY_ENV, "directory")
-        config = api._build_config("bitar-despain", processors=2)
-        programs = build_workload("sharing", config)
-        assert isinstance(Simulator(config, programs).bus, DirectorySystem)
-
-    def test_explicit_buses_outrank_env_default(self, monkeypatch):
-        from repro.bus.fabric import TOPOLOGY_ENV
-
-        monkeypatch.setenv(TOPOLOGY_ENV, "snoop")
-        config = api._build_config("bitar-despain", processors=2, buses=2)
-        assert config.topology.kind == "multibus"
-        assert config.topology.buses == 2
+        args = build_parser().parse_args(["run", "--buses", "2"])
+        assert _topology(args) == TopologyConfig(kind="multibus", buses=2)
 
 
 class TestResultStamping:
     def test_run_result_carries_topology(self):
         result = api.simulate("bitar-despain", "sharing", processors=2,
-                              topology="directory")
+                              topology=TopologyConfig(kind="directory"))
         payload = result.to_dict()
         assert payload["topology"] == "directory"
         assert payload["schema_version"] >= 5
@@ -146,7 +131,8 @@ class TestResultStamping:
 
     def test_sweep_result_carries_topology(self):
         result = api.sweep("bitar-despain", "sharing", processors=(2, 3),
-                           topology="clustered", clusters=2)
+                           topology=TopologyConfig(kind="clustered",
+                                                   clusters=2))
         payload = result.to_dict()
         assert payload["topology"] == "clustered"
         assert result.ok
@@ -158,8 +144,9 @@ class TestResultStamping:
     def test_run_result_stamps_the_representation(self):
         result = api.simulate(
             "bitar-despain", "sharing", processors=2,
-            topology="directory", directory_entry="coarse-vector",
-            directory_region_size=2)
+            topology=TopologyConfig(kind="directory",
+                                    directory_entry="coarse-vector",
+                                    directory_region_size=2))
         payload = result.to_dict()
         assert payload["topology"] == "directory"
         assert payload["directory_entry"] == "coarse-vector"
@@ -167,19 +154,21 @@ class TestResultStamping:
 
     def test_directory_default_entry_is_full_bit_vector(self):
         result = api.simulate("bitar-despain", "sharing", processors=2,
-                              topology="directory")
+                              topology=TopologyConfig(kind="directory"))
         assert result.to_dict()["directory_entry"] == "full-bit-vector"
 
     def test_non_directory_entry_stamp_is_null(self):
         result = api.simulate("bitar-despain", "sharing", processors=2,
-                              topology="clustered", clusters=2)
+                              topology=TopologyConfig(kind="clustered",
+                                                      clusters=2))
         assert result.to_dict()["directory_entry"] is None
 
     def test_sweep_result_stamps_the_representation(self):
         result = api.sweep(
             "bitar-despain", "sharing", processors=(2, 3),
-            topology="directory", directory_banks=2,
-            directory_entry="limited-pointer", directory_pointers=1)
+            topology=TopologyConfig(kind="directory", directory_banks=2,
+                                    directory_entry="limited-pointer",
+                                    directory_pointers=1))
         payload = result.to_dict()
         assert payload["directory_entry"] == "limited-pointer"
         assert result.ok
@@ -191,7 +180,7 @@ class TestResultStamping:
         from pathlib import Path
 
         result = api.sweep("bitar-despain", "sharing", processors=(2,),
-                           topology="directory")
+                           topology=TopologyConfig(kind="directory"))
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(result.to_dict()))
         repo = Path(__file__).resolve().parents[2]

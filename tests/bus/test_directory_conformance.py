@@ -4,10 +4,7 @@ The table-driven home bank must be a pure refactor of the hard-coded
 policy it replaced: with the default full-bit-vector entry, every cell
 of {ten protocols} x {stepped, fast-forward} must reproduce the
 committed golden (SimStats payload + fabric message tallies) bit for
-bit.  The golden was recorded when two execution cores existed and
-keys each (protocol, mode) cell once per core (``compiled`` and
-``interpreted``, identical payloads); the one remaining core is checked
-against both.  The compact representations (limited-pointer,
+bit.  The compact representations (limited-pointer,
 coarse-vector) trade precision for storage, so they are held to the
 coherence bar instead: deadlock-free, verifier-clean runs and a clean
 model-checking pass over the directory scenarios.
@@ -34,8 +31,6 @@ GOLDEN_PATH = Path(__file__).parent / "fixtures" / "directory_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 MODES = ("stepped", "fast-forward")
-#: The per-core keys of each (protocol, mode) cell in the golden.
-GOLDEN_CORES = ("compiled", "interpreted")
 
 
 def _matrix_cell(protocol: str, mode: str) -> dict:
@@ -55,19 +50,17 @@ def _matrix_cell(protocol: str, mode: str) -> dict:
 
 class TestFullVectorMatrixIsBitIdentical:
     def test_golden_covers_the_whole_matrix(self):
-        expected = {f"{p}/{m}/{d}"
-                    for p in PROTOCOLS for m in MODES for d in GOLDEN_CORES}
+        expected = {f"{p}/{m}" for p in PROTOCOLS for m in MODES}
         assert set(GOLDEN["cells"]) == expected
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_cell_matches_golden(self, protocol, mode):
         got = json.loads(json.dumps(_matrix_cell(protocol, mode)))
-        for core in GOLDEN_CORES:
-            key = f"{protocol}/{mode}/{core}"
-            assert got == GOLDEN["cells"][key], (
-                f"{key} diverged from the pre-refactor directory behavior"
-            )
+        key = f"{protocol}/{mode}"
+        assert got == GOLDEN["cells"][key], (
+            f"{key} diverged from the pre-refactor directory behavior"
+        )
 
 
 COMPACT_TOPOLOGIES = {

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import WORKLOADS, build_parser, main
+from repro.cli import WORKLOADS, _topology, build_parser, main
+from repro.common.config import TopologyConfig
 from repro.protocols import PROTOCOLS
 
 
@@ -150,7 +151,7 @@ class TestTopologyFlags:
 
     def test_directory_run(self, capsys):
         assert main(["run", "-n", "4", "--topology", "directory",
-                     "--clusters", "2", "--workload", "sharing"]) == 0
+                     "--directory-banks", "2", "--workload", "sharing"]) == 0
         assert "cycles" in capsys.readouterr().out
 
     def test_unknown_topology_rejected(self):
@@ -162,13 +163,18 @@ class TestTopologyFlags:
                      "--topology", "directory"]) == 0
         assert "processors" in capsys.readouterr().out
 
-    def test_env_override_selects_fabric(self, monkeypatch, capsys):
-        from repro.bus.fabric import TOPOLOGY_ENV, default_topology
-
-        monkeypatch.setenv(TOPOLOGY_ENV, "clustered")
-        assert default_topology() == "clustered"
-        monkeypatch.setenv(TOPOLOGY_ENV, "not-a-fabric")
-        assert default_topology() == "snoop"
+    @pytest.mark.parametrize("argv, expected", [
+        (["run"], TopologyConfig()),
+        (["run", "--buses", "1"], TopologyConfig()),
+        (["run", "--topology", "clustered"],
+         TopologyConfig(kind="clustered", clusters=2)),
+        (["sweep", "--topology", "directory", "--hop-cycles", "3",
+          "--directory-banks", "2"],
+         TopologyConfig(kind="directory", directory_banks=2,
+                        inter_cluster_hop_cycles=3)),
+    ])
+    def test_flags_build_one_topology(self, argv, expected):
+        assert _topology(build_parser().parse_args(argv)) == expected
 
 
 class TestFabricFlags:
@@ -189,18 +195,14 @@ class TestFabricFlags:
         assert "cycles" in capsys.readouterr().out
 
     def test_run_rejects_clusters_with_directory_banks(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "-n", "4", "--clusters", "2",
-                  "--directory-banks", "2"])
-        assert excinfo.value.code == 2
+        assert main(["run", "-n", "4", "--clusters", "2",
+                     "--directory-banks", "2"]) == 2
         err = capsys.readouterr().err
         assert "--clusters" in err and "--directory-banks" in err
 
     def test_sweep_rejects_clusters_with_directory_banks(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--processors", "2", "--clusters", "2",
-                  "--directory-banks", "2"])
-        assert excinfo.value.code == 2
+        assert main(["sweep", "--processors", "2", "--clusters", "2",
+                     "--directory-banks", "2"]) == 2
         err = capsys.readouterr().err
         assert "--clusters" in err and "--directory-banks" in err
 
@@ -229,6 +231,28 @@ class TestFabricFlags:
         (["sweep", "--processors", "2", "--topology", "clustered",
           "--clusters", "0"], "clusters"),
         (["compare", "-n", "0"], "num_processors"),
+        (["run", "--topology", "snoop", "--buses", "2"], "buses"),
+        (["run", "--buses", "2", "--topology", "clustered"], "--buses"),
+        (["run", "--hop-cycles", "5", "--directory-pointers", "3"],
+         "--hop-cycles"),
+        (["run", "--topology", "directory", "--clusters", "3"],
+         "--clusters"),
+        (["sweep", "--processors", "2", "--topology", "directory",
+          "--clusters", "2"], "--directory-banks"),
+        (["sweep", "--processors", "2", "--hop-cycles", "3"],
+         "--hop-cycles"),
+        (["run", "--words-per-block", "0"], "words_per_block"),
+        (["run", "--sample-interval", "0", "--heatmap"],
+         "--sample-interval"),
+        (["sweep", "--processors", "2", "--sample-interval", "-5",
+          "--metrics-out", "metrics"], "--sample-interval"),
+        (["sweep", "--processors", "2", "--inject-faults", "explode@1"],
+         "explode@1"),
+        (["scenario", "run", "lock-contention", "-n", "0"],
+         "num_processors"),
+        (["scenario", "fuzz", "-n", "0"], "num_processors"),
+        (["check", "--scenario", "nope"], "nope"),
+        (["check", "--mutate", "bogus"], "bogus"),
     ])
     def test_bad_topology_input_exits_2_naming_the_field(
             self, argv, field, capsys):
@@ -262,11 +286,9 @@ class TestResilienceFlags:
         assert out.count("66%") == 2
 
     def test_bad_fault_spec_rejected(self, capsys):
-        from repro.common.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            main(["sweep", "--processors", "2",
-                  "--inject-faults", "explode@1"])
+        assert main(["sweep", "--processors", "2",
+                     "--inject-faults", "explode@1"]) == 2
+        assert "bad fault term 'explode@1'" in capsys.readouterr().err
 
     def test_run_watchdog_flag(self, capsys):
         assert main(["run", "-n", "2", "--max-wall-seconds", "300"]) == 0
@@ -279,6 +301,16 @@ class TestResilienceFlags:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("argv, known", [
+        (["check", "--scenario", "nope"], "lock-handoff"),
+        (["check", "--mutate", "bogus"], "lost-dirty-purge"),
+        (["scenario", "fuzz", "--scenario", "lock-contention",
+          "--mutate", "bogus"], "lost-dirty-purge"),
+    ])
+    def test_unknown_name_lists_the_known_ones(self, argv, known, capsys):
+        assert main(argv) == 2
+        assert known in capsys.readouterr().err
+
     def test_check_single_protocol(self, capsys):
         assert main(["check", "--protocol", "bitar-despain",
                      "--scenario", "lock-handoff", "--fuzz-seeds", "2"]) == 0
