@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.common.config import (CacheConfig, SystemConfig, TopologyConfig,
                                  WaitMode)
+from repro.common.errors import ConfigError
 from repro.common.schema import stamp
 from repro.mc.check import CheckReport
 from repro.mc.check import check as _mc_check
@@ -200,6 +201,15 @@ def _build_config(
     )
 
 
+def _check_sample_interval(sample_interval: int) -> None:
+    """``0`` runs unobserved; a positive interval samples every that
+    many cycles; anything below 0 is an error, raised before any run."""
+    if sample_interval < 0:
+        raise ConfigError(
+            f"sample_interval must be >= 0 (0 disables sampling), "
+            f"got {sample_interval}")
+
+
 # -- the verbs --------------------------------------------------------------
 
 
@@ -239,6 +249,7 @@ def simulate(
     """
     from repro.sim.engine import run_workload
 
+    _check_sample_interval(sample_interval)
     if config is None:
         config = _build_config(
             protocol, processors=processors, topology=topology,
@@ -367,6 +378,7 @@ def sweep(
     from repro.analysis.sweeps import Sweep
     from repro.faults import FaultPlan
 
+    _check_sample_interval(sample_interval)
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults, seed=fault_seed)
     if topology is None:

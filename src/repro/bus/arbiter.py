@@ -9,6 +9,7 @@ normally "with no wasted time".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Protocol
 
 from repro.common.types import CacheId
@@ -57,18 +58,22 @@ class Arbiter:
         if not requests:
             return []
         high = [cid for cid, req in requests.items() if req.high_priority]
-        pool = set(high if high else requests)
-        n = len(self._ports)
-        ordered = []
-        for step in range(1, n + 1):
-            cid = self._ports[(self._last_winner_index + step) % n]
-            if cid in pool:
-                ordered.append(cid)
-                pool.discard(cid)
-        if pool:
+        pool = high if high else list(requests)
+        order = self._order
+        unknown = [cid for cid in pool if cid not in order]
+        if unknown:
             # Candidates must be registered ports.
-            raise ValueError(f"unknown requesters: {sorted(pool)}")
-        return ordered
+            raise ValueError(f"unknown requesters: {sorted(unknown)}")
+        ports = self._ports
+        return [ports[position]
+                for position in self.rotate(sorted(order[c] for c in pool))]
+
+    def rotate(self, positions: list[int]) -> list[int]:
+        """Ascending port positions in round-robin order: the first
+        position after the previous winner's leads.  O(len(positions)),
+        however many ports the arbiter has."""
+        split = bisect_left(positions, self._last_winner_index + 1)
+        return positions[split:] + positions[:split]
 
     def commit(self, winner: CacheId) -> CacheId:
         """Record ``winner`` as the grant for round-robin fairness."""

@@ -10,13 +10,13 @@ and the requesting processor resumes when the bus frees.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.bus.arbiter import Arbiter
 from repro.bus.signals import BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.common.config import TimingConfig
-from repro.common.types import NEVER, CacheId, Stamp
+from repro.common.types import NEVER, BlockAddr, CacheId, Stamp
 from repro.protocols.base import Outcome
 from repro.protocols.features import ReadSourcePolicy
 
@@ -29,10 +29,46 @@ if TYPE_CHECKING:
     from repro.sim.stats import SimStats
 
 
+class RequesterEntry:
+    """One port's place in its fabric's requester index.
+
+    The fabric creates the entry when it attaches the port, with the
+    port's slot (its attach position) and a ``route`` from a request's
+    block to the requester index -- the set of slots -- of the bus that
+    owns the block (``None`` for a port without routing information:
+    bus 0).  The port calls :meth:`place` after every change to its
+    posted request, so each index always lists exactly the ports with a
+    request that bus must arbitrate.
+    """
+
+    __slots__ = ("_route", "_slot", "_index")
+
+    def __init__(self, route: "Callable[[BlockAddr | None], set[int]]",
+                 slot: int) -> None:
+        self._route = route
+        self._slot = slot
+        self._index: set[int] | None = None
+
+    def place(self, posted: bool, block: "BlockAddr | None" = None) -> None:
+        """File the slot under the bus owning ``block`` while a request
+        is ``posted``, under none otherwise."""
+        target = self._route(block) if posted else None
+        index = self._index
+        if target is not index:
+            if index is not None:
+                index.discard(self._slot)
+            if target is not None:
+                target.add(self._slot)
+            self._index = target
+
+
 class BusPort(Protocol):
     """What the bus requires of anything attached to it (caches, I/O)."""
 
     id: CacheId
+
+    def route_requests(self, entry: RequesterEntry) -> None:
+        """Keep ``entry`` placed from now on (see :class:`RequesterEntry`)."""
 
     def has_bus_request(self) -> bool: ...
 
@@ -74,8 +110,11 @@ class Bus:
         #: Position in a multi-bus system (labels this bus's metrics).
         self.index = index
         self._ports: dict[CacheId, BusPort] = {}
-        #: Snapshot of the port list for allocation-free scans.
+        #: The ports in attach order; a port's index here is its slot.
         self._port_list: tuple[BusPort, ...] = ()
+        #: Requester index: slots of the ports with a posted request this
+        #: bus owns, kept by the ports (see :class:`RequesterEntry`).
+        self._requesters: set[int] = set()
         self._arbiter: Arbiter | None = None
         self._busy_until = 0
         self._active_port: BusPort | None = None
@@ -85,11 +124,25 @@ class Bus:
     # -- wiring -------------------------------------------------------------
 
     def attach(self, port: BusPort) -> None:
+        port.route_requests(RequesterEntry(self._route, self._register(port)))
+
+    def _register(self, port: BusPort) -> int:
+        """Add ``port`` to this bus's port list; returns its slot."""
         if port.id in self._ports:
             raise ValueError(f"port {port.id} already attached")
         self._ports[port.id] = port
         self._port_list = tuple(self._ports.values())
         self._arbiter = Arbiter(list(self._ports))
+        return len(self._port_list) - 1
+
+    def _route(self, block) -> set[int]:
+        """Every request on a single bus is this bus's to grant."""
+        return self._requesters
+
+    @property
+    def has_requesters(self) -> bool:
+        """Some port has a posted request on this bus."""
+        return bool(self._requesters)
 
     def port(self, cache_id: CacheId) -> BusPort:
         return self._ports[cache_id]
@@ -116,14 +169,11 @@ class Bus:
         now = self.clock.cycle
         if now < self._busy_until:
             return self._busy_until
-        if self._active_port is not None:
+        if self._active_port is not None or self._requesters:
+            # A posted request may be one revalidation clears, which only
+            # costs a stepped cycle in which arbitration finds nothing --
+            # exactly what the stepped engine would do.
             return now
-        # The hint may be optimistic (a request revalidation would
-        # clear), which only costs a stepped cycle in which arbitration
-        # finds nothing -- exactly what the stepped engine would do.
-        for port in self._port_list:
-            if port.has_request_hint():
-                return now
         return NEVER
 
     # -- per-cycle driver ------------------------------------------------------
@@ -145,46 +195,44 @@ class Bus:
         return True
 
     def _arbitrate(self) -> CacheId | None:
-        assert self._arbiter is not None
-        # Hint-gated scan: a port without even a hinted request cannot
-        # have a grantable one, and revalidation (inside the real
-        # ``has_bus_request``) only ever runs when a request is posted --
-        # the same cycles it ran on before the gate.
-        first: BusPort | None = None
-        requests: dict[CacheId, _PriorityProbe] | None = None
-        for port in self._port_list:
-            if port.has_request_hint() and port.has_bus_request():
-                if first is None:
-                    first = port
-                elif requests is None:
-                    requests = {
-                        first.id: _PriorityProbe(first.bus_request_priority()),
-                        port.id: _PriorityProbe(port.bus_request_priority()),
-                    }
-                else:
-                    requests[port.id] = _PriorityProbe(
-                        port.bus_request_priority())
-        if first is None:
+        """Grant among the requester index's ports.
+
+        Each indexed port is asked :meth:`BusPort.has_bus_request` in
+        slot order, which settles its request (revalidation) exactly as
+        a scan of every port would: a port with no posted request has
+        nothing to settle.  The grant, and with a scheduler attached the
+        candidate list, then follow the arbiter's round-robin over the
+        winning priority class.
+        """
+        if not self._requesters:
             return None
-        if requests is None:
+        ports = self._port_list
+        live = [slot for slot in sorted(self._requesters)
+                if ports[slot].has_bus_request()]
+        if not live:
+            return None
+        arbiter = self._arbiter
+        assert arbiter is not None
+        if len(live) == 1:
             # Sole requester: it wins whatever its priority class, and
             # commit advances the round-robin pointer exactly as the
             # general path would.
-            return self._arbiter.commit(first.id)
-        candidates = self._arbiter.ordered_candidates(requests)  # type: ignore[arg-type]
+            return arbiter.commit(ports[live[0]].id)
+        high = [slot for slot in live if ports[slot].bus_request_priority()]
+        order = arbiter.rotate(high or live)
         index = 0
-        if self.scheduler is not None and len(candidates) > 1:
+        if self.scheduler is not None:
             from repro.sim.schedule import ChoiceKind
 
             # A multi-way arbitration among high-priority requests is the
             # post-unlock waiter wakeup of Section E.4 -- its own named
             # choice point, since lock fairness lives there.
-            kind = (ChoiceKind.WAITER_WAKE
-                    if requests[candidates[0]].high_priority
-                    else ChoiceKind.BUS_ARB)
-            index = self.scheduler.choose(kind, candidates,
-                                          cycle=self.clock.cycle)
-        return self._arbiter.commit(candidates[index])
+            kind = ChoiceKind.WAITER_WAKE if high else ChoiceKind.BUS_ARB
+            if len(order) > 1:
+                index = self.scheduler.choose(
+                    kind, [ports[slot].id for slot in order],
+                    cycle=self.clock.cycle)
+        return arbiter.commit(ports[order[index]].id)
 
     # -- transaction execution --------------------------------------------------
 
@@ -389,11 +437,3 @@ class Bus:
                 self.obs.record_unlock_broadcast(
                     txn.block, spurious=not response.shared_hit)
 
-
-class _PriorityProbe:
-    """Minimal arbiter-request adapter (only priority is consulted)."""
-
-    __slots__ = ("high_priority",)
-
-    def __init__(self, high_priority: bool) -> None:
-        self.high_priority = high_priority

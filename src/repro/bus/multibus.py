@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.bus.bus import Bus, BusPort
+from repro.bus.bus import Bus, BusPort, RequesterEntry
 from repro.bus.signals import SnoopReply
 from repro.bus.transaction import BusTransaction
 from repro.common.config import TimingConfig
@@ -41,22 +41,18 @@ class _BusPortView:
         self.id: CacheId = port.id
 
     def has_bus_request(self) -> bool:
-        if not self._port.has_bus_request():
-            return False
-        block = getattr(self._port, "current_request_block", lambda: None)()
-        if block is None:
-            # Ports without routing info (e.g. the I/O processor) default
-            # to bus 0.
-            return self._bus_index == 0
-        return self._system.bus_of(block) == self._bus_index
+        # The bus asks only the ports its requester index lists, and a
+        # port is listed on exactly the bus that owns its request.
+        return self._port.has_bus_request()
 
     def has_request_hint(self) -> bool:
+        """Does the port have a posted request this bus owns?  The
+        defining predicate of the bus's requester index, which the
+        invariant checker compares the index against."""
         if not self._port.has_request_hint():
             return False
         block = getattr(self._port, "current_request_block", lambda: None)()
-        if block is None:
-            return self._bus_index == 0
-        return self._system.bus_of(block) == self._bus_index
+        return self._system.bus_index_of(block) == self._bus_index
 
     def bus_request_priority(self) -> bool:
         return self._port.bus_request_priority()
@@ -121,9 +117,20 @@ class MultiBusSystem:
         block_number = block // self.memory.words_per_block
         return block_number % self.n_buses
 
+    def bus_index_of(self, block: BlockAddr | None) -> int:
+        """The bus owning a request on ``block``; ports without routing
+        information (``None``, e.g. the I/O processor) use bus 0."""
+        return 0 if block is None else self.bus_of(block)
+
     def attach(self, port: BusPort) -> None:
-        for index, bus in enumerate(self.buses):
-            bus.attach(_BusPortView(port, self, index))
+        slots = {bus._register(_BusPortView(port, self, index))
+                 for index, bus in enumerate(self.buses)}
+        # Every bus attaches the same ports in the same order.
+        (slot,) = slots
+        port.route_requests(RequesterEntry(self._route, slot))
+
+    def _route(self, block: BlockAddr | None) -> set[int]:
+        return self.buses[self.bus_index_of(block)]._requesters
 
     def step(self) -> bool:
         active = False
@@ -139,6 +146,10 @@ class MultiBusSystem:
     @property
     def busy(self) -> bool:
         return any(bus.busy for bus in self.buses)
+
+    @property
+    def has_requesters(self) -> bool:
+        return any(bus._requesters for bus in self.buses)
 
     @property
     def pending_release(self) -> bool:

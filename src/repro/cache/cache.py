@@ -24,12 +24,13 @@ from repro.cache.organization import CacheArray
 from repro.cache.state import CacheState
 from repro.common.config import CacheConfig, RmwMethod
 from repro.common.errors import ProgramError, ProtocolError
-from repro.common.types import NEVER, BlockAddr, CacheId, Stamp, WordAddr, block_of
+from repro.common.types import BlockAddr, CacheId, Stamp, WordAddr, block_of
 from repro.obs.core import NULL_OBS
 from repro.processor.isa import Op, OpKind
 from repro.protocols.base import Done, NeedBus, Outcome, TxnResult
 
 if TYPE_CHECKING:
+    from repro.bus.bus import RequesterEntry
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.protocols.base import CoherenceProtocol
@@ -41,6 +42,10 @@ if TYPE_CHECKING:
 #: Shared miss reply for the snoop fast path.  The bus treats replies as
 #: read-only once returned, so one instance can serve every fast miss.
 _SNOOP_MISS = SnoopReply()
+
+
+def _no_processor(completes: bool = False) -> None:
+    """The processor hook of a cache driven without a processor model."""
 
 
 class AccessStatus(enum.Enum):
@@ -119,6 +124,15 @@ class SnoopingCache:
         self.rmw_modify_cycles = 2
         #: Protocol scratch space (e.g. Rudolph-Segall write counters).
         self.scratch: dict = {}
+        #: Called *before* the cache changes anything its processor's
+        #: per-cycle accounting reads (a lock wait starting or ending),
+        #: so the engine can settle the processor's lazily kept
+        #: counters; with ``completes=True`` when the processor's access
+        #: completes, so the engine also ticks it this cycle.
+        self.notify_processor = _no_processor
+        #: This cache's place in the fabric's requester index, set at
+        #: attach (see :class:`~repro.bus.bus.RequesterEntry`).
+        self._requester_entry: "RequesterEntry | None" = None
 
     # -- small helpers -----------------------------------------------------
 
@@ -168,6 +182,7 @@ class SnoopingCache:
         self._count_miss(op, line)
         self._pending = PendingAccess(op=op, request=action,
                                       posted_at=self.clock.cycle)
+        self._sync_request()
         if self.obs.active:
             self.obs.record_request_posted(self.id, op.kind.name, block,
                                            self.clock.cycle)
@@ -294,6 +309,7 @@ class SnoopingCache:
         """Abandon a lock wait (the waiting process was switched out)."""
         if self._pending is None or not self._pending.lock_wait:
             raise ProgramError("no lock wait to cancel")
+        self.notify_processor()
         self.busy_wait.clear()
         self._pending = None
         if self.obs.active:
@@ -303,36 +319,29 @@ class SnoopingCache:
     def waiting_for_lock(self) -> bool:
         return self._pending is not None and self._pending.lock_wait
 
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle at which this cache can initiate activity on its
-        own: a grantable bus request (detached or pending) or a completed
-        operation the processor may collect.  A busy-wait park returns
-        :data:`~repro.common.types.NEVER` -- its wake is driven by another
-        cache's unlock broadcast, i.e. by a bus event."""
-        if self.has_bus_request():
-            return now
-        pending = self._pending
-        if pending is not None and (pending.completed or pending.ready):
-            return now
-        return NEVER
-
     # -- bus interface: requesting -------------------------------------------
 
     def has_bus_request(self) -> bool:
+        """Is a grantable request posted?  Settles the pending request
+        first (:meth:`_revalidate_pending`) when its operation is one
+        revalidation can change -- the protocol's ``revalidated_ops``;
+        for any other operation revalidation is the identity."""
         if self._detached:
             return True
         pending = self._pending
         if pending is None or pending.request is None:
             return False
-        self._revalidate_pending(pending)
-        return pending.request is not None
+        if pending.request.op in self.protocol.revalidated_ops:
+            self._revalidate_pending(pending)
+            return pending.request is not None
+        return True
 
     def has_request_hint(self) -> bool:
-        """Cheap over-approximation of :meth:`has_bus_request`: may say
-        True for a request revalidation would clear (optimistic-RMW
-        abort), never False for a grantable one.  Idle-scan paths (bus
-        ``next_event_cycle``, the engine's ``done`` test) use this to
-        avoid re-running revalidation; arbitration still goes through
+        """Is a request posted?  A side-effect-free over-approximation
+        of :meth:`has_bus_request`: may say True for a request
+        revalidation would clear (optimistic-RMW abort), never False for
+        a grantable one.  It is the membership predicate of the bus's
+        requester index; arbitration still goes through
         :meth:`has_bus_request`, which settles the truth before any
         grant."""
         if self._detached:
@@ -351,6 +360,19 @@ class SnoopingCache:
             return self.block_of(pending.op.addr)  # type: ignore[arg-type]
         return None
 
+    def route_requests(self, entry: "RequesterEntry") -> None:
+        self._requester_entry = entry
+        self._sync_request()
+
+    def _sync_request(self) -> None:
+        """Re-file this cache in the requester index after a change to
+        its posted request: under the bus owning the request's block, or
+        under none."""
+        entry = self._requester_entry
+        if entry is not None:
+            block = self.current_request_block()
+            entry.place(block is not None, block)
+
     def _revalidate_pending(self, pending: PendingAccess) -> None:
         """Re-check the queued request against our own tags (idempotent)."""
         assert self.protocol is not None and pending.request is not None
@@ -363,11 +385,13 @@ class SnoopingCache:
         ):
             # The block was stolen between the read and the write: the
             # optimistic RMW aborts without touching the bus (Feature 6).
+            self.notify_processor(completes=True)
             self.stats.rmw_aborts += 1
             pending.op.aborted = True
             pending.request = None
             pending.ready = True
             pending.completed = True
+            self._sync_request()
             if self.obs.active:
                 self.obs.record_request_aborted(self.id, self.now())
             return
@@ -384,6 +408,7 @@ class SnoopingCache:
         """Convert the current request into a granted bus transaction."""
         if self._detached:
             need, block = self._detached.popleft()
+            self._sync_request()
             return self._build_txn(need, block)
         pending = self._pending
         assert pending is not None and pending.request is not None
@@ -415,6 +440,7 @@ class SnoopingCache:
         """Post a bus request not tied to the pending processor op (the
         unlock broadcast of Section E.4)."""
         self._detached.append((need, block))
+        self._sync_request()
 
     # -- bus interface: completing a granted transaction ----------------------
 
@@ -461,9 +487,11 @@ class SnoopingCache:
                 pending.op.aborted = True
                 pending.request = None
                 pending.ready = True
+                self._sync_request()
                 return CompletionInfo(outcome=Outcome.DONE)
             pending.request = result.next_bus
             pending.phase += 1
+            self._sync_request()
             return CompletionInfo(outcome=Outcome.REBUS)
 
         # DONE: apply the processor-visible effect of the operation.
@@ -479,10 +507,12 @@ class SnoopingCache:
     def _enter_lock_wait(self, txn: BusTransaction) -> None:
         pending = self._pending
         assert pending is not None
+        self.notify_processor()
         if pending.request is not None:
             pending.retry_request = pending.request
         pending.request = None
         pending.lock_wait = True
+        self._sync_request()
         if not self.busy_wait.active:
             self.busy_wait.arm(txn.block, self.now())
         else:
@@ -495,6 +525,7 @@ class SnoopingCache:
     def _finish_pending(self, pending: PendingAccess, txn: BusTransaction,
                         response) -> None:
         pending.request = None  # consumed; do not re-arbitrate
+        self._sync_request()
         op = pending.op
         if self.busy_wait.active and self.busy_wait.block == txn.block:
             # Whatever op was waiting (lock, read, write, RMW) has now
@@ -558,11 +589,13 @@ class SnoopingCache:
             self.invalidate_line(line)
         pending.request = None
         pending.ready = True
+        self._sync_request()
 
     def finish_bus_release(self) -> None:
         """Called by the bus when this port's transaction occupancy ends."""
         pending = self._pending
         if pending is not None and pending.ready:
+            self.notify_processor(completes=True)
             pending.completed = True
 
     # -- bus interface: snooping ----------------------------------------------
@@ -613,8 +646,10 @@ class SnoopingCache:
             # register, decides).
             self.busy_wait.lost_arbitration()
             if self._pending is not None and self._pending.lock_wait is False:
+                self.notify_processor()
                 self._pending.request = None
                 self._pending.lock_wait = True
+                self._sync_request()
                 if self.obs.active:
                     self.obs.record_wait_rearmed(self.id, self.now())
 
@@ -632,8 +667,10 @@ class SnoopingCache:
         if self.busy_wait.notice_unlock(txn.block):
             pending = self._pending
             assert pending is not None and pending.retry_request is not None
+            self.notify_processor()
             pending.lock_wait = False
             pending.request = replace(pending.retry_request, high_priority=True)
+            self._sync_request()
             pending.posted_at = self.now()  # bus-wait measured from the wakeup
             if self.obs.active:
                 self.obs.record_wait_wakeup(self.id, txn.block, self.now())

@@ -40,11 +40,14 @@ class SharerSet:
     """Interface of a directory entry's sharer-set representation.
 
     ``listed`` is the *tracked* membership the probe-listed action
-    scans; ``overflowed`` says the tracking lost precision and only a
-    broadcast probe (probe-all) is sound.  ``refresh`` applies the
-    outcome of a probe round: ``keep``/``drop`` partition the probed
-    caches by whether they still care, and ``complete`` says the round
-    covered every port (so a lossy representation may rebuild exactly).
+    scans, and ``members`` yields exactly the ids ``listed`` admits, in
+    ascending id (port) order, at a cost proportional to the entry's
+    size rather than the machine's; ``overflowed`` says the tracking
+    lost precision and only a broadcast probe (probe-all) is sound.
+    ``refresh`` applies the outcome of a probe round: ``keep``/``drop``
+    partition the probed caches by whether they still care, and
+    ``complete`` says the round covered every port (so a lossy
+    representation may rebuild exactly).
 
     The set-like aliases (``add``/``discard``/``in``/``len``/``iter``)
     exist so directory state stays scriptable from tests and seeded
@@ -55,6 +58,9 @@ class SharerSet:
     kind: str = "abstract"
 
     def listed(self, cid: "CacheId") -> bool:
+        raise NotImplementedError
+
+    def members(self) -> "Iterator[CacheId]":
         raise NotImplementedError
 
     @property
@@ -103,6 +109,9 @@ class FullBitVector(set, SharerSet):
     def listed(self, cid: "CacheId") -> bool:
         return cid in self
 
+    def members(self) -> "Iterator[CacheId]":
+        return iter(sorted(self))
+
     @property
     def overflowed(self) -> bool:
         return False
@@ -149,6 +158,11 @@ class LimitedPointerSet(SharerSet):
 
     def listed(self, cid: "CacheId") -> bool:
         return cid in self._ptrs
+
+    def members(self) -> "Iterator[CacheId]":
+        # Overflowed, the pointers are what ``listed`` still admits; the
+        # home-bank table broadcasts (probe-all) for such an entry.
+        return iter(sorted(self._ptrs))
 
     @property
     def overflowed(self) -> bool:
@@ -223,6 +237,11 @@ class CoarseVector(SharerSet):
 
     def listed(self, cid: "CacheId") -> bool:
         return self._region(cid) in self._regions
+
+    def members(self) -> "Iterator[CacheId]":
+        """Every cache of every marked region: the superset of the true
+        sharers that probe-listed reaches."""
+        return iter(self)
 
     @property
     def overflowed(self) -> bool:

@@ -98,10 +98,8 @@ class DirectoryFabric(Bus):
         entry = self._entry_of(txn)
         sharers = entry.sharers
         rid = requester.id
-        # Port order (not sharer-set order) keeps reply combination and
-        # read-source arbitration deterministic and bus-identical.
         ports = self._ports
-        peers = any(cid != rid and sharers.listed(cid) for cid in ports)
+        peers = any(cid != rid and cid in ports for cid in sharers.members())
         row = self._table.lookup_bits(
             home_state_of(entry), DIR_EVENT_OF[txn.op],
             guard_bits_of(entry, rid, peers))
@@ -113,9 +111,15 @@ class DirectoryFabric(Bus):
             elif action == "count-request":
                 self.directory.requests += 1
             elif action == "probe-listed":
-                for cid, port in ports.items():
-                    if cid != rid and sharers.listed(cid):
-                        replies[cid] = port.snoop(txn)
+                # Members come in ascending id order, the caches' port
+                # order (they attach in id order; the cacheless I/O
+                # port answers every snoop with a plain miss, so where
+                # it falls cannot matter), which keeps reply combination
+                # and read-source arbitration bus-identical.  Read after
+                # ``enroll``: a coarse region may have grown.
+                for cid in sharers.members():
+                    if cid != rid and cid in ports:
+                        replies[cid] = ports[cid].snoop(txn)
             elif action == "probe-all":
                 for cid, port in ports.items():
                     if cid != rid:

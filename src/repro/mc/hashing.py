@@ -119,7 +119,10 @@ def _cache_sig(cache) -> tuple:
     )
 
 
-def _processor_sig(processor) -> tuple:
+def _processor_sig(processor, now: int) -> tuple:
+    # The engine keeps idle processors' counters lazily; settle them so
+    # the compute and ready-work countdowns read as the cycle stands.
+    processor.settle(now)
     return (
         processor.pid,
         processor._pc,
@@ -161,7 +164,7 @@ def state_signature(sim) -> tuple:
     now = sim.clock.cycle
     return (
         tuple(_cache_sig(cache) for cache in sim.caches),
-        tuple(_processor_sig(p) for p in sim.processors),
+        tuple(_processor_sig(p, now) for p in sim.processors),
         _bus_sig(sim.bus, now),
         _memory_sig(sim.memory),
         sim.stamp_clock._next,

@@ -56,12 +56,14 @@ class IOProcessor:
         self.completed: list[IoRequest] = []
         #: Wired by the engine for write auditing.
         self.oracle = None
+        self._requester_entry = None
 
     # -- request submission ---------------------------------------------------
 
     def submit(self, op: IoOp, block: BlockAddr) -> IoRequest:
         request = IoRequest(op=op, block=block)
         self._queue.append(request)
+        self._sync_request()
         return request
 
     @property
@@ -69,6 +71,16 @@ class IOProcessor:
         return not self._queue and self._in_flight is None
 
     # -- bus port interface ------------------------------------------------------
+
+    def route_requests(self, entry) -> None:
+        self._requester_entry = entry
+        self._sync_request()
+
+    def _sync_request(self) -> None:
+        """Re-file the port in the requester index; I/O requests carry
+        no routing block."""
+        if self._requester_entry is not None:
+            self._requester_entry.place(self.has_request_hint())
 
     def has_bus_request(self) -> bool:
         return bool(self._queue) and self._in_flight is None
@@ -83,6 +95,7 @@ class IOProcessor:
     def take_bus_transaction(self) -> BusTransaction:
         request = self._queue.popleft()
         self._in_flight = request
+        self._sync_request()
         if request.op is IoOp.INPUT:
             bus_op = BusOp.IO_INPUT
         elif request.op is IoOp.PAGE_OUT:
@@ -102,6 +115,7 @@ class IOProcessor:
             # The block is locked in a cache: retry the transfer later.
             self._queue.append(request)
             self._in_flight = None
+            self._sync_request()
             return CompletionInfo(outcome=Outcome.DONE)
         if request.op is IoOp.INPUT:
             # Device data arrives: stamp every word and write memory.
@@ -127,3 +141,4 @@ class IOProcessor:
         if self._in_flight is not None and self._in_flight.completed:
             self.completed.append(self._in_flight)
             self._in_flight = None
+            self._sync_request()

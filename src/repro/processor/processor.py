@@ -80,6 +80,9 @@ class Processor:
         #: Set while a user-level lock is held, for hold-time statistics.
         self._lock_held_since: dict[int, int] = {}
         self._now = 0
+        #: Every cycle before this one is accounted: ticked, or applied
+        #: in bulk by :meth:`settle`.
+        self._synced = 0
 
     # -- public surface -----------------------------------------------------
 
@@ -119,6 +122,20 @@ class Processor:
         # READY, or a spin iteration queued for the next cycle.
         return now
 
+    def settle(self, now: int) -> None:
+        """Account every cycle before ``now`` that was not ticked.
+
+        The engine ticks a processor only on cycles it may act on and
+        leaves the cycles between to be settled here, when the processor
+        is next touched: its own tick, its cache changing what the
+        accounting reads (:attr:`SnoopingCache.notify_processor`), or the
+        end of the run.  Readers of the counters mid-run settle first.
+        """
+        gap = now - self._synced
+        if gap > 0:
+            self.advance_quiet(gap)
+            self._synced = now
+
     def advance_quiet(self, cycles: int) -> None:
         """Apply ``cycles`` ticks' worth of accounting in one step.
 
@@ -148,7 +165,9 @@ class Processor:
             raise AssertionError("cannot bulk-advance a ready processor")
 
     def tick(self, cycle: int) -> None:
-        """Advance one cycle."""
+        """Advance one cycle, settling the cycles before it first."""
+        self.settle(cycle)
+        self._synced = cycle + 1
         self._now = cycle
         if self._state is _State.DONE:
             self.stats.done_cycles += 1

@@ -82,6 +82,11 @@ class CoherenceProtocol(abc.ABC):
 
     def __init__(self, cache: "SnoopingCache") -> None:
         self.cache = cache
+        #: Queued bus operations :meth:`revalidate_request` (or the
+        #: cache's optimistic-RMW abort) can change; the cache skips
+        #: revalidating every other operation, for which it is the
+        #: identity.  A tuple: membership by identity, no enum hashing.
+        self.revalidated_ops: tuple[BusOp, ...] = (BusOp.UPGRADE,)
 
     # -- identity ---------------------------------------------------------
 

@@ -583,6 +583,9 @@ class TableProtocol(CoherenceProtocol):
         # mutation harness) is honoured by instances created under it.
         self._table = self.table
         self._table.guard_rows()
+        self.revalidated_ops += tuple(
+            op for op in self._table.lost_copy
+            if op not in self.revalidated_ops)
 
     # -- lookup seams ----------------------------------------------------
     # The three call shapes through which every table probe flows.  Each

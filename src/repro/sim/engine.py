@@ -9,26 +9,39 @@ Two execution modes produce bit-identical statistics:
 
 * **stepped** -- :meth:`Simulator.step` once per bus cycle (the reference
   semantics above);
-* **fast-forward** -- the engine asks every component for its next
-  *interesting* cycle (bus occupancy expiry, compute completion, crossbar
-  return) and advances the clock and all per-cycle counters in bulk
-  across the quiet span.  Skipped cycles are exactly those in which the
-  stepped engine would only have incremented counters: the bus is inert
-  until its occupancy expires, and a parked or computing processor cannot
-  issue.  Arbitration order is therefore unaffected -- every cycle in
-  which a grant, snoop, issue, retire, or wake could occur is still
-  executed by the ordinary :meth:`step`.
+* **fast-forward** -- the engine asks the bus and the processor wake
+  queue for the next *interesting* cycle (bus occupancy expiry, a posted
+  request, compute completion, crossbar return, a processor made ready)
+  and advances the clock across the quiet span in one step.  Skipped
+  cycles are exactly those in which the stepped engine would only have
+  incremented counters: the bus is inert until its occupancy expires,
+  and a parked or computing processor cannot issue.  Arbitration order
+  is therefore unaffected -- every cycle in which a grant, snoop, issue,
+  retire, or wake could occur is still executed by the ordinary
+  :meth:`step`.
+
+In both modes a cycle ticks only the processors that may act on it:
+those ready to issue, those whose compute or crossbar wait ends (a wake
+heap), and those whose cache completed their access (the due set, fed by
+:attr:`~repro.cache.cache.SnoopingCache.notify_processor`).  Every other
+processor's per-cycle counters are settled lazily
+(:meth:`Processor.settle`) when it is next touched -- ticked, or its
+cache about to start or end a lock wait -- and at the end of the run, so
+the work per executed cycle is O(active), not O(N).
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from heapq import heappop, heappush
 from typing import Sequence
 
 from repro.bus.bus import Bus
 from repro.cache.cache import SnoopingCache
-from repro.common.config import RmwMethod, SystemConfig, WaitMode
+from repro.common.config import RmwMethod, SystemConfig
 from repro.common.errors import ConfigError, DeadlockError, WatchdogTimeout
+from repro.common.types import NEVER
 from repro.memory.io_processor import IOProcessor
 from repro.memory.main_memory import MainMemory
 from repro.processor.processor import Processor, _State
@@ -161,14 +174,34 @@ class Simulator:
         if self.obs.active:
             self.obs.bind(self.stats)
 
+        #: Pids to tick on the next executed cycle: ready to issue, or
+        #: their access completed (see :meth:`_wake`).
+        self._due: set[int] = set()
+        #: ``(cycle, pid)`` wake times of computing and crossbar-waiting
+        #: processors.  An entry may be stale (its processor ticked since);
+        #: ticking a processor on a cycle it does not act on is exact
+        #: per-cycle accounting, so a stale entry costs one tick.
+        self._wakeups: list[tuple[int, int]] = []
+        #: Pids whose program has not finished.
+        self._unfinished: set[int] = set()
+        for processor, cache in zip(self.processors, self.caches):
+            cache.notify_processor = functools.partial(self._wake, processor)
+            if not processor.done:
+                self._unfinished.add(processor.pid)
+                self._due.add(processor.pid)
+        #: Progress bookkeeping for the deadlock watch: ticks that
+        #: completed an op or spent a compute cycle, and processors now
+        #: in a compute span (each of which computes every cycle).
+        self._progress_ticks = 0
+        self._computing = 0
+
         self.checker = InvariantChecker.for_system(
             self.caches, self.memory, self.oracle,
-            serialized=config.strict_verify,
+            serialized=config.strict_verify, fabric=self.bus,
         )
         self._check_interval = check_interval
         self._last_progress_sig: tuple = ()
         self._last_progress_cycle = 0
-        self._directories = [cache.directory for cache in self.caches]
         self._watchdog_deadline: float | None = None
         self._watchdog_budget = 0.0
         self._watchdog_started = 0.0
@@ -177,13 +210,12 @@ class Simulator:
 
     @property
     def done(self) -> bool:
-        for p in self.processors:
-            if p._state is not _State.DONE:
-                return False
-        # The request hint is exact once every processor is done: a
-        # pending op would keep its processor stalled, so only detached
-        # requests (which the hint reports faithfully) can remain.
-        if self.bus.busy or any(c.has_request_hint() for c in self.caches):
+        if self._unfinished:
+            return False
+        # Once every processor is done no pending op can remain (it
+        # would keep its processor stalled), so only detached requests
+        # can still be posted -- and the requester index lists them.
+        if self.bus.busy or self.bus.has_requesters:
             return False
         if self.io is not None and not self.io.idle:
             return False
@@ -194,51 +226,34 @@ class Simulator:
         self.bus.step()
         self._finish_cycle()
 
+    def _wake(self, processor: Processor, completes: bool = False) -> None:
+        """The cache hook: settle ``processor`` up to the current cycle
+        (before its cache changes what the accounting reads) and, when
+        its access completes, tick it on this cycle to collect it."""
+        processor.settle(self.clock.cycle)
+        if completes:
+            self._due.add(processor.pid)
+
     def _finish_cycle(self) -> None:
-        """The processor half of :meth:`step`.  The fast-forward loop
-        calls this directly on cycles where the bus is provably inert
-        (not busy, no release owed, no request hint posted), skipping the
-        no-op arbitration scan."""
+        """The processor half of :meth:`step`: tick the processors due
+        this cycle, in pid order (or the scheduler's issue order), and
+        advance the clock.  The fast-forward loop calls this directly on
+        cycles where the bus is provably inert (not busy, no release
+        owed, no request posted), skipping the no-op arbitration."""
         cycle = self.clock.cycle
-        if self.scheduler is None:
-            # Inlined passive-processor accounting.  A processor that
-            # cannot act this cycle (mid-compute, parked on the cache/
-            # lock, or finished) only increments one counter; handling
-            # that here skips the tick dispatch for the common case.
-            # The branches mirror Processor.tick exactly, and anything
-            # that might act falls through to the real tick().  tick()
-            # stamps _now first, but _now is only read on acting paths,
-            # which always go through tick() -- the same contract
-            # advance_quiet() relies on.
-            for p in self.processors:
-                state = p._state
-                if state is _State.STALLED:
-                    if p._crossbar_op is None:
-                        pend = p.cache.pending
-                        if pend is None or not pend.completed:
-                            if pend is not None and pend.lock_wait:
-                                if (p.wait_mode is WaitMode.WORK
-                                        and p._ready_work_left > 0):
-                                    p._ready_work_left -= 1
-                                    p.stats.wait_work_cycles += 1
-                                else:
-                                    p.stats.wait_idle_cycles += 1
-                            else:
-                                p.stats.stall_cycles += 1
-                            continue
-                    p.tick(cycle)
-                elif state is _State.COMPUTING:
-                    if p._compute_left > 1:
-                        p._compute_left -= 1
-                        p.stats.compute_cycles += 1
-                    else:
-                        p.tick(cycle)
-                elif state is _State.DONE:
-                    p.stats.done_cycles += 1
-                else:
-                    p.tick(cycle)
-        else:
-            self._tick_scheduled(cycle)
+        due = self._due
+        wakeups = self._wakeups
+        while wakeups and wakeups[0][0] <= cycle:
+            due.add(heappop(wakeups)[1])
+        if due:
+            batch = sorted(due)
+            due.clear()
+            if self.scheduler is None:
+                processors = self.processors
+                for pid in batch:
+                    self._tick(processors[pid], cycle)
+            else:
+                self._tick_scheduled(batch, cycle)
         self.stats.cycles += 1
         self.clock.cycle = cycle + 1
         obs = self.obs
@@ -247,8 +262,27 @@ class Simulator:
         if self._check_interval and self.stats.cycles % self._check_interval == 0:
             self.checker.check_all()
 
-    def _tick_scheduled(self, cycle: int) -> None:
-        """Tick the processors with the issue order as a choice point.
+    def _tick(self, processor: Processor, cycle: int) -> None:
+        """Tick one processor and schedule its next tick."""
+        stats = processor.stats
+        before = stats.ops_completed + stats.compute_cycles
+        was_computing = processor._state is _State.COMPUTING
+        processor.tick(cycle)
+        if stats.ops_completed + stats.compute_cycles != before:
+            self._progress_ticks += 1
+        computing = processor._state is _State.COMPUTING
+        if computing is not was_computing:
+            self._computing += 1 if computing else -1
+        after = processor.next_event_cycle(cycle + 1)
+        if after == cycle + 1:
+            self._due.add(processor.pid)
+        elif after != NEVER:
+            heappush(self._wakeups, (after, processor.pid))
+        elif processor.done:
+            self._unfinished.discard(processor.pid)
+
+    def _tick_scheduled(self, batch: list[int], cycle: int) -> None:
+        """Tick the due processors with the issue order as a choice point.
 
         Only processors that will *act* this cycle (issue, retire, or
         collect -- ``next_event_cycle() == cycle``) are permuted; the
@@ -258,9 +292,9 @@ class Simulator:
         """
         scheduler = self.scheduler
         assert scheduler is not None
-        active = [p for p in self.processors
-                  if p.next_event_cycle(cycle) == cycle]
-        passive = [p for p in self.processors if p not in active]
+        due = [self.processors[pid] for pid in batch]
+        active = [p for p in due if p.next_event_cycle(cycle) == cycle]
+        passive = [p for p in due if p not in active]
         while active:
             index = 0
             if len(active) > 1:
@@ -268,9 +302,9 @@ class Simulator:
                     ChoiceKind.ISSUE_ORDER,
                     [p.pid for p in active], cycle=cycle,
                 )
-            active.pop(index).tick(cycle)
+            self._tick(active.pop(index), cycle)
         for processor in passive:
-            processor.tick(cycle)
+            self._tick(processor, cycle)
 
     def run(self, max_cycles: int | None = None,
             fast_forward: bool | None = None,
@@ -348,8 +382,10 @@ class Simulator:
             "busy": bool(self.bus.busy),
             "next_event_cycle": self.bus.next_event_cycle(),
         }
+        # The request hint, not has_bus_request: a snapshot must not
+        # revalidate (which could abort an optimistic RMW).
         pending_requests = [c.id for c in self.caches
-                            if c.has_bus_request()]
+                            if c.has_request_hint()]
         caches = []
         for cache in self.caches:
             pending = cache.pending
@@ -387,13 +423,14 @@ class Simulator:
 
     def _run_fast(self, max_cycles: int | None) -> SimStats:
         """The event-skip loop: equivalent to the stepped loop, but quiet
-        spans are applied in bulk instead of cycle-by-cycle."""
+        spans are skipped in one step instead of cycle-by-cycle."""
         horizon = self.config.deadlock_horizon
         check = self._check_interval
         stats = self.stats
         clock = self.clock
         bus = self.bus
-        processors = self.processors
+        due = self._due
+        wakeups = self._wakeups
         step = self.step
         watch = self._watch_progress
         while not self.done:
@@ -408,28 +445,10 @@ class Simulator:
             bus_next = bus.next_event_cycle()
             target = bus_next
             if target > now:
-                # Inlined Processor.next_event_cycle over all processors
-                # (the scan runs once per event and dominates the loop's
-                # bookkeeping; branch-for-branch identical to the method).
-                for p in processors:
-                    state = p._state
-                    if state is _State.DONE:
-                        continue  # NEVER
-                    if state is _State.COMPUTING:
-                        t = now + p._compute_left - 1
-                    elif state is _State.STALLED:
-                        if p._crossbar_op is not None:
-                            u = p._crossbar_until
-                            t = u if u > now else now
-                        else:
-                            pend = p.cache.pending
-                            if pend is None or not pend.completed:
-                                continue  # NEVER
-                            t = now
-                    else:
-                        t = now
-                    if t < target:
-                        target = t
+                if due:
+                    target = now
+                elif wakeups and wakeups[0][0] < target:
+                    target = wakeups[0][0]
             # Never jump past a cycle where the stepped engine would act:
             # the deadlock horizon fires on simulated cycles regardless of
             # how they were advanced, the invariant checker observes every
@@ -444,11 +463,9 @@ class Simulator:
             if max_cycles is not None and target > max_cycles:
                 target = max_cycles
             if target > now:
-                skip = target - now
+                # The skipped cycles' processor counters settle lazily.
                 stats.cycles = target
                 clock.cycle = target
-                for processor in processors:
-                    processor.advance_quiet(skip)
                 # Quiet-span fill: every interval boundary inside the
                 # span is sampled here with the (unchanged) counters the
                 # stepped engine would have seen on that cycle.
@@ -456,9 +473,9 @@ class Simulator:
                     self.obs.on_advance(target)
                 if check and target % check == 0:
                     self.checker.check_all()
-                # Every signature component is monotonic, so comparing
-                # endpoints sees exactly the changes the stepped engine
-                # would have seen cycle-by-cycle.  A mid-span check can
+                # Every signature component moves exactly when the stepped
+                # engine's would, so comparing endpoints sees the changes
+                # it would have seen cycle-by-cycle.  A mid-span check can
                 # therefore only matter on the one cycle the stepped
                 # engine could raise at -- the horizon limit.
                 at_max = max_cycles is not None and target >= max_cycles
@@ -485,6 +502,9 @@ class Simulator:
         return self._finish()
 
     def _finish(self) -> SimStats:
+        cycles = self.stats.cycles
+        for processor in self.processors:
+            processor.settle(cycles)
         if self._check_interval:
             self.checker.check_all()
         self.stats.directory_interference_cycles = sum(
@@ -495,28 +515,29 @@ class Simulator:
         return self.stats
 
     def _watch_progress(self, horizon: int) -> None:
-        ops = compute = 0
-        for p in self.processors:
-            stats = p.stats
-            ops += stats.ops_completed
-            compute += stats.compute_cycles
+        # O(1) progress signature.  It changes exactly when the sum of
+        # every processor's completed ops and compute cycles would: a
+        # tick completing an op or computing moves ``_progress_ticks``,
+        # and a processor mid compute span computes on every cycle, so
+        # while any is (``_computing``) the cycle count stands in.
         # bus_busy_cycles moves exactly when a transaction is recorded
         # (every duration is >= 1), so it is interchangeable with the
-        # transaction count as a progress signal -- and O(1) to read.
+        # transaction count as a progress signal.
+        stats = self.stats
         signature = (
-            ops,
-            compute,
-            self.stats.bus_busy_cycles,
-            self.stats.read_hits + self.stats.write_hits,
+            self._progress_ticks,
+            stats.cycles if self._computing else 0,
+            stats.bus_busy_cycles,
+            stats.read_hits + stats.write_hits,
         )
         if signature != self._last_progress_sig:
             self._last_progress_sig = signature
-            self._last_progress_cycle = self.stats.cycles
-        elif self.stats.cycles - self._last_progress_cycle > horizon:
+            self._last_progress_cycle = stats.cycles
+        elif stats.cycles - self._last_progress_cycle > horizon:
             waiting = [p.pid for p in self.processors if not p.done]
             raise DeadlockError(
                 f"no progress for {horizon} cycles at cycle "
-                f"{self.stats.cycles}; processors not done: {waiting}"
+                f"{stats.cycles}; processors not done: {waiting}"
             )
 
 

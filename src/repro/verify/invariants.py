@@ -13,6 +13,12 @@ reduces cache synchronization to:
 * **waiter liveness** -- an armed busy-wait register is always matched by
   a lock-waiter record somewhere (cache state, memory lock tag, or an
   unlock broadcast already in flight), so a waiter cannot be stranded.
+
+Given the fabric, it also checks the engine's own bookkeeping:
+
+* **requester index** -- each bus's index of requesting ports (what
+  arbitration and the fast-forward engine read instead of polling every
+  port) is exactly the set of its ports with a posted request.
 """
 
 from __future__ import annotations
@@ -43,8 +49,10 @@ class InvariantChecker:
         check_single_source: bool = True,
         check_single_writer: bool = True,
         check_latest: bool = True,
+        fabric=None,
     ) -> None:
         self.caches = list(caches)
+        self.fabric = fabric
         self.memory = memory
         self.oracle = oracle
         self.check_single_source = check_single_source
@@ -53,7 +61,8 @@ class InvariantChecker:
 
     @classmethod
     def for_system(cls, caches, memory, oracle=None, *,
-                   serialized: bool = True) -> "InvariantChecker":
+                   serialized: bool = True,
+                   fabric=None) -> "InvariantChecker":
         """Configure the checks from the caches' protocol features.
 
         ``serialized=False`` (classic write-through runs) disables the
@@ -73,6 +82,7 @@ class InvariantChecker:
             oracle,
             check_single_source=single_source,
             check_latest=serialized,
+            fabric=fabric,
         )
 
     # -- entry point ---------------------------------------------------------
@@ -88,6 +98,8 @@ class InvariantChecker:
         if self.oracle is not None and self.check_latest:
             self._check_latest_reachable(by_block)
         self._check_waiter_liveness()
+        if self.fabric is not None:
+            self._check_requester_index()
 
     def _lines_by_block(self) -> dict[BlockAddr, list[tuple[int, CacheState, list]]]:
         by_block: dict[BlockAddr, list[tuple[int, CacheState, list]]] = {}
@@ -186,6 +198,17 @@ class InvariantChecker:
         if tag is not None and tag.waiter:
             return True
         return False
+
+    def _check_requester_index(self) -> None:
+        for bus in getattr(self.fabric, "buses", [self.fabric]):
+            posted = {slot for slot, port in enumerate(bus._port_list)
+                      if port.has_request_hint()}
+            if posted != bus._requesters:
+                raise CoherenceViolation(
+                    f"bus {bus.index}: requester index "
+                    f"{sorted(bus._requesters)} but ports "
+                    f"{sorted(posted)} have posted requests"
+                )
 
     def _cache(self, cache_id: int) -> "SnoopingCache":
         for cache in self.caches:

@@ -6,10 +6,15 @@ import pytest
 
 from repro import SimStats, api
 from repro.common.config import SystemConfig
+from repro.common.errors import ConfigError
 from repro.processor.program import LockStyle
 
 
 class TestSimulate:
+    def test_negative_sample_interval_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="sample_interval"):
+            api.simulate(processors=2, sample_interval=-5)
+
     def test_returns_typed_result(self):
         result = api.simulate(processors=2)
         assert isinstance(result, api.RunResult)
@@ -57,6 +62,15 @@ class TestSimulate:
 
 
 class TestSweep:
+    def test_negative_sample_interval_raises_before_any_point(
+            self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(api, "_sweep_point",
+                            lambda n, **kwargs: ran.append(n))
+        with pytest.raises(ConfigError, match="sample_interval"):
+            api.sweep(processors=[2, 3], sample_interval=-5)
+        assert ran == []
+
     def test_series_and_stats(self):
         result = api.sweep(processors=[2, 3])
         assert isinstance(result, api.SweepResult)

@@ -137,6 +137,42 @@ class TestCoarseVector:
             CoarseVector(0)
 
 
+class TestMembers:
+    """``members`` yields exactly what ``listed`` admits, in ascending
+    id (port) order: the directory computes its peers guard and the
+    probe-listed set from it."""
+
+    @staticmethod
+    def _entries():
+        full = FullBitVector()
+        for cid in (9, 2, 5):
+            full.enroll(cid)
+        precise = LimitedPointerSet(3, [7, 1])
+        overflowed = LimitedPointerSet(2)
+        for cid in (6, 3, 8):
+            overflowed.enroll(cid)
+        coarse = CoarseVector(4, [13, 2])
+        return [full, precise, overflowed, coarse]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_members_are_the_listed_ids_in_order(self, index):
+        entry = self._entries()[index]
+        listed = [cid for cid in range(-1, 20) if entry.listed(cid)]
+        assert list(entry.members()) == listed
+        assert listed
+
+    def test_coarse_members_cover_whole_regions(self):
+        assert list(CoarseVector(4, [13, 2]).members()) == [
+            0, 1, 2, 3, 12, 13, 14, 15]
+
+    def test_overflowed_members_are_the_kept_pointers(self):
+        entry = LimitedPointerSet(2)
+        for cid in (6, 3, 8):
+            entry.enroll(cid)
+        assert entry.overflowed
+        assert list(entry.members()) == [3, 6]
+
+
 class TestFactoryAndConfig:
     def test_factory_builds_every_kind(self):
         built = {

@@ -44,3 +44,39 @@ class TestWatchdog:
     def test_unarmed_run_has_no_watchdog(self):
         result = api.simulate(processors=2)
         assert result.stats.cycles > 0
+
+
+class TestDiagnosticsAreReadOnly:
+    """A watchdog snapshot must not change the run it describes.  On
+    Illinois with optimistic test-and-set, a queued upgrade whose copy
+    was stolen aborts when it is revalidated; a snapshot that
+    revalidated would abort it early."""
+
+    @staticmethod
+    def _sim():
+        from repro import CacheConfig, SystemConfig
+        from repro.common.config import RmwMethod
+        from repro.processor.program import LockStyle
+        from repro.sim.engine import Simulator
+        from repro.workloads import lock_contention
+
+        config = SystemConfig(num_processors=4, protocol="illinois",
+                              rmw_method=RmwMethod.OPTIMISTIC,
+                              cache=CacheConfig(words_per_block=4,
+                                                num_blocks=64))
+        programs = lock_contention(config, rounds=4, think_cycles=3,
+                                   lock_style=LockStyle.TAS)
+        return Simulator(config, programs)
+
+    def test_mid_run_snapshots_leave_the_result_unchanged(self):
+        plain = self._sim().run(fast_forward=False)
+        assert plain.rmw_aborts > 0
+        sim = self._sim()
+        horizon = sim.config.deadlock_horizon
+        while not sim.done:
+            sim.step()
+            sim._watch_progress(horizon)
+            before = sim.stats.to_payload()
+            sim.diagnostics()
+            assert sim.stats.to_payload() == before
+        assert sim._finish().to_payload() == plain.to_payload()
