@@ -39,41 +39,34 @@ class Arbiter:
 
         High-priority requests always beat normal ones; ties within a
         priority class are broken round-robin starting after the previous
-        winner.
-        """
-        candidates = self.ordered_candidates(requests)
-        if not candidates:
-            return None
-        return self.commit(candidates[0])
-
-    def ordered_candidates(
-        self, requests: dict[CacheId, ArbitrationRequest]
-    ) -> list[CacheId]:
-        """The grantable requesters in arbitration-preference order.
-
-        The winning priority class only (high beats normal), rotated so
-        the round-robin winner comes first.  Any entry is a legal grant a
-        hardware arbiter could make; :meth:`commit` records the one taken.
+        winner (see :meth:`order`).
         """
         if not requests:
-            return []
-        high = [cid for cid, req in requests.items() if req.high_priority]
-        pool = high if high else list(requests)
+            return None
         order = self._order
-        unknown = [cid for cid in pool if cid not in order]
+        unknown = [cid for cid in requests if cid not in order]
         if unknown:
             # Candidates must be registered ports.
             raise ValueError(f"unknown requesters: {sorted(unknown)}")
-        ports = self._ports
-        return [ports[position]
-                for position in self.rotate(sorted(order[c] for c in pool))]
+        positions = sorted(order[cid] for cid in requests)
+        high = sorted(order[cid] for cid, req in requests.items()
+                      if req.high_priority)
+        return self.commit(self._ports[self.order(positions, high)[0]])
 
-    def rotate(self, positions: list[int]) -> list[int]:
-        """Ascending port positions in round-robin order: the first
-        position after the previous winner's leads.  O(len(positions)),
-        however many ports the arbiter has."""
-        split = bisect_left(positions, self._last_winner_index + 1)
-        return positions[split:] + positions[:split]
+    def order(self, positions: list[int], high: list[int]) -> list[int]:
+        """The grantable requesters in arbitration-preference order.
+
+        ``positions`` are the requesters' ascending port positions and
+        ``high`` the ascending subset asserting the priority bit.  The
+        result is the winning priority class only (high beats normal),
+        rotated so the first position after the previous winner's leads.
+        Any entry is a legal grant a hardware arbiter could make;
+        :meth:`commit` records the one taken.  O(len(positions)),
+        however many ports the arbiter has.
+        """
+        pool = high or positions
+        split = bisect_left(pool, self._last_winner_index + 1)
+        return pool[split:] + pool[:split]
 
     def commit(self, winner: CacheId) -> CacheId:
         """Record ``winner`` as the grant for round-robin fairness."""

@@ -16,6 +16,7 @@ from repro.bus.arbiter import Arbiter
 from repro.bus.signals import BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.common.config import TimingConfig
+from repro.common.errors import CoherenceViolation
 from repro.common.types import NEVER, BlockAddr, CacheId, Stamp
 from repro.protocols.base import Outcome
 from repro.protocols.features import ReadSourcePolicy
@@ -34,32 +35,31 @@ class RequesterEntry:
 
     The fabric creates the entry when it attaches the port, with the
     port's slot (its attach position) and a ``route`` from a request's
-    block to the requester index -- the set of slots -- of the bus that
-    owns the block (``None`` for a port without routing information:
-    bus 0).  The port calls :meth:`place` after every change to its
-    posted request, so each index always lists exactly the ports with a
-    request that bus must arbitrate.
+    block to the :class:`Bus` that owns it (``None`` for a port without
+    routing information: bus 0).  The port calls :meth:`place` after
+    every change to its posted request, so each bus's index always
+    lists exactly the ports with a request that bus must arbitrate.
     """
 
-    __slots__ = ("_route", "_slot", "_index")
+    __slots__ = ("_route", "_slot", "_bus")
 
-    def __init__(self, route: "Callable[[BlockAddr | None], set[int]]",
+    def __init__(self, route: "Callable[[BlockAddr | None], Bus]",
                  slot: int) -> None:
         self._route = route
         self._slot = slot
-        self._index: set[int] | None = None
+        self._bus: Bus | None = None
 
     def place(self, posted: bool, block: "BlockAddr | None" = None) -> None:
         """File the slot under the bus owning ``block`` while a request
         is ``posted``, under none otherwise."""
         target = self._route(block) if posted else None
-        index = self._index
-        if target is not index:
-            if index is not None:
-                index.discard(self._slot)
+        bus = self._bus
+        if target is not bus:
+            if bus is not None:
+                bus._requesters.discard(self._slot)
             if target is not None:
-                target.add(self._slot)
-            self._index = target
+                target._requesters.add(self._slot)
+            self._bus = target
 
 
 class BusPort(Protocol):
@@ -124,10 +124,11 @@ class Bus:
     # -- wiring -------------------------------------------------------------
 
     def attach(self, port: BusPort) -> None:
-        port.route_requests(RequesterEntry(self._route, self._register(port)))
+        port.route_requests(RequesterEntry(self._route, self.register(port)))
 
-    def _register(self, port: BusPort) -> int:
-        """Add ``port`` to this bus's port list; returns its slot."""
+    def register(self, port: BusPort) -> int:
+        """Add ``port`` to this bus's port list; returns its slot.  The
+        caller hands the port its :class:`RequesterEntry`."""
         if port.id in self._ports:
             raise ValueError(f"port {port.id} already attached")
         self._ports[port.id] = port
@@ -135,14 +136,26 @@ class Bus:
         self._arbiter = Arbiter(list(self._ports))
         return len(self._port_list) - 1
 
-    def _route(self, block) -> set[int]:
+    def _route(self, block) -> "Bus":
         """Every request on a single bus is this bus's to grant."""
-        return self._requesters
+        return self
 
     @property
     def has_requesters(self) -> bool:
         """Some port has a posted request on this bus."""
         return bool(self._requesters)
+
+    def check_requester_index(self) -> None:
+        """Raise :class:`CoherenceViolation` unless the requester index
+        lists exactly the ports with a posted request on this bus."""
+        posted = {slot for slot, port in enumerate(self._port_list)
+                  if port.has_request_hint()}
+        if posted != self._requesters:
+            raise CoherenceViolation(
+                f"bus {self.index}: requester index "
+                f"{sorted(self._requesters)} but ports "
+                f"{sorted(posted)} have posted requests"
+            )
 
     def port(self, cache_id: CacheId) -> BusPort:
         return self._ports[cache_id]
@@ -201,8 +214,8 @@ class Bus:
         slot order, which settles its request (revalidation) exactly as
         a scan of every port would: a port with no posted request has
         nothing to settle.  The grant, and with a scheduler attached the
-        candidate list, then follow the arbiter's round-robin over the
-        winning priority class.
+        candidate list, then follow :meth:`Arbiter.order` (a port's slot
+        is its arbiter position).
         """
         if not self._requesters:
             return None
@@ -219,7 +232,7 @@ class Bus:
             # general path would.
             return arbiter.commit(ports[live[0]].id)
         high = [slot for slot in live if ports[slot].bus_request_priority()]
-        order = arbiter.rotate(high or live)
+        order = arbiter.order(live, high)
         index = 0
         if self.scheduler is not None:
             from repro.sim.schedule import ChoiceKind

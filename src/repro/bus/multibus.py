@@ -123,14 +123,14 @@ class MultiBusSystem:
         return 0 if block is None else self.bus_of(block)
 
     def attach(self, port: BusPort) -> None:
-        slots = {bus._register(_BusPortView(port, self, index))
+        slots = {bus.register(_BusPortView(port, self, index))
                  for index, bus in enumerate(self.buses)}
         # Every bus attaches the same ports in the same order.
         (slot,) = slots
         port.route_requests(RequesterEntry(self._route, slot))
 
-    def _route(self, block: BlockAddr | None) -> set[int]:
-        return self.buses[self.bus_index_of(block)]._requesters
+    def _route(self, block: BlockAddr | None) -> Bus:
+        return self.buses[self.bus_index_of(block)]
 
     def step(self) -> bool:
         active = False
@@ -149,7 +149,11 @@ class MultiBusSystem:
 
     @property
     def has_requesters(self) -> bool:
-        return any(bus._requesters for bus in self.buses)
+        return any(bus.has_requesters for bus in self.buses)
+
+    def check_requester_index(self) -> None:
+        for bus in self.buses:
+            bus.check_requester_index()
 
     @property
     def pending_release(self) -> bool:

@@ -20,14 +20,18 @@ Two execution modes produce bit-identical statistics:
   retire, or wake could occur is still executed by the ordinary
   :meth:`step`.
 
-In both modes a cycle ticks only the processors that may act on it:
+The stepped engine ticks every processor on every cycle.  The
+fast-forward loop ticks only the processors that may act on a cycle:
 those ready to issue, those whose compute or crossbar wait ends (a wake
 heap), and those whose cache completed their access (the due set, fed by
 :attr:`~repro.cache.cache.SnoopingCache.notify_processor`).  Every other
 processor's per-cycle counters are settled lazily
 (:meth:`Processor.settle`) when it is next touched -- ticked, or its
 cache about to start or end a lock wait -- and at the end of the run, so
-the work per executed cycle is O(active), not O(N).
+the work per executed event is O(active), not O(N).  The stepped engine
+keeps the due set and wake heap current too, so one simulator can run
+in either mode, and stays the per-cycle reference the lazy accounting
+is checked against.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Sequence
 
 from repro.bus.bus import Bus
 from repro.cache.cache import SnoopingCache
-from repro.common.config import RmwMethod, SystemConfig
+from repro.common.config import RmwMethod, SystemConfig, WaitMode
 from repro.common.errors import ConfigError, DeadlockError, WatchdogTimeout
 from repro.common.types import NEVER
 from repro.memory.io_processor import IOProcessor
@@ -182,6 +186,12 @@ class Simulator:
         #: ticking a processor on a cycle it does not act on is exact
         #: per-cycle accounting, so a stale entry costs one tick.
         self._wakeups: list[tuple[int, int]] = []
+        #: True outside :meth:`_run_fast`: each cycle ticks every
+        #: processor, the stepped reference.  The fast-forward loop ticks
+        #: only the due ones and settles the rest lazily.
+        self._every_cycle = True
+        #: Every pid, the stepped engine's batch under a scheduler.
+        self._pids = list(range(config.num_processors))
         #: Pids whose program has not finished.
         self._unfinished: set[int] = set()
         for processor, cache in zip(self.processors, self.caches):
@@ -235,25 +245,37 @@ class Simulator:
             self._due.add(processor.pid)
 
     def _finish_cycle(self) -> None:
-        """The processor half of :meth:`step`: tick the processors due
-        this cycle, in pid order (or the scheduler's issue order), and
-        advance the clock.  The fast-forward loop calls this directly on
-        cycles where the bus is provably inert (not busy, no release
-        owed, no request posted), skipping the no-op arbitration."""
+        """The processor half of :meth:`step`: tick the processors, in
+        pid order (or the scheduler's issue order), and advance the
+        clock.  The stepped engine ticks every processor; the
+        fast-forward loop ticks only the due ones, and calls this
+        directly on cycles where the bus is provably inert (not busy, no
+        release owed, no request posted), skipping the no-op
+        arbitration."""
         cycle = self.clock.cycle
         due = self._due
         wakeups = self._wakeups
-        while wakeups and wakeups[0][0] <= cycle:
-            due.add(heappop(wakeups)[1])
-        if due:
-            batch = sorted(due)
+        if self._every_cycle:
+            # Everyone ticks, so the schedule due now is moot.
+            while wakeups and wakeups[0][0] <= cycle:
+                heappop(wakeups)
             due.clear()
             if self.scheduler is None:
-                processors = self.processors
-                for pid in batch:
-                    self._tick(processors[pid], cycle)
+                self._tick_every(cycle)
             else:
-                self._tick_scheduled(batch, cycle)
+                self._tick_scheduled(self._pids, cycle)
+        else:
+            while wakeups and wakeups[0][0] <= cycle:
+                due.add(heappop(wakeups)[1])
+            if due:
+                batch = sorted(due)
+                due.clear()
+                if self.scheduler is None:
+                    processors = self.processors
+                    for pid in batch:
+                        self._tick(processors[pid], cycle)
+                else:
+                    self._tick_scheduled(batch, cycle)
         self.stats.cycles += 1
         self.clock.cycle = cycle + 1
         obs = self.obs
@@ -261,6 +283,45 @@ class Simulator:
             obs.on_advance(self.stats.cycles)
         if self._check_interval and self.stats.cycles % self._check_interval == 0:
             self.checker.check_all()
+
+    def _tick_every(self, cycle: int) -> None:
+        """The stepped reference: tick every processor on every cycle.
+
+        A processor that cannot act this cycle (mid-compute, parked on
+        its cache or a lock, or finished) only increments one counter;
+        that is done inline here, branch for branch as
+        :meth:`Processor.tick` does it, and leaves its schedule as it
+        is.  Anything that may act goes through :meth:`_tick`.
+        """
+        synced = cycle + 1
+        for p in self.processors:
+            state = p._state
+            if state is _State.STALLED:
+                if p._crossbar_op is None:
+                    pend = p.cache.pending
+                    if pend is None or not pend.completed:
+                        if pend is not None and pend.lock_wait:
+                            if (p.wait_mode is WaitMode.WORK
+                                    and p._ready_work_left > 0):
+                                p._ready_work_left -= 1
+                                p.stats.wait_work_cycles += 1
+                            else:
+                                p.stats.wait_idle_cycles += 1
+                        else:
+                            p.stats.stall_cycles += 1
+                        p._synced = synced
+                        continue
+            elif state is _State.COMPUTING:
+                if p._compute_left > 1:
+                    p._compute_left -= 1
+                    p.stats.compute_cycles += 1
+                    p._synced = synced
+                    continue
+            elif state is _State.DONE:
+                p.stats.done_cycles += 1
+                p._synced = synced
+                continue
+            self._tick(p, cycle)
 
     def _tick(self, processor: Processor, cycle: int) -> None:
         """Tick one processor and schedule its next tick."""
@@ -282,7 +343,7 @@ class Simulator:
             self._unfinished.discard(processor.pid)
 
     def _tick_scheduled(self, batch: list[int], cycle: int) -> None:
-        """Tick the due processors with the issue order as a choice point.
+        """Tick the ``batch`` pids with the issue order as a choice point.
 
         Only processors that will *act* this cycle (issue, retire, or
         collect -- ``next_event_cycle() == cycle``) are permuted; the
@@ -328,7 +389,11 @@ class Simulator:
         if fast_forward is None:
             fast_forward = FAST_FORWARD_DEFAULT
         if fast_forward:
-            return self._run_fast(max_cycles)
+            self._every_cycle = False
+            try:
+                return self._run_fast(max_cycles)
+            finally:
+                self._every_cycle = True
         horizon = self.config.deadlock_horizon
         step = self.step
         watch = self._watch_progress

@@ -99,7 +99,7 @@ class InvariantChecker:
             self._check_latest_reachable(by_block)
         self._check_waiter_liveness()
         if self.fabric is not None:
-            self._check_requester_index()
+            self.fabric.check_requester_index()
 
     def _lines_by_block(self) -> dict[BlockAddr, list[tuple[int, CacheState, list]]]:
         by_block: dict[BlockAddr, list[tuple[int, CacheState, list]]] = {}
@@ -198,17 +198,6 @@ class InvariantChecker:
         if tag is not None and tag.waiter:
             return True
         return False
-
-    def _check_requester_index(self) -> None:
-        for bus in getattr(self.fabric, "buses", [self.fabric]):
-            posted = {slot for slot, port in enumerate(bus._port_list)
-                      if port.has_request_hint()}
-            if posted != bus._requesters:
-                raise CoherenceViolation(
-                    f"bus {bus.index}: requester index "
-                    f"{sorted(bus._requesters)} but ports "
-                    f"{sorted(posted)} have posted requests"
-                )
 
     def _cache(self, cache_id: int) -> "SnoopingCache":
         for cache in self.caches:

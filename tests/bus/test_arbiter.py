@@ -72,6 +72,20 @@ class TestPriorityBit:
         assert arb.arbitrate({0: Req()}) == 0
 
 
+class TestOrder:
+    """The preference order the bus grants from (and offers a scheduler)."""
+
+    def test_rotates_after_last_winner(self):
+        arb = Arbiter([0, 1, 2, 3])
+        arb.commit(1)
+        assert arb.order([0, 1, 2, 3], []) == [2, 3, 0, 1]
+
+    def test_high_class_only(self):
+        arb = Arbiter([0, 1, 2, 3])
+        arb.commit(2)
+        assert arb.order([0, 1, 2, 3], [0, 2]) == [0, 2]
+
+
 class TestFairnessProperties:
     @given(n_ports=st.integers(2, 8),
            pattern=st.lists(st.sets(st.integers(0, 7), min_size=1),

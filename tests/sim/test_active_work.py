@@ -6,7 +6,9 @@ per processor touched after a quiet span) or of request revalidations
 (only queued operations revalidation can change, on the proposal just
 upgrades).  Both would grow linearly with the processor count if the
 engine swept every processor per event or revalidated every queued
-request.
+request.  The stepped engine, the reference the fast-forward loop is
+checked against, ticks every processor on every cycle instead and never
+settles lazily.
 """
 
 from collections import Counter
@@ -24,7 +26,7 @@ COUNTED = [(Processor, "advance_quiet"),
            (Simulator, "_finish_cycle")]
 
 
-def _per_event(processors: int, monkeypatch) -> dict[str, float]:
+def _counts(processors: int, monkeypatch, fast_forward: bool = True) -> Counter:
     calls: Counter = Counter()
     with monkeypatch.context() as patch:
         for owner, name in COUNTED:
@@ -40,7 +42,12 @@ def _per_event(processors: int, monkeypatch) -> dict[str, float]:
                               cache=CacheConfig(words_per_block=4,
                                                 num_blocks=64))
         programs = scale_probe(config, total_references=1024)
-        Simulator(config, programs, fast_forward=True).run()
+        Simulator(config, programs, fast_forward=fast_forward).run()
+    return calls
+
+
+def _per_event(processors: int, monkeypatch) -> dict[str, float]:
+    calls = _counts(processors, monkeypatch)
     events = calls.pop("_finish_cycle")
     return {name: calls[name] / events for _, name in COUNTED[:2]}
 
@@ -53,3 +60,9 @@ def test_calls_per_event_do_not_grow_with_processors(name, monkeypatch):
     # processors happen to be touched, not a trend.
     assert large <= 2 * small + 0.05, (small, large)
     assert large <= 4, large
+
+
+def test_stepped_engine_never_settles_lazily(monkeypatch):
+    calls = _counts(32, monkeypatch, fast_forward=False)
+    assert calls["_finish_cycle"] > 0
+    assert calls["advance_quiet"] == 0

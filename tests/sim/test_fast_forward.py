@@ -100,6 +100,20 @@ class TestEquivalenceMatrix:
         assert stepped.done and fast.done
         assert _snapshot(stepped.stats, 2) == _snapshot(fast.stats, 2)
 
+    def test_switching_engines_mid_run(self):
+        """One simulator alternating engines between run() calls: the
+        stepped engine takes over the fast-forward schedule and lazily
+        settled counters, and hands its own back."""
+        config = _config("bitar-despain")
+        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
+        reference = Simulator(config, programs).run(fast_forward=False)
+        mixed = Simulator(config, programs)
+        for limit, fast_forward in ((60, True), (120, False),
+                                    (180, True), (None, False)):
+            mixed.run(max_cycles=limit, fast_forward=fast_forward)
+        assert mixed.done
+        assert mixed.stats.to_payload() == reference.to_payload()
+
 
 class TestModeSelection:
     def test_process_default_applies(self):

@@ -88,3 +88,19 @@ class TestWaiterLiveness:
         two_caches.submit(1, isa.lock(B))
         two_caches.drain()
         checker_for(two_caches).check_all()
+
+
+class TestRequesterIndex:
+    def _checker(self, sys: ManualSystem) -> InvariantChecker:
+        return InvariantChecker.for_system(sys.caches, sys.memory,
+                                           sys.oracle, fabric=sys.bus)
+
+    def test_posted_request_is_indexed(self, two_caches):
+        two_caches.submit(0, isa.read(B))
+        self._checker(two_caches).check_all()  # must not raise
+
+    def test_unindexed_request_detected(self, two_caches):
+        two_caches.submit(0, isa.read(B))
+        two_caches.bus._requesters.clear()
+        with pytest.raises(CoherenceViolation, match="requester index"):
+            self._checker(two_caches).check_all()
