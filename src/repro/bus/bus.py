@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.bus.arbiter import Arbiter
-from repro.bus.signals import BusResponse, SnoopReply
+from repro.bus.signals import SNOOP_MISS, BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.common.config import TimingConfig
 from repro.common.errors import CoherenceViolation
@@ -38,7 +38,9 @@ class RequesterEntry:
     block to the :class:`Bus` that owns it (``None`` for a port without
     routing information: bus 0).  The port calls :meth:`place` after
     every change to its posted request, so each bus's index always
-    lists exactly the ports with a request that bus must arbitrate.
+    lists exactly the ports with a request that bus must arbitrate, and
+    files each of them by the request's priority bit and by whether
+    arbitration must revalidate it.
     """
 
     __slots__ = ("_route", "_slot", "_bus")
@@ -49,17 +51,32 @@ class RequesterEntry:
         self._slot = slot
         self._bus: Bus | None = None
 
-    def place(self, posted: bool, block: "BlockAddr | None" = None) -> None:
+    def place(self, posted: bool, block: "BlockAddr | None" = None,
+              high: bool = False, revalidates: bool = False) -> None:
         """File the slot under the bus owning ``block`` while a request
-        is ``posted``, under none otherwise."""
+        is ``posted``, under none otherwise; on that bus, in ``_high``
+        when the request asserts the priority bit (Section E.4) and in
+        ``_sensitive`` when its op is one revalidation can change."""
+        slot = self._slot
         target = self._route(block) if posted else None
         bus = self._bus
         if target is not bus:
             if bus is not None:
-                bus._requesters.discard(self._slot)
+                bus._requesters.discard(slot)
+                bus._high.discard(slot)
+                bus._sensitive.discard(slot)
             if target is not None:
-                target._requesters.add(self._slot)
+                target._requesters.add(slot)
             self._bus = target
+        if target is not None:
+            if high:
+                target._high.add(slot)
+            else:
+                target._high.discard(slot)
+            if revalidates:
+                target._sensitive.add(slot)
+            else:
+                target._sensitive.discard(slot)
 
 
 class BusPort(Protocol):
@@ -75,6 +92,10 @@ class BusPort(Protocol):
     def has_request_hint(self) -> bool: ...
 
     def bus_request_priority(self) -> bool: ...
+
+    def bus_request_revalidates(self) -> bool:
+        """Would :meth:`has_bus_request` revalidate the posted request
+        (and so possibly change or withdraw it)?"""
 
     def take_bus_transaction(self) -> BusTransaction: ...
 
@@ -113,8 +134,12 @@ class Bus:
         #: The ports in attach order; a port's index here is its slot.
         self._port_list: tuple[BusPort, ...] = ()
         #: Requester index: slots of the ports with a posted request this
-        #: bus owns, kept by the ports (see :class:`RequesterEntry`).
+        #: bus owns, kept by the ports (see :class:`RequesterEntry`), and
+        #: its two sub-sets: requests asserting the priority bit, and
+        #: requests arbitration must revalidate before granting.
         self._requesters: set[int] = set()
+        self._high: set[int] = set()
+        self._sensitive: set[int] = set()
         self._arbiter: Arbiter | None = None
         self._busy_until = 0
         self._active_port: BusPort | None = None
@@ -147,7 +172,9 @@ class Bus:
 
     def check_requester_index(self) -> None:
         """Raise :class:`CoherenceViolation` unless the requester index
-        lists exactly the ports with a posted request on this bus."""
+        lists exactly the ports with a posted request on this bus, its
+        ``_high`` set exactly those asserting the priority bit, and its
+        ``_sensitive`` set exactly those whose request revalidates."""
         posted = {slot for slot, port in enumerate(self._port_list)
                   if port.has_request_hint()}
         if posted != self._requesters:
@@ -156,6 +183,19 @@ class Bus:
                 f"{sorted(self._requesters)} but ports "
                 f"{sorted(posted)} have posted requests"
             )
+        ports = self._port_list
+        for name, indexed, expected in (
+            ("priority", self._high,
+             {slot for slot in posted if ports[slot].bus_request_priority()}),
+            ("revalidation", self._sensitive,
+             {slot for slot in posted
+              if ports[slot].bus_request_revalidates()}),
+        ):
+            if expected != indexed:
+                raise CoherenceViolation(
+                    f"bus {self.index}: {name} index {sorted(indexed)} "
+                    f"but ports {sorted(expected)} have such requests"
+                )
 
     def port(self, cache_id: CacheId) -> BusPort:
         return self._ports[cache_id]
@@ -210,29 +250,32 @@ class Bus:
     def _arbitrate(self) -> CacheId | None:
         """Grant among the requester index's ports.
 
-        Each indexed port is asked :meth:`BusPort.has_bus_request` in
-        slot order, which settles its request (revalidation) exactly as
-        a scan of every port would: a port with no posted request has
-        nothing to settle.  The grant, and with a scheduler attached the
-        candidate list, then follow :meth:`Arbiter.order` (a port's slot
-        is its arbiter position).
+        Only the ports whose request revalidation can change (the
+        ``_sensitive`` sub-set) are asked :meth:`BusPort.has_bus_request`,
+        in slot order, which settles them (and re-files them) exactly as
+        a poll of every port would: for any other port that poll is the
+        identity and answers yes.  The grant, and with a scheduler
+        attached the candidate list, then follow :meth:`Arbiter.order`
+        over the settled index (a port's slot is its arbiter position).
         """
-        if not self._requesters:
+        requesters = self._requesters
+        if not requesters:
             return None
         ports = self._port_list
-        live = [slot for slot in sorted(self._requesters)
-                if ports[slot].has_bus_request()]
-        if not live:
+        for slot in sorted(self._sensitive):
+            ports[slot].has_bus_request()
+        if not requesters:
             return None
         arbiter = self._arbiter
         assert arbiter is not None
-        if len(live) == 1:
+        if len(requesters) == 1:
             # Sole requester: it wins whatever its priority class, and
             # commit advances the round-robin pointer exactly as the
             # general path would.
-            return arbiter.commit(ports[live[0]].id)
-        high = [slot for slot in live if ports[slot].bus_request_priority()]
-        order = arbiter.order(live, high)
+            (slot,) = requesters
+            return arbiter.commit(ports[slot].id)
+        high = sorted(self._high)
+        order = arbiter.order(sorted(requesters), high)
         index = 0
         if self.scheduler is not None:
             from repro.sim.schedule import ChoiceKind
@@ -293,11 +336,18 @@ class Bus:
     def _snoop_all(
         self, requester: BusPort, txn: BusTransaction
     ) -> dict[CacheId, SnoopReply]:
+        """Broadcast ``txn`` to every other port; return the replies
+        that are not :data:`SNOOP_MISS`, in port order.  A miss changes
+        nothing downstream, so aggregation, flush absorption and timing
+        walk only the caches that reacted.  ``port.snoop`` is looked up
+        per delivery: every delivery is a real call, whatever wraps it."""
+        rid = requester.id
         replies: dict[CacheId, SnoopReply] = {}
         for cid, port in self._ports.items():
-            if cid == requester.id:
-                continue
-            replies[cid] = port.snoop(txn)
+            if cid != rid:
+                reply = port.snoop(txn)
+                if reply is not SNOOP_MISS:
+                    replies[cid] = reply
         return replies
 
     def _absorb_flushes(

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.bus.bus import Bus, BusPort
 from repro.bus.multibus import MultiBusSystem
-from repro.bus.signals import SnoopReply
+from repro.bus.signals import SNOOP_MISS, SnoopReply
 from repro.bus.transaction import BusTransaction
 from repro.common.config import TimingConfig, TopologyConfig
 from repro.common.types import CacheId
@@ -109,7 +109,9 @@ class ClusterBus(Bus):
             if system.cluster_of_port(cid) not in interested:
                 system.filtered_snoops += 1
                 continue
-            replies[cid] = port.snoop(txn)
+            reply = port.snoop(txn)
+            if reply is not SNOOP_MISS:
+                replies[cid] = reply
         return replies
 
     def _duration(self, txn, response, replies, info) -> int:

@@ -57,6 +57,9 @@ class _BusPortView:
     def bus_request_priority(self) -> bool:
         return self._port.bus_request_priority()
 
+    def bus_request_revalidates(self) -> bool:
+        return self._port.bus_request_revalidates()
+
     def take_bus_transaction(self) -> BusTransaction:
         return self._port.take_bus_transaction()
 
@@ -152,6 +155,8 @@ class MultiBusSystem:
         return any(bus.has_requesters for bus in self.buses)
 
     def check_requester_index(self) -> None:
+        """Check every bus's requester index and its priority and
+        revalidation sub-sets (:meth:`Bus.check_requester_index`)."""
         for bus in self.buses:
             bus.check_requester_index()
 

@@ -44,9 +44,14 @@ class SnoopReply:
     #: ``None`` means whole-block.
     supply_words_moved: int | None = None
 
-    @staticmethod
-    def miss() -> "SnoopReply":
-        return SnoopReply()
+
+#: The reply of a port that does not care about the snooped block (the
+#: snoop fast-miss, or a cacheless port).  Replies are read-only once
+#: returned, so one instance serves every such port, and a bus recognises
+#: it by identity: it changes nothing in :meth:`BusResponse.combine`,
+#: flushes nothing and supplies nothing, so the bus drops it from the
+#: replies it aggregates.
+SNOOP_MISS = SnoopReply()
 
 
 @dataclass

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.bus.signals import SnoopReply
+from repro.bus.signals import SNOOP_MISS, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.cache.busy_wait import BusyWaitRegister, WaitPhase
 from repro.cache.directory import DirectoryModel
@@ -39,9 +39,10 @@ if TYPE_CHECKING:
     from repro.verify.oracle import WriteOracle
 
 
-#: Shared miss reply for the snoop fast path.  The bus treats replies as
-#: read-only once returned, so one instance can serve every fast miss.
-_SNOOP_MISS = SnoopReply()
+#: Bound once for the snoop fast path, which runs N-1 times per bus
+#: transaction.
+_UNLOCK_BROADCAST = BusOp.UNLOCK_BROADCAST
+_IDLE = WaitPhase.IDLE
 
 
 def _no_processor(completes: bool = False) -> None:
@@ -109,6 +110,9 @@ class SnoopingCache:
         self.stats = stats
         self.obs = obs
         self.array = CacheArray(config)
+        #: The array's tag index (block -> tagged frames), read directly
+        #: by the snoop fast-miss test.
+        self._tagged = self.array._tagged
         self.busy_wait = BusyWaitRegister()
         self.directory = DirectoryModel(kind=config.directory)
         self.protocol: "CoherenceProtocol | None" = None  # set by the engine
@@ -323,18 +327,14 @@ class SnoopingCache:
 
     def has_bus_request(self) -> bool:
         """Is a grantable request posted?  Settles the pending request
-        first (:meth:`_revalidate_pending`) when its operation is one
-        revalidation can change -- the protocol's ``revalidated_ops``;
-        for any other operation revalidation is the identity."""
-        if self._detached:
-            return True
-        pending = self._pending
-        if pending is None or pending.request is None:
-            return False
-        if pending.request.op in self.protocol.revalidated_ops:
+        first (:meth:`_revalidate_pending`) when
+        :meth:`bus_request_revalidates`; for any other request
+        revalidation is the identity."""
+        if self.bus_request_revalidates():
+            pending = self._pending
             self._revalidate_pending(pending)
             return pending.request is not None
-        return True
+        return self.has_request_hint()
 
     def has_request_hint(self) -> bool:
         """Is a request posted?  A side-effect-free over-approximation
@@ -360,18 +360,34 @@ class SnoopingCache:
             return self.block_of(pending.op.addr)  # type: ignore[arg-type]
         return None
 
+    def bus_request_revalidates(self) -> bool:
+        """Would :meth:`has_bus_request` revalidate the current request
+        (its op is in the protocol's ``revalidated_ops``)?  Any other
+        posted request is grantable as it stands."""
+        if self._detached:
+            return False
+        pending = self._pending
+        return (pending is not None and pending.request is not None
+                and pending.request.op in self.protocol.revalidated_ops)
+
     def route_requests(self, entry: "RequesterEntry") -> None:
         self._requester_entry = entry
         self._sync_request()
 
     def _sync_request(self) -> None:
         """Re-file this cache in the requester index after a change to
-        its posted request: under the bus owning the request's block, or
+        its posted request: under the bus owning the request's block,
+        with the request's priority bit and whether it revalidates, or
         under none."""
         entry = self._requester_entry
-        if entry is not None:
-            block = self.current_request_block()
-            entry.place(block is not None, block)
+        if entry is None:
+            return
+        block = self.current_request_block()
+        if block is None:
+            entry.place(False)
+        else:
+            entry.place(True, block, self.bus_request_priority(),
+                        self.bus_request_revalidates())
 
     def _revalidate_pending(self, pending: PendingAccess) -> None:
         """Re-check the queued request against our own tags (idempotent)."""
@@ -397,6 +413,9 @@ class SnoopingCache:
             return
         block = self.block_of(pending.op.addr)  # type: ignore[arg-type]
         pending.request = self.protocol.revalidate_request(need, block)
+        # A converted request may differ in priority and in whether it
+        # revalidates: re-file it.
+        self._sync_request()
 
     def bus_request_priority(self) -> bool:
         if self._detached:
@@ -606,13 +625,14 @@ class SnoopingCache:
         True when a frame is tagged with the block (valid or invalid,
         which also covers the update-invalid revalidation scan), the
         busy-wait register watches the block, or an RMW hold matches.
-        This is the fast-miss test of :meth:`snoop` (which additionally
-        exempts unlock broadcasts, always taking the full path), and the
-        membership predicate the directory fabric uses to keep sharer
-        sets honest -- the two must stay identical for directory pruning
-        to be sound.
+        This is the membership predicate the directory fabric uses to
+        keep sharer sets honest, and the fast-miss test :meth:`snoop`
+        writes out inline (which additionally exempts unlock broadcasts,
+        always taking the full path) -- the two must stay identical for
+        directory pruning to be sound, which
+        ``tests/cache/test_snoop_fast_miss.py`` checks.
         """
-        if block in self.array._tagged:
+        if block in self._tagged:
             return True
         if self._held_block == block:
             return True
@@ -620,18 +640,26 @@ class SnoopingCache:
         return wait.phase is not WaitPhase.IDLE and wait.block == block
 
     def snoop(self, txn: BusTransaction) -> SnoopReply:
-        """React to another cache's granted transaction."""
-        assert self.protocol is not None
+        """React to another cache's granted transaction.
+
+        This runs on N-1 caches per bus transaction, so the common case
+        is straight-line code: after the directory consultation is
+        charged, a cache that does not :meth:`cares_about` the block
+        returns the shared :data:`SNOOP_MISS` without consulting its
+        protocol.
+        """
         self.directory.record_snoop(self.clock.cycle)
 
-        # Fast miss: see cares_about.  Unlock broadcasts always take the
-        # full path.  The shared reply is never mutated: the bus only
-        # reads replies.
-        if (txn.op is not BusOp.UNLOCK_BROADCAST
-                and not self.cares_about(txn.block)):
-            return _SNOOP_MISS
+        block = txn.block
+        op = txn.op
+        if (block not in self._tagged and self._held_block != block
+                and op is not _UNLOCK_BROADCAST):
+            wait = self.busy_wait
+            if wait.phase is _IDLE or wait.block != block:
+                return SNOOP_MISS
 
-        if txn.op is BusOp.UNLOCK_BROADCAST:
+        assert self.protocol is not None
+        if op is _UNLOCK_BROADCAST:
             return self._snoop_unlock_broadcast(txn)
 
         if (
@@ -660,7 +688,7 @@ class SnoopingCache:
         if line is None:
             if txn.op is BusOp.UPDATE_WORD and txn.update_invalid:
                 return self._update_invalid_copy(txn)
-            return SnoopReply.miss()
+            return SnoopReply()
         return self.protocol.snoop(line, txn)
 
     def _snoop_unlock_broadcast(self, txn: BusTransaction) -> SnoopReply:
@@ -669,13 +697,13 @@ class SnoopingCache:
             assert pending is not None and pending.retry_request is not None
             self.notify_processor()
             pending.lock_wait = False
-            pending.request = replace(pending.retry_request, high_priority=True)
+            pending.request = pending.retry_request.prioritized()
             self._sync_request()
             pending.posted_at = self.now()  # bus-wait measured from the wakeup
             if self.obs.active:
                 self.obs.record_wait_wakeup(self.id, txn.block, self.now())
             return SnoopReply(hit=True)  # tells the bus the unlock was taken up
-        return SnoopReply.miss()
+        return SnoopReply()
 
     def _update_invalid_copy(self, txn: BusTransaction) -> SnoopReply:
         """Rudolph-Segall: a write-through updates invalid copies too,
@@ -687,7 +715,7 @@ class SnoopingCache:
                 line.state = CacheState.READ
                 self.stats.updates_received += 1
                 return SnoopReply(hit=False)
-        return SnoopReply.miss()
+        return SnoopReply()
 
     # -- services used by protocols --------------------------------------------
 

@@ -92,6 +92,9 @@ class IOProcessor:
     def bus_request_priority(self) -> bool:
         return False
 
+    def bus_request_revalidates(self) -> bool:
+        return False
+
     def take_bus_transaction(self) -> BusTransaction:
         request = self._queue.popleft()
         self._in_flight = request
@@ -133,9 +136,9 @@ class IOProcessor:
         return CompletionInfo(outcome=Outcome.DONE)
 
     def snoop(self, txn: BusTransaction) -> "SnoopReply":
-        from repro.bus.signals import SnoopReply
+        from repro.bus.signals import SNOOP_MISS
 
-        return SnoopReply.miss()
+        return SNOOP_MISS
 
     def finish_bus_release(self) -> None:
         if self._in_flight is not None and self._in_flight.completed:

@@ -55,6 +55,14 @@ class NeedBus:
     #: Extra bus-held cycles (bus-hold RMW, Feature 6).
     extra_hold: int = 0
 
+    def prioritized(self) -> "NeedBus":
+        """A copy of this request asserting the busy-wait priority bit
+        (Section E.4): a waiter re-posting after an unlock broadcast."""
+        return NeedBus(op=self.op, word=self.word, stamp=self.stamp,
+                       lock_intent=self.lock_intent, high_priority=True,
+                       update_invalid=self.update_invalid,
+                       extra_hold=self.extra_hold)
+
 
 #: What a protocol returns from a processor-access hook.
 Action = Done | NeedBus

@@ -1,11 +1,11 @@
 """Unit tests for snoop-reply aggregation."""
 
-from repro.bus.signals import BusResponse, SnoopReply
+from repro.bus.signals import SNOOP_MISS, BusResponse, SnoopReply
 
 
 class TestCombine:
     def test_all_miss(self):
-        r = BusResponse.combine({1: SnoopReply.miss(), 2: SnoopReply.miss()})
+        r = BusResponse.combine({1: SNOOP_MISS, 2: SNOOP_MISS})
         assert not r.shared_hit
         assert r.supplier is None
         assert not r.locked
@@ -52,7 +52,7 @@ class TestCombine:
     def test_repliers_listed(self):
         r = BusResponse.combine({
             1: SnoopReply(hit=True),
-            2: SnoopReply.miss(),
+            2: SNOOP_MISS,
             3: SnoopReply(hit=True, locked=True),
         })
         assert sorted(r.repliers) == [1, 3]

@@ -1,12 +1,17 @@
 """The snooping cache: dispatch, guards, bookkeeping."""
 
+import dataclasses
+
 import pytest
 
+from repro.bus.transaction import BusOp
 from repro.cache.cache import AccessStatus
 from repro.cache.state import CacheState
+from repro.common.config import RmwMethod
 from repro.common.errors import ProgramError, ProtocolError
 from repro.processor import isa
 from repro.processor.isa import Op, OpKind
+from repro.protocols.base import NeedBus
 from repro.sim.harness import ManualSystem
 
 B = 0
@@ -154,3 +159,64 @@ class TestLockErrors:
         two_caches.drain()
         assert two_caches.caches[1].waiting_for_lock
         assert two_caches.line_state(0, B) is CacheState.LOCK_WAITER
+
+
+class TestRevalidationRefiles:
+    """Revalidating a queued request re-files it in the requester index:
+    the converted request may differ in priority and in whether it
+    revalidates, and arbitration reads both from the index."""
+
+    @pytest.mark.parametrize("high", [False, True])
+    @pytest.mark.parametrize("lock_intent", [True, False],
+                             ids=["rmw-lock-state", "write"])
+    def test_upgrade_that_lost_its_copy(self, two_caches, lock_intent,
+                                        high):
+        cache = two_caches.caches[0]
+        bus = two_caches.bus
+        cache.rmw_method = RmwMethod.LOCK_STATE
+        two_caches.run_op(1, isa.read(B))
+        two_caches.run_op(0, isa.read(B))  # a shared, read-only copy
+        op = (isa.rmw(B, isa.test_and_set(1)) if lock_intent
+              else isa.write(B))
+        assert two_caches.submit(0, op) is AccessStatus.PENDING
+        if high:
+            # As a waiter woken by an unlock broadcast re-posts it.
+            cache.pending.request = cache.pending.request.prioritized()
+            cache._sync_request()
+        assert cache.pending.request.op is BusOp.UPGRADE
+        assert cache.pending.request.lock_intent is lock_intent
+        assert 0 in bus._sensitive
+        assert (0 in bus._high) is high
+        bus.check_requester_index()
+
+        # A snooped invalidation takes the copy while the upgrade waits.
+        cache.invalidate_line(cache.line_for(B))
+        assert cache.has_bus_request()
+
+        request = cache.pending.request
+        assert request.op is not BusOp.UPGRADE
+        if lock_intent:
+            # The lock request keeps its lock intent and its priority.
+            assert request.op is BusOp.READ_LOCK and request.lock_intent
+            assert request.high_priority is high
+        else:
+            # A plain write becomes a write miss at normal priority.
+            assert not request.high_priority
+        assert 0 in bus._requesters
+        assert 0 not in bus._sensitive
+        assert (0 in bus._high) is request.high_priority
+        bus.check_requester_index()
+
+
+class TestPrioritized:
+    def test_copies_every_field_and_sets_the_priority_bit(self):
+        need = NeedBus(op=BusOp.UPDATE_WORD, word=5, stamp=7,
+                       lock_intent=True, update_invalid=True, extra_hold=3)
+        assert need.prioritized() == dataclasses.replace(
+            need, high_priority=True)
+        # Every field but the priority bit differs from its default, so a
+        # field the copy dropped would show above.
+        defaults = NeedBus(op=BusOp.UPGRADE)
+        assert all(getattr(need, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(NeedBus)
+                   if f.name != "high_priority")

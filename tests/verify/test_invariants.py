@@ -104,3 +104,19 @@ class TestRequesterIndex:
         two_caches.bus._requesters.clear()
         with pytest.raises(CoherenceViolation, match="requester index"):
             self._checker(two_caches).check_all()
+
+    def test_priority_subindex_corruption_detected(self, two_caches):
+        two_caches.submit(0, isa.read(B))
+        assert not two_caches.caches[0].bus_request_priority()
+        two_caches.bus._high.add(0)
+        with pytest.raises(CoherenceViolation, match="priority index"):
+            self._checker(two_caches).check_all()
+
+    def test_revalidation_subindex_corruption_detected(self, two_caches):
+        two_caches.run_op(1, isa.read(B))
+        two_caches.run_op(0, isa.read(B))
+        two_caches.submit(0, isa.write(B))  # an upgrade: it revalidates
+        assert two_caches.caches[0].bus_request_revalidates()
+        two_caches.bus._sensitive.discard(0)
+        with pytest.raises(CoherenceViolation, match="revalidation index"):
+            self._checker(two_caches).check_all()
