@@ -1,89 +1,44 @@
 """Analysis layer: table builders, Figure-10 enumeration, formulas."""
 
-from repro.analysis.formulas import (
-    TrafficIncrease,
-    fetch_for_write_saving,
-    fragmentation_transfer_cost,
-    invalidation_signal_saving,
-    smith_frequency_range,
-    write_hit_to_clean_frequency,
-)
-from repro.analysis.metrics import (
-    LockMetrics,
-    TrafficMetrics,
-    lock_metrics,
-    processor_utilization,
-    speedup,
-    traffic_metrics,
-)
-from repro.analysis.diagram import render_diagram, to_dot, to_mermaid
-from repro.analysis.encoding import state_bits, transfer_unit_encoding
-from repro.analysis.queueing import (
-    BusQueueingPoint,
-    bus_queueing_point,
-    md1_mean_wait,
-)
-from repro.analysis.report import format_ratio, render_series, render_table
-from repro.analysis.resilient import (
-    POINT_STATUSES,
-    ExecutionPolicy,
-    PointOutcome,
-)
-from repro.analysis.sweeps import (
-    SeedStatistics,
-    Sweep,
-    SweepSeries,
-    over_seeds,
-    run_sweep_parallel,
-)
-from repro.analysis.table1 import Table1, build_table1
-from repro.analysis.table2 import TABLE2, derived_innovations, render_table2
-from repro.analysis.transitions import (
-    enumerate_bus_arcs,
-    enumerate_processor_arcs,
-    render_figure10,
-    verify_figure10,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "BusQueueingPoint",
-    "ExecutionPolicy",
-    "LockMetrics",
-    "POINT_STATUSES",
-    "PointOutcome",
-    "SeedStatistics",
-    "Sweep",
-    "run_sweep_parallel",
-    "SweepSeries",
-    "TABLE2",
-    "Table1",
-    "TrafficIncrease",
-    "TrafficMetrics",
-    "build_table1",
-    "bus_queueing_point",
-    "derived_innovations",
-    "enumerate_bus_arcs",
-    "enumerate_processor_arcs",
-    "fetch_for_write_saving",
-    "format_ratio",
-    "fragmentation_transfer_cost",
-    "invalidation_signal_saving",
-    "lock_metrics",
-    "md1_mean_wait",
-    "processor_utilization",
-    "render_diagram",
-    "render_figure10",
-    "render_series",
-    "over_seeds",
-    "render_table",
-    "render_table2",
-    "smith_frequency_range",
-    "speedup",
-    "state_bits",
-    "to_dot",
-    "to_mermaid",
-    "transfer_unit_encoding",
-    "traffic_metrics",
-    "verify_figure10",
-    "write_hit_to_clean_frequency",
-]
+# Submodules load on first use: numpy (``sweeps``) and the process pool
+# (``resilient``) only when a sweep runs.
+__all__ = lazy_exports(globals(), {
+    "formulas": (
+        "TrafficIncrease",
+        "fetch_for_write_saving",
+        "fragmentation_transfer_cost",
+        "invalidation_signal_saving",
+        "smith_frequency_range",
+        "write_hit_to_clean_frequency",
+    ),
+    "metrics": (
+        "LockMetrics",
+        "TrafficMetrics",
+        "lock_metrics",
+        "processor_utilization",
+        "speedup",
+        "traffic_metrics",
+    ),
+    "diagram": ("render_diagram", "to_dot", "to_mermaid"),
+    "encoding": ("state_bits", "transfer_unit_encoding"),
+    "queueing": ("BusQueueingPoint", "bus_queueing_point", "md1_mean_wait"),
+    "report": ("format_ratio", "render_series", "render_table"),
+    "resilient": ("POINT_STATUSES", "ExecutionPolicy", "PointOutcome"),
+    "sweeps": (
+        "SeedStatistics",
+        "Sweep",
+        "SweepSeries",
+        "over_seeds",
+        "run_sweep_parallel",
+    ),
+    "table1": ("Table1", "build_table1"),
+    "table2": ("TABLE2", "derived_innovations", "render_table2"),
+    "transitions": (
+        "enumerate_bus_arcs",
+        "enumerate_processor_arcs",
+        "render_figure10",
+        "verify_figure10",
+    ),
+})

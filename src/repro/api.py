@@ -30,13 +30,12 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.common.config import (CacheConfig, SystemConfig, TopologyConfig,
                                  WaitMode)
 from repro.common.errors import ConfigError
 from repro.common.schema import stamp
-from repro.mc.check import CheckReport
-from repro.mc.check import check as _mc_check
 from repro.obs.core import ObsResult
 from repro.processor.program import LockStyle, Program
 from repro.sim.stats import SimStats
@@ -44,6 +43,9 @@ from repro.workloads.registry import (WORKLOADS, build_workload,
                                       default_lock_style,
                                       default_words_per_block,
                                       effective_lock_style)
+
+if TYPE_CHECKING:
+    from repro.mc.check import CheckReport
 
 __all__ = [
     "RunResult",
@@ -476,7 +478,18 @@ def check(protocols=None, **kwargs) -> CheckReport:
     """Model-check protocols: exhaustive exploration of the small
     scenarios, fuzzing of the rest, optional mutation testing.  See
     :func:`repro.mc.check.check` for the keyword reference."""
-    return _mc_check(protocols, **kwargs)
+    from repro.mc.check import check as mc_check
+
+    return mc_check(protocols, **kwargs)
+
+
+def __getattr__(name: str):
+    # The model checker loads with its first use, not with every run.
+    if name == "CheckReport":
+        from repro.mc.check import CheckReport
+
+        return CheckReport
+    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
 
 
 def lint(protocols=None) -> dict:

@@ -32,6 +32,14 @@ class Arbiter:
         self._order = {cid: i for i, cid in enumerate(self._ports)}
         self._last_winner_index = len(self._ports) - 1
 
+    def add(self, port: CacheId) -> None:
+        """Register one more port, last in the round-robin order.  The
+        arbiter is then exactly the one ``Arbiter(ports + [port])`` would
+        build, at O(1) instead of O(len(ports))."""
+        self._order[port] = len(self._ports)
+        self._ports.append(port)
+        self._last_winner_index = len(self._ports) - 1
+
     def arbitrate(
         self, requests: dict[CacheId, ArbitrationRequest]
     ) -> CacheId | None:

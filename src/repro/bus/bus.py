@@ -132,7 +132,7 @@ class Bus:
         self.index = index
         self._ports: dict[CacheId, BusPort] = {}
         #: The ports in attach order; a port's index here is its slot.
-        self._port_list: tuple[BusPort, ...] = ()
+        self._port_list: list[BusPort] = []
         #: Requester index: slots of the ports with a posted request this
         #: bus owns, kept by the ports (see :class:`RequesterEntry`), and
         #: its two sub-sets: requests asserting the priority bit, and
@@ -157,8 +157,11 @@ class Bus:
         if port.id in self._ports:
             raise ValueError(f"port {port.id} already attached")
         self._ports[port.id] = port
-        self._port_list = tuple(self._ports.values())
-        self._arbiter = Arbiter(list(self._ports))
+        self._port_list.append(port)
+        if self._arbiter is None:
+            self._arbiter = Arbiter([port.id])
+        else:
+            self._arbiter.add(port.id)
         return len(self._port_list) - 1
 
     def _route(self, block) -> "Bus":

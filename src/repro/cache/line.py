@@ -25,7 +25,10 @@ class CacheLine:
 
     @staticmethod
     def empty(block: BlockAddr, words_per_block: int) -> "CacheLine":
-        return CacheLine(block=block, words=[NEVER_WRITTEN] * words_per_block)
+        # Positional: a cache array builds one per frame (65,536 at 1024
+        # processors), and keyword init costs half again as much.
+        return CacheLine(block, CacheState.INVALID,
+                         [NEVER_WRITTEN] * words_per_block)
 
     @property
     def valid(self) -> bool:

@@ -23,14 +23,7 @@ import sys
 from typing import Sequence
 
 from repro import LockStyle
-from repro.analysis import (
-    build_table1,
-    lock_metrics,
-    render_figure10,
-    render_table,
-    render_table2,
-    traffic_metrics,
-)
+from repro.analysis import lock_metrics, render_table, traffic_metrics
 from repro.bus.fabric import FABRIC_KINDS
 from repro.common.config import TopologyConfig
 from repro.common.errors import ConfigError
@@ -993,6 +986,8 @@ def command_diagram(args: argparse.Namespace) -> int:
 
 
 def command_table1(args: argparse.Namespace) -> int:
+    from repro.analysis import build_table1
+
     table = build_table1()
     if args.format == "md":
         print(table.render_markdown(), end="")
@@ -1004,11 +999,15 @@ def command_table1(args: argparse.Namespace) -> int:
 
 
 def command_table2(args: argparse.Namespace) -> int:
+    from repro.analysis import render_table2
+
     print(render_table2())
     return 0
 
 
 def command_figure10(args: argparse.Namespace) -> int:
+    from repro.analysis import render_figure10
+
     print(render_figure10())
     return 0
 

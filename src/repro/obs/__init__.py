@@ -14,73 +14,37 @@ Quickstart::
     write_chrome_trace(obs, "trace.json")   # load in ui.perfetto.dev
 """
 
-from repro.obs.attribution import (
-    BUCKETS,
-    AttributionError,
-    AttributionReport,
-    compare_attributions,
-    compute_attribution,
-    critical_path,
-    render_comparison,
-    render_critical_path,
-)
-from repro.obs.core import NULL_OBS, NullObservability, Observability, ObsResult
-from repro.obs.export import (
-    assert_valid_chrome_trace,
-    chrome_trace,
-    folded_stacks,
-    metrics_json,
-    samples_csv,
-    samples_jsonl,
-    spans_json,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_samples,
-    write_spans,
-)
-from repro.obs.tracing import DETACHED_OPS, SPAN_KINDS, SpanTracer
-from repro.obs.heatmap import HEATMAP_METRICS, Heatmap, build_heatmap
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-)
-from repro.obs.sampler import IntervalSampler
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "AttributionError",
-    "AttributionReport",
-    "BUCKETS",
-    "Counter",
-    "DETACHED_OPS",
-    "Gauge",
-    "HEATMAP_METRICS",
-    "Heatmap",
-    "Histogram",
-    "IntervalSampler",
-    "MetricRegistry",
-    "NULL_OBS",
-    "NullObservability",
-    "ObsResult",
-    "Observability",
-    "SPAN_KINDS",
-    "SpanTracer",
-    "assert_valid_chrome_trace",
-    "build_heatmap",
-    "chrome_trace",
-    "compare_attributions",
-    "compute_attribution",
-    "critical_path",
-    "folded_stacks",
-    "metrics_json",
-    "render_comparison",
-    "render_critical_path",
-    "samples_csv",
-    "samples_jsonl",
-    "spans_json",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_samples",
-    "write_spans",
-]
+# Each submodule loads on first use of one of its names: an unobserved
+# run imports only ``core`` (with ``registry`` and ``sampler``).
+__all__ = lazy_exports(globals(), {
+    "attribution": (
+        "BUCKETS",
+        "AttributionError",
+        "AttributionReport",
+        "compare_attributions",
+        "compute_attribution",
+        "critical_path",
+        "render_comparison",
+        "render_critical_path",
+    ),
+    "core": ("NULL_OBS", "NullObservability", "Observability", "ObsResult"),
+    "export": (
+        "assert_valid_chrome_trace",
+        "chrome_trace",
+        "folded_stacks",
+        "metrics_json",
+        "samples_csv",
+        "samples_jsonl",
+        "spans_json",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+        "write_samples",
+        "write_spans",
+    ),
+    "tracing": ("DETACHED_OPS", "SPAN_KINDS", "SpanTracer"),
+    "heatmap": ("HEATMAP_METRICS", "Heatmap", "build_heatmap"),
+    "registry": ("Counter", "Gauge", "Histogram", "MetricRegistry"),
+    "sampler": ("IntervalSampler",),
+})

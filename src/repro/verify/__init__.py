@@ -1,13 +1,11 @@
 """Verification: write-stamp oracle, coherence invariants, conformance."""
 
-from repro.verify.conformance import Finding, check_conformance
-from repro.verify.invariants import InvariantChecker
-from repro.verify.oracle import StaleRead, WriteOracle
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "InvariantChecker",
-    "StaleRead",
-    "WriteOracle",
-    "check_conformance",
-]
+# The engine imports ``invariants`` and ``oracle`` directly; the
+# conformance battery (and with it ``sim.harness``) loads only when used.
+__all__ = lazy_exports(globals(), {
+    "conformance": ("Finding", "check_conformance"),
+    "invariants": ("InvariantChecker",),
+    "oracle": ("StaleRead", "WriteOracle"),
+})

@@ -8,40 +8,20 @@ spelling, and ``tests/workloads/test_registry_matrix.py`` asserts the
 two namespaces stay reconciled.
 """
 
-from repro.workloads.base import Atom, Layout, layout_for
-from repro.workloads.lock_contention import lock_contention, uncontended_locks
-from repro.workloads.multiprogramming import (
-    multiprogram,
-    multiprogrammed_contention,
-)
-from repro.workloads.process_switch import process_switch
-from repro.workloads.producer_consumer import producer_consumer
-from repro.workloads.prolog import prolog_and_parallel
-from repro.workloads.request_queue import request_queue
-from repro.workloads.sharing import (interleaved_sharing, migration,
-                                     scale_probe)
-from repro.workloads.sleep_wait import sleep_wait
-from repro.workloads.synthetic import SmithParameters, smith_stream
-from repro.workloads.trace import dump_trace, load_trace
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Atom",
-    "Layout",
-    "SmithParameters",
-    "dump_trace",
-    "interleaved_sharing",
-    "layout_for",
-    "load_trace",
-    "lock_contention",
-    "migration",
-    "multiprogram",
-    "multiprogrammed_contention",
-    "process_switch",
-    "producer_consumer",
-    "prolog_and_parallel",
-    "request_queue",
-    "scale_probe",
-    "sleep_wait",
-    "smith_stream",
-    "uncontended_locks",
-]
+# A generator's module loads on first use, so a run imports only the
+# generator it builds.
+__all__ = lazy_exports(globals(), {
+    "base": ("Atom", "Layout", "layout_for"),
+    "lock_contention": ("lock_contention", "uncontended_locks"),
+    "multiprogramming": ("multiprogram", "multiprogrammed_contention"),
+    "process_switch": ("process_switch",),
+    "producer_consumer": ("producer_consumer",),
+    "prolog": ("prolog_and_parallel",),
+    "request_queue": ("request_queue",),
+    "sharing": ("interleaved_sharing", "migration", "scale_probe"),
+    "sleep_wait": ("sleep_wait",),
+    "synthetic": ("SmithParameters", "smith_stream"),
+    "trace": ("dump_trace", "load_trace"),
+})

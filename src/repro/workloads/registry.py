@@ -20,40 +20,35 @@ from __future__ import annotations
 import warnings
 from typing import Callable
 
+from repro import workloads
 from repro.common.config import SystemConfig
 from repro.common.errors import LockStyleIgnoredWarning
 from repro.processor.program import LockStyle, Program
 from repro.scenario.compile import compile_scenario
 from repro.scenario.library import SCENARIOS
-from repro.workloads import (
-    interleaved_sharing,
-    lock_contention,
-    migration,
-    process_switch,
-    producer_consumer,
-    prolog_and_parallel,
-    request_queue,
-    scale_probe,
-    sleep_wait,
-    smith_stream,
-)
 
 
 def _lowered(programs, style: LockStyle):
     return [p.lowered(style) for p in programs]
 
 
+# Each builder resolves its generator at call time, so a run imports
+# only the generator module it uses (see :mod:`repro.workloads`).
 WORKLOADS: dict[str, Callable[[SystemConfig, LockStyle], list[Program]]] = {
-    "lock-contention": lambda cfg, style: lock_contention(cfg, lock_style=style),
-    "producer-consumer": lambda cfg, style: producer_consumer(cfg, lock_style=style),
-    "request-queue": lambda cfg, style: request_queue(cfg, lock_style=style),
-    "sharing": lambda cfg, style: interleaved_sharing(cfg),
-    "scale-probe": lambda cfg, style: scale_probe(cfg),
-    "migration": lambda cfg, style: migration(cfg),
-    "process-switch": lambda cfg, style: process_switch(cfg),
-    "smith": lambda cfg, style: smith_stream(cfg),
-    "prolog": lambda cfg, style: _lowered(prolog_and_parallel(cfg), style),
-    "sleep-wait": lambda cfg, style: _lowered(sleep_wait(cfg), style),
+    "lock-contention":
+        lambda cfg, style: workloads.lock_contention(cfg, lock_style=style),
+    "producer-consumer":
+        lambda cfg, style: workloads.producer_consumer(cfg, lock_style=style),
+    "request-queue":
+        lambda cfg, style: workloads.request_queue(cfg, lock_style=style),
+    "sharing": lambda cfg, style: workloads.interleaved_sharing(cfg),
+    "scale-probe": lambda cfg, style: workloads.scale_probe(cfg),
+    "migration": lambda cfg, style: workloads.migration(cfg),
+    "process-switch": lambda cfg, style: workloads.process_switch(cfg),
+    "smith": lambda cfg, style: workloads.smith_stream(cfg),
+    "prolog": lambda cfg, style: _lowered(
+        workloads.prolog_and_parallel(cfg), style),
+    "sleep-wait": lambda cfg, style: _lowered(workloads.sleep_wait(cfg), style),
 }
 
 #: Reference-stream workloads that contain no lock/unlock ops: a lock

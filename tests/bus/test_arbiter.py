@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import SystemConfig
+from repro.bus import bus as bus_module
 from repro.bus.arbiter import Arbiter
+from repro.bus.bus import Bus
+from repro.common.config import TopologyConfig
+from repro.sim.engine import Simulator
+from repro.workloads import lock_contention
 
 
 class Req:
@@ -48,6 +54,57 @@ class TestRoundRobin:
         arb = Arbiter([0, 1])
         with pytest.raises(ValueError):
             arb.arbitrate({5: Req()})
+
+
+class TestAdd:
+    def test_add_matches_a_fresh_arbiter(self):
+        arb = Arbiter([4])
+        for port in (7, 1, 9):
+            arb.add(port)
+        fresh = Arbiter([4, 7, 1, 9])
+        assert arb.ports == fresh.ports
+        assert arb._order == fresh._order
+        assert arb._last_winner_index == fresh._last_winner_index
+        reqs = {4: Req(), 1: Req(), 9: Req()}
+        assert [arb.arbitrate(reqs) for _ in range(4)] == \
+            [fresh.arbitrate(reqs) for _ in range(4)]
+
+
+class TestConstruction:
+    """Attaching N ports builds each bus's arbiter once and grows it in
+    place, so fabric construction is O(N), not O(N^2)."""
+
+    def test_directory_banks_build_one_arbiter_each(self, monkeypatch):
+        built = []
+        registered = []
+
+        class CountingArbiter(Arbiter):
+            def __init__(self, ports):
+                built.append(list(ports))
+                super().__init__(ports)
+
+        original = Bus.register
+
+        def register(bus, port):
+            slot = original(bus, port)
+            fresh = Arbiter(list(bus._ports))
+            assert bus._arbiter._order == fresh._order
+            assert bus._arbiter._last_winner_index == \
+                fresh._last_winner_index
+            registered.append(port.id)
+            return slot
+
+        monkeypatch.setattr(bus_module, "Arbiter", CountingArbiter)
+        monkeypatch.setattr(Bus, "register", register)
+        config = SystemConfig(
+            num_processors=8, with_io=True,
+            topology=TopologyConfig(kind="directory", directory_banks=4))
+        sim = Simulator(config, lock_contention(config))
+        assert len(sim.bus.buses) == 4
+        assert len(built) == 4
+        # Every bank registers the eight caches and the I/O port.
+        assert len(registered) == 4 * 9
+        assert all(len(bus._port_list) == 9 for bus in sim.bus.buses)
 
 
 class TestPriorityBit:

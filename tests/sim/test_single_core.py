@@ -26,22 +26,78 @@ def _directory_sim(**kwargs) -> Simulator:
                      **kwargs)
 
 
-def test_building_a_simulator_does_not_import_numpy():
-    probe = (
-        "import sys\n"
+#: Modules an unobserved run must not load: the exporters and span
+#: machinery of ``repro.obs``, the conformance battery, the analysis
+#: layer (numpy, the process pool) and what only they use.
+UNUSED_BY_A_RUN = (
+    "numpy", "csv", "concurrent.futures", "repro.analysis",
+    "repro.obs.tracing", "repro.obs.export", "repro.obs.attribution",
+    "repro.obs.heatmap", "repro.verify.conformance", "repro.sim.harness",
+)
+
+LAZY_PACKAGES = ("repro.obs", "repro.verify", "repro.workloads",
+                 "repro.analysis")
+
+
+def _probe(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; return the JSON it prints."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_an_unobserved_run_imports_only_what_it_uses():
+    loaded = _probe(
+        "import json, sys\n"
         "from repro.common.config import SystemConfig, TopologyConfig\n"
         "from repro.sim.engine import Simulator\n"
         "from repro.workloads.registry import build_workload\n"
         "config = SystemConfig(protocol='bitar-despain',\n"
         "    topology=TopologyConfig(kind='directory', directory_banks=2))\n"
-        "Simulator(config, build_workload('lock-contention', config))\n"
-        "print('numpy' in sys.modules)\n"
+        "Simulator(config, build_workload('lock-contention', config)).run()\n"
+        f"print(json.dumps([m for m in {UNUSED_BY_A_RUN!r}\n"
+        "                  if m in sys.modules]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True,
-                          env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert loaded == []
+
+
+def test_importing_the_cli_loads_no_numpy_or_process_pool():
+    loaded = _probe(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "print(json.dumps([m for m in ('numpy', 'concurrent.futures',\n"
+        "                  'multiprocessing') if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def test_lazy_packages_resolve_every_export():
+    """Every ``__all__`` name is its submodule's object and is listed by
+    ``dir()``; an unknown name is an AttributeError.  Importing a
+    submodule first must not shadow a same-named export (the workload
+    generators live in modules named after them)."""
+    problems = _probe(
+        "import importlib, json\n"
+        "import repro.workloads.lock_contention, repro.workloads.sleep_wait\n"
+        "problems = []\n"
+        f"for name in {LAZY_PACKAGES!r}:\n"
+        "    package = importlib.import_module(name)\n"
+        "    for export in package.__all__:\n"
+        "        owner = importlib.import_module(package._owners[export])\n"
+        "        if getattr(package, export) is not getattr(owner, export):\n"
+        "            problems.append(f'{name}.{export} is not its own')\n"
+        "        if export not in dir(package):\n"
+        "            problems.append(f'{name}.{export} not in dir()')\n"
+        "    try:\n"
+        "        package.no_such_export\n"
+        "        problems.append(f'{name}.no_such_export resolved')\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "print(json.dumps(problems))\n"
+    )
+    assert problems == []
 
 
 def test_other_dispatch_values_raise():

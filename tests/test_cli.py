@@ -1,5 +1,9 @@
 """The command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import WORKLOADS, _topology, build_parser, main
@@ -452,3 +456,32 @@ class TestScenarioCommands:
         assert fixtures, "shrunk counterexample not saved"
         assert main(["scenario", "replay", str(fixtures[0])]) == 0
         assert "reproduced" in capsys.readouterr().out
+
+
+class TestWithoutNumpy:
+    """numpy is a test extra: ``repro run`` and ``repro lint`` must work
+    where it is not installed (``repro sweep`` needs it)."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _cli(self, argv: list[str], block_numpy: bool):
+        code = ("import sys\n"
+                + ("sys.modules['numpy'] = None\n" if block_numpy else "")
+                + "from repro.cli import main\n"
+                + f"sys.exit(main({argv!r}))\n")
+        return subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": str(self.SRC),
+                                   "PATH": "/usr/bin:/bin"})
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--protocol", "bitar-despain",
+         "--workload", "lock-contention", "-n", "8"],
+        ["lint", "--all"],
+    ])
+    def test_runs_and_prints_the_same(self, argv):
+        blocked = self._cli(argv, block_numpy=True)
+        assert blocked.returncode == 0, blocked.stderr
+        present = self._cli(argv, block_numpy=False)
+        assert present.returncode == 0, present.stderr
+        assert blocked.stdout == present.stdout
