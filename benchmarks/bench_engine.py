@@ -397,10 +397,11 @@ def run_topology_crossover() -> dict:
 
 
 def _sweep_run(n) -> object:
-    """Module-level so the process pool can pickle it."""
+    """Module-level so the process pool can pickle it.  Stepped, so the
+    sweep-scaling figure keeps timing the same per-cycle work."""
     config = _config(int(n))
     programs = lock_contention(config, rounds=20, think_cycles=1000)
-    return Simulator(config, programs).run()
+    return Simulator(config, programs, fast_forward=False).run()
 
 
 def _available_cpus() -> int:

@@ -49,8 +49,8 @@ def matrix_cell(protocol: str, fast_forward: bool) -> dict:
         protocol, processors=PROCESSORS,
         topology=TopologyConfig(kind="directory", directory_banks=2))
     programs = build_workload(WORKLOAD, config)
-    sim = Simulator(config, programs)
-    sim.run(fast_forward=fast_forward)
+    sim = Simulator(config, programs, fast_forward=fast_forward)
+    sim.run()
     assert isinstance(sim.bus, DirectorySystem)
     return {
         "stats": sim.stats.to_payload(),

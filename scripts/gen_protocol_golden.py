@@ -30,7 +30,8 @@ except ModuleNotFoundError:  # running from a checkout without install
 
 from repro.common.errors import ProgramError
 from repro.protocols import PROTOCOLS
-from repro.workloads.registry import WORKLOADS
+from repro.sim.engine import Simulator
+from repro.workloads.registry import WORKLOADS, build_workload
 
 #: The standard golden matrix: every protocol x every registered
 #: workload x stepped and fast-forward execution, at four processors.
@@ -45,17 +46,17 @@ def build_golden() -> dict:
             for fast_forward in (False, True):
                 mode = "ff" if fast_forward else "stepped"
                 key = f"{protocol}/{workload}/{mode}"
+                config = api._build_config(protocol, processors=PROCESSORS)
+                programs = build_workload(workload, config)
                 try:
-                    result = api.simulate(
-                        protocol, workload, processors=PROCESSORS,
-                        fast_forward=fast_forward,
-                    )
+                    stats = Simulator(config, programs,
+                                      fast_forward=fast_forward).run()
                 except ProgramError as exc:
                     # Some pairings are legitimately unsupported (e.g.
                     # classic write-through has no block-write op).
                     skipped[key] = str(exc)
                     continue
-                cases[key] = json.loads(result.stats.to_json())
+                cases[key] = json.loads(stats.to_json())
     return {
         "kind": "simstats-golden",
         "processors": PROCESSORS,

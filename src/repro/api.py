@@ -229,12 +229,13 @@ def simulate(
     work_while_waiting: bool = False,
     seed: int = 0,
     check_interval: int = 0,
-    fast_forward: bool = False,
     sample_interval: int = 0,
     tracing: bool = False,
     max_wall_seconds: float | None = None,
 ) -> RunResult:
-    """Run one workload on one protocol.
+    """Run one workload on one protocol, on the event-skip engine (its
+    statistics equal the stepped reference's, see
+    :class:`~repro.sim.engine.Simulator`).
 
     ``topology`` selects the interconnect fabric (``None``: the single
     snooping bus).  Pass ``config`` and/or ``programs`` for full control; otherwise the
@@ -274,8 +275,7 @@ def simulate(
         obs = Observability(interval=sample_interval or 100,
                             tracing=tracing)
     stats = run_workload(config, programs, check_interval=check_interval,
-                         fast_forward=fast_forward, obs=obs,
-                         max_wall_seconds=max_wall_seconds)
+                         obs=obs, max_wall_seconds=max_wall_seconds)
     obs_result = obs.result() if obs is not None else None
     if obs_result is not None and obs_result.attribution is not None:
         # The observability layer cannot know the protocol name; stamp it
@@ -303,8 +303,7 @@ _SWEEP_METRICS = {
 }
 
 
-def _sweep_point(n, *, protocol: str, workload: str,
-                 fast_forward: bool = False, sample_interval: int = 0,
+def _sweep_point(n, *, protocol: str, workload: str, sample_interval: int = 0,
                  max_wall_seconds: float | None = None,
                  topology: TopologyConfig | None = None):
     """One sweep point; module-level so ``jobs > 1`` can pickle it (the
@@ -319,14 +318,14 @@ def _sweep_point(n, *, protocol: str, workload: str,
     config = _build_config(protocol, processors=int(n), topology=topology)
     programs = build_workload(workload, config)
     if not sample_interval:
-        return run_workload(config, programs, fast_forward=fast_forward,
+        return run_workload(config, programs,
                             max_wall_seconds=max_wall_seconds)
     from repro.analysis.sweeps import ObservedPoint
     from repro.obs import Observability
 
     obs = Observability(interval=sample_interval)
-    stats = run_workload(config, programs, fast_forward=fast_forward,
-                         obs=obs, max_wall_seconds=max_wall_seconds)
+    stats = run_workload(config, programs, obs=obs,
+                         max_wall_seconds=max_wall_seconds)
     return ObservedPoint(stats=stats, obs=obs.result())
 
 
@@ -346,7 +345,6 @@ def sweep(
     workload: str = "lock-contention",
     *,
     processors: list[int] | tuple[int, ...] = (2, 4, 8),
-    fast_forward: bool = False,
     jobs: int = 1,
     sample_interval: int = 0,
     timeout: float | None = None,
@@ -390,8 +388,8 @@ def sweep(
         _build_config(protocol, processors=n, topology=topology)
     run = functools.partial(
         _sweep_point, protocol=protocol, workload=workload,
-        fast_forward=fast_forward, sample_interval=sample_interval,
-        max_wall_seconds=timeout, topology=topology,
+        sample_interval=sample_interval, max_wall_seconds=timeout,
+        topology=topology,
     )
     policy = ExecutionPolicy(
         max_attempts=max_attempts,

@@ -191,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the generated workload to a trace file")
     run.add_argument("--json", action="store_true",
                      help="emit the full statistics as JSON")
-    run.add_argument("--fast-forward", action="store_true",
-                     help="event-skip execution (identical statistics, "
-                          "much faster on workloads with quiet spans)")
     run.add_argument("--metrics-out", metavar="FILE", default=None,
                      help="write the interval sample series and metric "
                           "registry (.jsonl lines, .csv, or .json full dump)")
@@ -237,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interconnect fabric for every sweep point "
                             "(default: snoop)")
     _add_fabric_flags(sweep)
-    sweep.add_argument("--fast-forward", action="store_true",
-                       help="event-skip execution for every sweep point")
     sweep.add_argument("-j", "--jobs", type=int, default=1,
                        help="worker processes for the sweep points")
     sweep.add_argument("--metrics-out", metavar="DIR", default=None,
@@ -370,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in LockStyle], default=None,
                        help="defaults to cache-lock on the proposal, "
                             "ttas elsewhere")
-    s_run.add_argument("--fast-forward", action="store_true")
     s_run.add_argument("--json", action="store_true",
                        help="emit the full statistics as JSON")
 
@@ -458,7 +452,6 @@ def command_run(args: argparse.Namespace) -> int:
             work_while_waiting=args.work_while_waiting,
             seed=args.seed,
             check_interval=args.check_interval,
-            fast_forward=args.fast_forward,
             sample_interval=sample_interval if observe else 0,
             tracing=tracing,
             max_wall_seconds=args.max_wall_seconds,
@@ -591,7 +584,6 @@ def command_sweep(args: argparse.Namespace) -> int:
             args.protocol,
             args.workload,
             processors=args.processors,
-            fast_forward=args.fast_forward,
             topology=topology,
             jobs=args.jobs,
             sample_interval=sample_interval if args.metrics_out else 0,
@@ -822,8 +814,7 @@ def command_scenario(args: argparse.Namespace) -> int:
         programs = compile_scenario(spec, config, lock_style=style)
         result = api.simulate(args.protocol, workload=spec.name,
                               config=config, programs=programs,
-                              lock_style=style,
-                              fast_forward=args.fast_forward)
+                              lock_style=style)
         if args.json:
             print(result.stats.to_json())
             return 0

@@ -86,10 +86,11 @@ class ScheduleOutcome:
 
 def build_sim(scenario: Scenario, protocol: str, scheduler: Scheduler,
               **sim_kwargs) -> Simulator:
-    """Fresh fully-instrumented simulator for one scheduled run."""
+    """Fresh fully-instrumented simulator for one scheduled run, on the
+    stepped engine: every cycle is a choice point."""
     config, programs = scenario.build(protocol)
     return Simulator(config, programs, check_interval=1,
-                     scheduler=scheduler, **sim_kwargs)
+                     fast_forward=False, scheduler=scheduler, **sim_kwargs)
 
 
 def run_schedule(

@@ -8,17 +8,17 @@ cycle arbitrates next cycle -- a one-cycle arbitration latency.
 Two execution modes produce bit-identical statistics:
 
 * **stepped** -- :meth:`Simulator.step` once per bus cycle (the reference
-  semantics above);
-* **fast-forward** -- the engine asks the bus and the processor wake
-  queue for the next *interesting* cycle (bus occupancy expiry, a posted
-  request, compute completion, crossbar return, a processor made ready)
-  and advances the clock across the quiet span in one step.  Skipped
-  cycles are exactly those in which the stepped engine would only have
-  incremented counters: the bus is inert until its occupancy expires,
-  and a parked or computing processor cannot issue.  Arbitration order
-  is therefore unaffected -- every cycle in which a grant, snoop, issue,
-  retire, or wake could occur is still executed by the ordinary
-  :meth:`step`.
+  semantics above; ``Simulator(..., fast_forward=False)`` runs it);
+* **fast-forward** (the default) -- the engine asks the bus and the
+  processor wake queue for the next *interesting* cycle (bus occupancy
+  expiry, a posted request, compute completion, crossbar return, a
+  processor made ready) and advances the clock across the quiet span in
+  one step.  Skipped cycles are exactly those in which the stepped
+  engine would only have incremented counters: the bus is inert until
+  its occupancy expires, and a parked or computing processor cannot
+  issue.  Arbitration order is therefore unaffected -- every cycle in
+  which a grant, snoop, issue, retire, or wake could occur is still
+  executed by the ordinary :meth:`step`.
 
 The stepped engine ticks every processor on every cycle.  The
 fast-forward loop ticks only the processors that may act on a cycle:
@@ -58,20 +58,6 @@ from repro.sim.stats import SimStats
 from repro.verify.invariants import InvariantChecker
 from repro.verify.oracle import WriteOracle
 
-#: Process-wide default execution mode, used when neither the Simulator
-#: nor the run() call specifies one.  The CLI's ``--fast-forward`` flag
-#: and the benchmark harness's ``--fast-forward`` option set this.
-FAST_FORWARD_DEFAULT = False
-
-
-def set_fast_forward_default(value: bool) -> bool:
-    """Set the process-wide default execution mode; returns the old one."""
-    global FAST_FORWARD_DEFAULT
-    old = FAST_FORWARD_DEFAULT
-    FAST_FORWARD_DEFAULT = bool(value)
-    return old
-
-
 #: Stepped-loop iterations between wall-clock watchdog checks; keeps the
 #: hot path at one integer compare per cycle when a watchdog is armed.
 WATCHDOG_STRIDE = 1024
@@ -86,12 +72,15 @@ class Simulator:
         programs: Sequence[Program],
         *,
         check_interval: int = 0,
-        fast_forward: bool | None = None,
+        fast_forward: bool = True,
         obs: Observability | None = None,
         scheduler: "Scheduler | None" = None,
         dispatch: str | None = None,
     ) -> None:
-        """``dispatch`` selects nothing: every protocol runs on the one
+        """``fast_forward=False`` makes :meth:`run` use the stepped
+        reference engine, for tests and the model checker.
+
+        ``dispatch`` selects nothing: every protocol runs on the one
         table lookup.  It remains only for ``perfbench/harness.py``,
         which passes ``"compiled"``; any value other than that and
         ``None`` raises :class:`ValueError` (from :func:`get_protocol`).
@@ -106,7 +95,7 @@ class Simulator:
                 "set cache.words_per_block=1"
             )
         self.config = config
-        #: None defers to the module-level FAST_FORWARD_DEFAULT at run().
+        #: The engine :meth:`run` uses; may be reassigned between runs.
         self.fast_forward = fast_forward
         #: Resolves the engine's nondeterministic tie-breaks (bus
         #: arbitration, issue order, read source, waiter wake); ``None``
@@ -368,12 +357,11 @@ class Simulator:
             self._tick(processor, cycle)
 
     def run(self, max_cycles: int | None = None,
-            fast_forward: bool | None = None,
             max_wall_seconds: float | None = None) -> SimStats:
         """Run to completion (or ``max_cycles``); returns the statistics.
 
-        ``fast_forward`` overrides the Simulator's mode for this run; both
-        modes produce identical statistics (see the module docstring).
+        Both engines produce identical statistics (see the module
+        docstring); the ``fast_forward`` attribute picks one.
 
         ``max_wall_seconds`` arms the engine watchdog: a run that is
         still going after that much wall-clock time is aborted with a
@@ -384,11 +372,7 @@ class Simulator:
         bounded by the wall time of one stride.
         """
         self.arm_watchdog(max_wall_seconds)
-        if fast_forward is None:
-            fast_forward = self.fast_forward
-        if fast_forward is None:
-            fast_forward = FAST_FORWARD_DEFAULT
-        if fast_forward:
+        if self.fast_forward:
             self._every_cycle = False
             try:
                 return self._run_fast(max_cycles)
@@ -612,7 +596,6 @@ def run_workload(
     *,
     max_cycles: int | None = None,
     check_interval: int = 0,
-    fast_forward: bool | None = None,
     obs: Observability | None = None,
     max_wall_seconds: float | None = None,
 ) -> SimStats:
@@ -620,6 +603,5 @@ def run_workload(
 
     ``max_wall_seconds`` arms the engine watchdog (see
     :meth:`Simulator.run`)."""
-    sim = Simulator(config, programs, check_interval=check_interval,
-                    fast_forward=fast_forward, obs=obs)
+    sim = Simulator(config, programs, check_interval=check_interval, obs=obs)
     return sim.run(max_cycles=max_cycles, max_wall_seconds=max_wall_seconds)

@@ -26,6 +26,7 @@ from repro.directory_backend import DirectorySystem
 from repro.protocols import PROTOCOLS
 from repro.sim.engine import Simulator
 from repro.workloads.registry import build_workload
+from tests.conftest import engines
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "directory_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -39,8 +40,8 @@ def _matrix_cell(protocol: str, mode: str) -> dict:
         topology=TopologyConfig(kind="directory",
                                 directory_banks=GOLDEN["directory_banks"]))
     programs = build_workload(GOLDEN["workload"], config)
-    sim = Simulator(config, programs)
-    sim.run(fast_forward=mode == "fast-forward")
+    sim = Simulator(config, programs, fast_forward=mode == "fast-forward")
+    sim.run()
     assert isinstance(sim.bus, DirectorySystem)
     return {
         "stats": sim.stats.to_payload(),
@@ -97,11 +98,11 @@ class TestCompactRepresentationsStayCoherent:
     @pytest.mark.parametrize("name", sorted(COMPACT_TOPOLOGIES))
     def test_fast_forward_identity(self, name):
         topo = COMPACT_TOPOLOGIES[name]
-        stepped = api.simulate("bitar-despain", "lock-contention",
-                               processors=6, topology=topo)
-        fast = api.simulate("bitar-despain", "lock-contention",
-                            processors=6, topology=topo, fast_forward=True)
-        assert stepped.stats.to_payload() == fast.stats.to_payload()
+        config = api._build_config("bitar-despain", processors=6,
+                                   topology=topo)
+        stepped, fast = engines(config,
+                                build_workload("lock-contention", config))
+        assert stepped.to_payload() == fast.to_payload()
 
     @pytest.mark.parametrize("scenario", ["directory-upgrade",
                                           "directory-overflow"])

@@ -13,6 +13,8 @@ import pytest
 from repro import api
 from repro.common.config import TopologyConfig
 from repro.protocols import PROTOCOLS
+from repro.workloads.registry import build_workload
+from tests.conftest import engines
 
 TRIVIAL_TOPOLOGIES = {
     "multibus-1": TopologyConfig(kind="multibus", buses=1),
@@ -62,17 +64,15 @@ class TestScaledFabricsStayCoherent:
     def test_fast_forward_identity_on_new_fabrics(self):
         for topo in (TopologyConfig(kind="clustered", clusters=2),
                      TopologyConfig(kind="directory", directory_banks=2)):
-            stepped = api.simulate("bitar-despain", "lock-contention",
-                                   processors=6, topology=topo)
-            fast = api.simulate("bitar-despain", "lock-contention",
-                                processors=6, topology=topo,
-                                fast_forward=True)
-            assert stepped.stats.to_payload() == fast.stats.to_payload()
+            config = api._build_config("bitar-despain", processors=6,
+                                       topology=topo)
+            stepped, fast = engines(
+                config, build_workload("lock-contention", config))
+            assert stepped.to_payload() == fast.to_payload()
 
     def test_directory_prunes_traffic_relative_to_broadcast(self):
         from repro.directory_backend import DirectorySystem
         from repro.sim.engine import Simulator
-        from repro.workloads.registry import build_workload
 
         config = api._build_config(
             "bitar-despain", processors=8,
@@ -94,7 +94,6 @@ class TestScaledFabricsStayCoherent:
     def test_clustered_filters_remote_snoops(self):
         from repro.bus.hierarchy import ClusteredBusSystem
         from repro.sim.engine import Simulator
-        from repro.workloads.registry import build_workload
 
         config = api._build_config(
             "bitar-despain", processors=8,

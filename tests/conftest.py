@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro import CacheConfig, LockStyle, SystemConfig
+from repro import CacheConfig, LockStyle, SimStats, Simulator, SystemConfig
 from repro.sim.harness import ManualSystem
 
 # Simulation-backed examples have legitimately variable runtimes; the
@@ -71,3 +71,13 @@ def manual(protocol: str, n: int = 2, **kwargs) -> ManualSystem:
     if protocol == "rudolph-segall" and "cache_config" not in kwargs:
         kwargs["cache_config"] = CacheConfig(words_per_block=1, num_blocks=64)
     return ManualSystem(protocol=protocol, n_caches=n, **kwargs)
+
+
+def engines(config: SystemConfig, programs, *, simulator=Simulator,
+            max_wall_seconds: float | None = None,
+            **sim_kwargs) -> list[SimStats]:
+    """``[stepped, fast]``: the statistics of ``programs`` run on a fresh
+    ``simulator`` per engine."""
+    return [simulator(config, programs, fast_forward=fast_forward,
+                      **sim_kwargs).run(max_wall_seconds=max_wall_seconds)
+            for fast_forward in (False, True)]

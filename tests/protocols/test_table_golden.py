@@ -21,7 +21,8 @@ from repro import api
 from repro.common.errors import ProgramError
 from repro.common.schema import SCHEMA_KEY, check
 from repro.protocols import PROTOCOLS
-from repro.workloads.registry import WORKLOADS
+from repro.sim.engine import Simulator
+from repro.workloads.registry import WORKLOADS, build_workload
 
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "golden" / "simstats_golden.json")
@@ -51,19 +52,18 @@ def test_golden_covers_current_matrix():
 )
 def test_stats_bit_identical(protocol, workload, fast_forward):
     key = _key(protocol, workload, fast_forward)
+    # Built exactly as ``api.simulate`` builds them; run on the named engine.
+    config = api._build_config(protocol, processors=GOLDEN["processors"])
+    sim = Simulator(config, build_workload(workload, config),
+                    fast_forward=fast_forward)
     if key in GOLDEN["skipped"]:
         with pytest.raises(ProgramError):
-            api.simulate(protocol, workload,
-                         processors=GOLDEN["processors"],
-                         fast_forward=fast_forward)
+            sim.run()
         return
-    result = api.simulate(protocol, workload,
-                          processors=GOLDEN["processors"],
-                          fast_forward=fast_forward)
     want = dict(GOLDEN["cases"][key])
     check(want, where=key)
     del want[SCHEMA_KEY]
-    got = json.loads(result.stats.to_json())
+    got = json.loads(sim.run().to_json())
     del got[SCHEMA_KEY]
     assert got == want, (
         f"{key}: table-driven stats diverge from the imperative golden"

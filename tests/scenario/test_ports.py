@@ -10,9 +10,10 @@ guard-bit rows every run uses ("compiled") and the reference guard scan
 
 import pytest
 
-from repro.api import simulate
+from repro.api import _build_config, simulate
 from repro.processor.program import LockStyle
 from repro.protocols.table import TransitionTable
+from repro.sim.engine import Simulator
 from repro.workloads.registry import WORKLOADS, build_workload
 from tests.conftest import config_for
 
@@ -68,11 +69,12 @@ class TestStatsIdentity:
                                     monkeypatch):
         calls = (_scan_lookups(monkeypatch)
                  if dispatch == "interpreted" else None)
-        kwargs = dict(protocol="bitar-despain", processors=4,
-                      fast_forward=fast_forward)
-        imperative = simulate(workload=name, **kwargs)
-        declarative = simulate(workload=f"scenario:{name}", **kwargs)
-        assert declarative.stats.to_dict() == imperative.stats.to_dict()
+        config = _build_config("bitar-despain", processors=4)
+        imperative, declarative = (
+            Simulator(config, build_workload(key, config),
+                      fast_forward=fast_forward).run().to_dict()
+            for key in (name, f"scenario:{name}"))
+        assert declarative == imperative
         if calls is not None:
             assert calls, "the reference scan was never consulted"
 

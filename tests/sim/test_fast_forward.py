@@ -12,15 +12,17 @@ import dataclasses
 
 import pytest
 
-from repro import CacheConfig, SystemConfig, run_workload
+from repro import CacheConfig, SystemConfig, api, run_workload
+from repro.cli import main
 from repro.common.errors import DeadlockError
 from repro.obs import Observability
 from repro.processor import isa
 from repro.processor.program import LockStyle, Program
 from repro.protocols import PROTOCOLS
-from repro.sim.engine import Simulator, set_fast_forward_default
+from repro.sim.engine import Simulator
 from repro.workloads import lock_contention, producer_consumer
 from repro.workloads.false_sharing import dubois_briggs_sharing
+from tests.conftest import engines
 
 WORKLOADS = {
     "lock_contention": lambda cfg, style: lock_contention(
@@ -68,10 +70,9 @@ class TestEquivalenceMatrix:
         programs = WORKLOADS[workload](config, _style(protocol))
         stepped_obs = Observability(interval=64)
         fast_obs = Observability(interval=64)
-        stepped_sim = Simulator(config, programs, obs=stepped_obs)
-        fast_sim = Simulator(config, programs, obs=fast_obs)
-        stepped = stepped_sim.run(fast_forward=False)
-        fast = fast_sim.run(fast_forward=True)
+        stepped = Simulator(config, programs, obs=stepped_obs,
+                            fast_forward=False).run()
+        fast = Simulator(config, programs, obs=fast_obs).run()
         assert _snapshot(stepped, 4) == _snapshot(fast, 4)
         assert stepped_obs.result() == fast_obs.result()
         assert len(stepped_obs.result().samples) > 0
@@ -79,18 +80,15 @@ class TestEquivalenceMatrix:
     def test_checker_interval_equivalent(self):
         config = _config("bitar-despain")
         programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        stepped = Simulator(config, programs,
-                            check_interval=7).run(fast_forward=False)
-        fast = Simulator(config, programs,
-                         check_interval=7).run(fast_forward=True)
+        stepped, fast = engines(config, programs, check_interval=7)
         assert _snapshot(stepped, 4) == _snapshot(fast, 4)
 
     def test_max_cycles_and_resume_equivalent(self):
         config = _config("bitar-despain", n=2)
         programs = [Program([isa.compute(400), isa.read(0), isa.write(0)]),
                     Program([isa.read(64), isa.compute(600), isa.write(64)])]
-        stepped = Simulator(config, programs)
-        fast = Simulator(config, programs, fast_forward=True)
+        stepped = Simulator(config, programs, fast_forward=False)
+        fast = Simulator(config, programs)
         stepped.run(max_cycles=250)
         fast.run(max_cycles=250)
         assert _snapshot(stepped.stats, 2) == _snapshot(fast.stats, 2)
@@ -101,39 +99,51 @@ class TestEquivalenceMatrix:
         assert _snapshot(stepped.stats, 2) == _snapshot(fast.stats, 2)
 
     def test_switching_engines_mid_run(self):
-        """One simulator alternating engines between run() calls: the
-        stepped engine takes over the fast-forward schedule and lazily
-        settled counters, and hands its own back."""
+        """One simulator alternating engines between run() calls (by
+        assigning ``fast_forward``): the stepped engine takes over the
+        fast-forward schedule and lazily settled counters, and hands its
+        own back."""
         config = _config("bitar-despain")
         programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        reference = Simulator(config, programs).run(fast_forward=False)
+        reference = Simulator(config, programs, fast_forward=False).run()
         mixed = Simulator(config, programs)
         for limit, fast_forward in ((60, True), (120, False),
                                     (180, True), (None, False)):
-            mixed.run(max_cycles=limit, fast_forward=fast_forward)
+            mixed.fast_forward = fast_forward
+            mixed.run(max_cycles=limit)
         assert mixed.done
         assert mixed.stats.to_payload() == reference.to_payload()
 
 
-class TestModeSelection:
-    def test_process_default_applies(self):
-        config = _config("bitar-despain", n=2)
-        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        baseline = Simulator(config, programs).run(fast_forward=False)
-        old = set_fast_forward_default(True)
-        try:
-            defaulted = Simulator(config, programs).run()
-        finally:
-            set_fast_forward_default(old)
-        assert _snapshot(baseline, 2) == _snapshot(defaulted, 2)
+class TestEntryPoints:
+    """Every user entry point runs the event-skip loop."""
 
-    def test_run_argument_overrides_simulator(self):
-        config = _config("bitar-despain", n=2)
-        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        sim = Simulator(config, programs, fast_forward=True)
-        stats = sim.run(fast_forward=False)
-        ref = Simulator(config, programs).run(fast_forward=False)
-        assert _snapshot(stats, 2) == _snapshot(ref, 2)
+    @pytest.mark.parametrize("entry,runs", [
+        (lambda: api.simulate(processors=2), 1),
+        (lambda: api.sweep(processors=(2, 3), jobs=1), 2),
+        (lambda: run_workload(cfg := _config("bitar-despain", n=2),
+                              lock_contention(cfg)), 1),
+        (lambda: main(["run", "-n", "2"]), 1),
+        (lambda: main(["sweep", "--processors", "2", "3"]), 2),
+        (lambda: main(["scenario", "run", "lock-contention", "-n", "2"]), 1),
+    ], ids=["simulate", "sweep", "run_workload", "cli-run", "cli-sweep",
+            "cli-scenario-run"])
+    def test_runs_fast_forward(self, entry, runs, monkeypatch, capsys):
+        fast_runs = []
+        original = Simulator._run_fast
+
+        def counted(sim, max_cycles):
+            fast_runs.append(max_cycles)
+            return original(sim, max_cycles)
+
+        monkeypatch.setattr(Simulator, "_run_fast", counted)
+        entry()
+        assert len(fast_runs) == runs
+
+    def test_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "-n", "2", "--fast-forward"])
+        assert info.value.code == 2
 
 
 class TestDeadlockEquivalence:
@@ -169,8 +179,7 @@ class TestDeadlockEquivalence:
 
     def test_long_compute_is_not_deadlock(self):
         config = SystemConfig(num_processors=1, deadlock_horizon=100)
-        stats = run_workload(config, [Program([isa.compute(5000)])],
-                             fast_forward=True)
+        stats = run_workload(config, [Program([isa.compute(5000)])])
         assert stats.processor(0).compute_cycles == 5000
 
 
@@ -183,8 +192,8 @@ class TestObsEquivalence:
         results = []
         for fast_forward in (False, True):
             obs = Observability(interval=1, tracing=True)
-            sim = Simulator(config, programs, obs=obs)
-            sim.run(fast_forward=fast_forward)
+            Simulator(config, programs, obs=obs,
+                      fast_forward=fast_forward).run()
             results.append(obs.result().to_dict())
         stepped, fast = results
         assert stepped == fast

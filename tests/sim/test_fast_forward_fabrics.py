@@ -8,7 +8,8 @@ single snoop bus, block-interleaved buses, clusters with interest
 filtering, and the directory with each sharer-set representation.
 Goodman and Dragon queue requests that revalidation can turn into a
 refetch (their ``lost_copy`` maps); the optimistic-RMW cell exercises
-revalidation's abort path.
+revalidation's abort path.  The Aquarius cell adds the crossbar's
+wake-heap entries on the two-switch system.
 
 The stepped engine ticks every processor on every cycle, so each cell
 also checks the due set and lazy settling against per-cycle ticking.
@@ -16,11 +17,12 @@ also checks the due set and lazy settling against per-cycle ticking.
 
 import pytest
 
-from repro import CacheConfig, SystemConfig, api
+from repro import CacheConfig, SystemConfig
+from repro.aquarius import AquariusSimulator, aquarius_workload
 from repro.common.config import RmwMethod, TopologyConfig
 from repro.processor.program import LockStyle
 from repro.workloads import lock_contention, scale_probe
-from tests.conftest import style_for
+from tests.conftest import engines, style_for
 
 FABRICS = {
     "snoop": TopologyConfig(kind="snoop"),
@@ -52,13 +54,6 @@ def _config(protocol, processors, topology, **kwargs) -> SystemConfig:
                         **kwargs)
 
 
-def _engines(config, programs):
-    """``[stepped, fast]`` statistics of one configuration."""
-    return [api.simulate(config=config, programs=programs,
-                         fast_forward=fast_forward).stats
-            for fast_forward in (False, True)]
-
-
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
@@ -66,7 +61,7 @@ def test_stepped_and_fast_forward_identical(fabric, protocol, workload):
     processors, build = WORKLOADS[workload]
     config = _config(protocol, processors, FABRICS[fabric])
     programs = build(config)
-    stepped, fast = (s.to_payload() for s in _engines(config, programs))
+    stepped, fast = (s.to_payload() for s in engines(config, programs))
     assert fast == stepped
 
 
@@ -76,6 +71,16 @@ def test_optimistic_rmw_identical(fabric):
                      rmw_method=RmwMethod.OPTIMISTIC)
     programs = lock_contention(config, rounds=4, think_cycles=3,
                                lock_style=LockStyle.TAS)
-    stepped, fast = _engines(config, programs)
+    stepped, fast = engines(config, programs)
     assert stepped.rmw_aborts > 0
     assert fast.to_payload() == stepped.to_payload()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("processors", [2, 8])
+def test_aquarius_two_switch_identical(processors, seed):
+    config = SystemConfig(num_processors=processors, seed=seed)
+    programs = aquarius_workload(config)
+    stepped, fast = (s.to_payload() for s in engines(
+        config, programs, simulator=AquariusSimulator, check_interval=8))
+    assert fast == stepped

@@ -4,13 +4,21 @@ import pytest
 
 from repro import api
 from repro.common.errors import WatchdogTimeout
+from repro.sim.engine import Simulator
+from tests.conftest import engines
+
+
+def _machine():
+    config = api._build_config("bitar-despain", processors=2)
+    return config, api.build_workload("lock-contention", config)
 
 
 class TestWatchdog:
     def test_generous_budget_does_not_change_results(self):
-        plain = api.simulate(processors=2)
-        watched = api.simulate(processors=2, max_wall_seconds=300.0)
-        assert watched.stats.to_payload() == plain.stats.to_payload()
+        plain = api.simulate(processors=2).stats.to_payload()
+        config, programs = _machine()
+        watched = engines(config, programs, max_wall_seconds=300.0)
+        assert [s.to_payload() for s in watched] == [plain, plain]
 
     def test_zero_budget_aborts_immediately(self):
         with pytest.raises(WatchdogTimeout):
@@ -18,8 +26,12 @@ class TestWatchdog:
 
     def test_fast_forward_path_is_watched(self):
         with pytest.raises(WatchdogTimeout):
-            api.simulate(processors=2, fast_forward=True,
-                         max_wall_seconds=0.0)
+            Simulator(*_machine()).run(max_wall_seconds=0.0)
+
+    def test_stepped_path_is_watched(self):
+        with pytest.raises(WatchdogTimeout):
+            Simulator(*_machine(), fast_forward=False).run(
+                max_wall_seconds=0.0)
 
     def test_diagnostics_describe_the_machine(self):
         with pytest.raises(WatchdogTimeout) as info:
@@ -57,7 +69,6 @@ class TestDiagnosticsAreReadOnly:
         from repro import CacheConfig, SystemConfig
         from repro.common.config import RmwMethod
         from repro.processor.program import LockStyle
-        from repro.sim.engine import Simulator
         from repro.workloads import lock_contention
 
         config = SystemConfig(num_processors=4, protocol="illinois",
@@ -66,10 +77,10 @@ class TestDiagnosticsAreReadOnly:
                                                 num_blocks=64))
         programs = lock_contention(config, rounds=4, think_cycles=3,
                                    lock_style=LockStyle.TAS)
-        return Simulator(config, programs)
+        return Simulator(config, programs, fast_forward=False)
 
     def test_mid_run_snapshots_leave_the_result_unchanged(self):
-        plain = self._sim().run(fast_forward=False)
+        plain = self._sim().run()
         assert plain.rmw_aborts > 0
         sim = self._sim()
         horizon = sim.config.deadlock_horizon

@@ -364,7 +364,7 @@ class TestCausalTracing:
 
         attr = tmp_path / "attr.json"
         spans = tmp_path / "spans.json"
-        assert main(["run", "-n", "2", "--fast-forward",
+        assert main(["run", "-n", "2",
                      "--attribution", str(attr),
                      "--spans-out", str(spans)]) == 0
         attribution = json.loads(attr.read_text())
@@ -432,8 +432,7 @@ class TestScenarioCommands:
         assert "cycles" in capsys.readouterr().out
 
     def test_run_by_library_name(self, capsys):
-        assert main(["scenario", "run", "producer-consumer", "-n", "2",
-                     "--fast-forward"]) == 0
+        assert main(["scenario", "run", "producer-consumer", "-n", "2"]) == 0
         assert "cycles" in capsys.readouterr().out
 
     def test_unknown_scenario_exits_2(self, capsys):
