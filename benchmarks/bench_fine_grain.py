@@ -74,7 +74,9 @@ def run_granularities():
         config = config_for("bitar-despain", n=n)
         coarse = run_workload(config, _global_lock(config, rounds),
                               check_interval=0)
-        config = config_for("bitar-despain", n=n,
+        # The proposal's table has no sn-write-word row, so it cannot
+        # run memory-hold RMWs; a write-in protocol that can runs them.
+        config = config_for("illinois", n=n,
                             rmw_method=RmwMethod.MEMORY_HOLD)
         memhold = run_workload(config, _memory_hold(config, rounds),
                                check_interval=0)

@@ -9,38 +9,7 @@ the timing model, not the authors' testbed.
 
 from __future__ import annotations
 
-import json
-from collections import defaultdict
-from pathlib import Path
-
 from repro import CacheConfig, LockStyle, SystemConfig
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-_wall_times: dict[str, float] = defaultdict(float)
-
-
-def pytest_runtest_logreport(report):
-    if report.when == "call":
-        module = Path(report.nodeid.split("::", 1)[0]).stem
-        _wall_times[module] += report.duration
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Record wall-time per bench module alongside the engine numbers.
-
-    Merges into ``BENCH_engine.json`` the same way the benches do, so a
-    partial run (``pytest benchmarks/bench_engine.py``) never clobbers
-    the other entries.
-    """
-    if not _wall_times:
-        return
-    data = {}
-    if RESULT_PATH.exists():
-        data = json.loads(RESULT_PATH.read_text())
-    wall = data.setdefault("wall_time", {})
-    wall.update({k: round(v, 3) for k, v in sorted(_wall_times.items())})
-    RESULT_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def config_for(protocol: str, *, n: int = 4, wpb: int = 4,

@@ -3,10 +3,12 @@
 
 Runs every protocol across the standard workload registry, stepped and
 fast-forward, and records the full ``SimStats.to_json()`` payload of
-each run.  The committed fixture (``tests/golden/simstats_golden.json``)
-was generated from the imperative pre-table protocol implementations;
-``tests/protocols/test_table_golden.py`` asserts the table-driven port
-reproduces it bit-for-bit.
+each run.  The counters in the committed fixture
+(``tests/golden/simstats_golden.json``) were first recorded from the
+imperative pre-table protocol implementations; a regeneration that only
+restamps ``schema_version`` must leave every counter unchanged.
+``tests/protocols/test_table_golden.py`` asserts every run reproduces
+its payload bit-for-bit, stamp included.
 
 Usage::
 

@@ -309,7 +309,6 @@ class Bus:
 
         self._absorb_flushes(txn, replies)
         data = self._resolve_data(port, txn, response, replies)
-        self._memory_side_effects(txn, response)
 
         info = port.on_txn_granted(txn, response, data)
         if info.outcome is Outcome.REBUS and response.retry:
@@ -410,12 +409,6 @@ class Bus:
             return False
         policy = protocol.features().read_source_policy
         return policy in (ReadSourcePolicy.MEMORY, ReadSourcePolicy.LRU)
-
-    def _memory_side_effects(self, txn: BusTransaction, response: BusResponse) -> None:
-        # Word writes to memory are applied by the requesting protocol in
-        # after_txn (a write whose copy was invalidated while queued must
-        # not blindly reach memory -- it retries as a miss instead).
-        return None
 
     # -- timing -----------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 One :class:`SnoopingCache` sits between each processor and the bus.  It
 owns the tag/state array, the busy-wait register (Section E.4), and the
 directory-interference model (Feature 3); the attached
-:class:`~repro.protocols.base.CoherenceProtocol` makes every policy
+:class:`~repro.protocols.table.TableProtocol` makes every policy
 decision.  The cache is *blocking*: it services one processor operation at
 a time (the realistic choice for the mid-1980s designs reproduced here).
 """
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from repro.bus.bus import RequesterEntry
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
-    from repro.protocols.base import CoherenceProtocol
+    from repro.protocols.table import TableProtocol
     from repro.sim.clock import Clock, StampClock
     from repro.sim.stats import SimStats
     from repro.verify.oracle import WriteOracle
@@ -115,7 +115,7 @@ class SnoopingCache:
         self._tagged = self.array._tagged
         self.busy_wait = BusyWaitRegister()
         self.directory = DirectoryModel(kind=config.directory)
-        self.protocol: "CoherenceProtocol | None" = None  # set by the engine
+        self.protocol: "TableProtocol | None" = None  # set by the engine
         self.memory: "MainMemory | None" = None  # set by the engine
         self.oracle: "WriteOracle | None" = None  # set by the engine
         self._pending: PendingAccess | None = None
@@ -229,9 +229,9 @@ class SnoopingCache:
         if line is not None and line.state.writable:
             return Done()
         if line is not None and line.state.readable:
-            need = self.protocol.write_upgrade_request(op.addr)
+            need = NeedBus(op=BusOp.UPGRADE)
         else:
-            need = self.protocol.write_miss_request(op.addr)
+            need = NeedBus(op=BusOp.READ_EXCL)
         if self.rmw_method is RmwMethod.BUS_HOLD:
             need.extra_hold = self.rmw_modify_cycles
         return need

@@ -965,14 +965,9 @@ def command_lint(args: argparse.Namespace) -> int:
 def command_diagram(args: argparse.Namespace) -> int:
     from repro.analysis.diagram import render_diagram
     from repro.protocols import get_protocol
-    from repro.protocols.table import TableProtocol
 
-    cls = get_protocol(args.protocol)
-    if not issubclass(cls, TableProtocol):
-        print(f"repro: error: {args.protocol} is not table-driven",
-              file=sys.stderr)
-        return 2
-    print(render_diagram(cls.table, args.format), end="")
+    print(render_diagram(get_protocol(args.protocol).table, args.format),
+          end="")
     return 0
 
 

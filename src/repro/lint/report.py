@@ -5,18 +5,11 @@ from __future__ import annotations
 from repro.common import schema
 from repro.lint.rules import Finding, lint_table
 from repro.protocols import PROTOCOLS, get_protocol
-from repro.protocols.table import TableProtocol
 
 
 def lint_protocol(name: str) -> list[Finding]:
     """Lint one registered protocol's transition table."""
-    cls = get_protocol(name)
-    if not (isinstance(cls, type) and issubclass(cls, TableProtocol)):
-        return [Finding(
-            check="structure", protocol=name,
-            detail="protocol is not table-driven; nothing to lint",
-        )]
-    return lint_table(cls.table)
+    return lint_table(get_protocol(name).table)
 
 
 def lint_all() -> dict[str, list[Finding]]:
@@ -31,20 +24,19 @@ def lint_all() -> dict[str, list[Finding]]:
 
 def build_report(findings_by_protocol: dict[str, list[Finding]]) -> dict:
     """Schema-stamped JSON payload for ``repro lint --json``."""
+    from repro.directory_backend.table import HOME_BANK_TABLE
+
     protocols = {}
     for name in sorted(findings_by_protocol):
         findings = findings_by_protocol[name]
         entry: dict = {"ok": not findings,
                        "findings": [f.to_dict() for f in findings]}
-        cls = PROTOCOLS.get(name)
-        table = None
-        if isinstance(cls, type) and issubclass(cls, TableProtocol):
-            table = cls.table
-        elif cls is None:
-            from repro.directory_backend.table import HOME_BANK_TABLE
-
-            if name == HOME_BANK_TABLE.name:
-                table = HOME_BANK_TABLE
+        if name in PROTOCOLS:
+            table = PROTOCOLS[name].table
+        elif name == HOME_BANK_TABLE.name:
+            table = HOME_BANK_TABLE
+        else:
+            table = None
         if table is not None:
             entry["rules"] = len(table.rules)
             entry["states"] = sorted(

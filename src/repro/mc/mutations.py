@@ -29,9 +29,8 @@ from repro.bus.signals import BusResponse
 from repro.cache.state import CacheState
 from repro.common.errors import ConfigError
 from repro.core.lock_protocol import BitarDespainProtocol
-from repro.protocols.base import CoherenceProtocol
 from repro.protocols.illinois import IllinoisProtocol
-from repro.protocols.table import Event, TransitionTable
+from repro.protocols.table import Event, TableProtocol, TransitionTable
 
 
 @contextmanager
@@ -226,7 +225,7 @@ def _lost_dirty_purge() -> ContextManager:
     def broken_purge_needs_flush(self, line) -> bool:
         return False
 
-    return _patched(CoherenceProtocol, "purge_needs_flush",
+    return _patched(TableProtocol, "purge_needs_flush",
                     broken_purge_needs_flush)
 
 

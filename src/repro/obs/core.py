@@ -54,9 +54,12 @@ class ObsResult:
 
 
 class NullObservability:
-    """The disabled layer: ``active`` is False and every hook is a no-op.
+    """The disabled layer: ``active`` is False.
 
-    Shared across simulators, hence it refuses to be bound to a run.
+    Every hook call site is guarded by ``obs.active``, so the null object
+    carries no hooks: an unguarded call fails loudly instead of silently
+    doing nothing.  Shared across simulators, hence it refuses to be
+    bound to a run.
     """
 
     active = False
@@ -67,83 +70,6 @@ class NullObservability:
             "cannot bind the shared null observability; construct the "
             "simulator with obs=Observability(...)"
         )
-
-    def on_advance(self, cycles: int) -> None:
-        return None
-
-    def on_run_end(self, cycles: int) -> None:
-        return None
-
-    def record_bus_txn(self, cycle: int, duration: int, op: str,
-                       block: int, requester: int, bus: int = 0,
-                       *, outcome: str | None = None) -> None:
-        return None
-
-    def record_txn_begin(self, cycle: int, op: str, block: int,
-                         requester: int, bus: int = 0) -> None:
-        return None
-
-    def record_invalidation(self, block: int, cache: int) -> None:
-        return None
-
-    def record_c2c(self, block: int, supplier: int) -> None:
-        return None
-
-    def record_source_loss(self, block: int) -> None:
-        return None
-
-    def record_unlock_broadcast(self, block: int, spurious: bool) -> None:
-        return None
-
-    def record_wait_start(self, pid: int, block: int, cycle: int) -> None:
-        return None
-
-    def record_wait_cancelled(self, pid: int, cycle: int) -> None:
-        return None
-
-    def record_lock_acquired(self, pid: int, block: int, cycle: int) -> None:
-        return None
-
-    def record_lock_released(self, pid: int, block: int,
-                             since: int, cycle: int) -> None:
-        return None
-
-    def record_request_posted(self, cache: int, op_kind: str, block: int,
-                              cycle: int) -> None:
-        return None
-
-    def record_request_aborted(self, cache: int, cycle: int) -> None:
-        return None
-
-    def record_local_hit(self, pid: int, cycle: int) -> None:
-        return None
-
-    def record_spin_step(self, pid: int, cycle: int) -> None:
-        return None
-
-    def record_wait_wakeup(self, cache: int, block: int, cycle: int) -> None:
-        return None
-
-    def record_wait_rearmed(self, cache: int, cycle: int) -> None:
-        return None
-
-    def record_crossbar(self, pid: int, start: int, until: int) -> None:
-        return None
-
-    def record_unlock_queued(self, cache: int, block: int,
-                             cycle: int) -> None:
-        return None
-
-    def record_lock_spill(self, cache: int, block: int, cycle: int) -> None:
-        return None
-
-    def record_cluster_hop(self, cycle: int, block: int,
-                           src_cluster: int, dst_cluster: int) -> None:
-        return None
-
-    def record_directory_msgs(self, cycle: int, kind: str, block: int,
-                              bank: int, count: int = 1) -> None:
-        return None
 
 
 #: Module-level null object used whenever observability is disabled.

@@ -10,7 +10,6 @@ from typing import Type
 
 from repro.common.errors import UnknownProtocolError
 from repro.core.lock_protocol import BitarDespainProtocol
-from repro.protocols.base import CoherenceProtocol
 from repro.protocols.berkeley import BerkeleyProtocol
 from repro.protocols.dragon import DragonProtocol
 from repro.protocols.firefly import FireflyProtocol
@@ -18,10 +17,11 @@ from repro.protocols.goodman import GoodmanProtocol
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.rudolph_segall import RudolphSegallProtocol
 from repro.protocols.synapse import SynapseProtocol
+from repro.protocols.table import TableProtocol
 from repro.protocols.write_through import ClassicWriteThroughProtocol
 from repro.protocols.yen import YenProtocol
 
-PROTOCOLS: dict[str, Type[CoherenceProtocol]] = {
+PROTOCOLS: dict[str, Type[TableProtocol]] = {
     cls.name: cls
     for cls in (
         ClassicWriteThroughProtocol,
@@ -52,7 +52,7 @@ WRITE_UPDATE_PROTOCOLS: tuple[str, ...] = ("dragon", "firefly", "rudolph-segall"
 
 
 def get_protocol(name: str,
-                 dispatch: str | None = None) -> Type[CoherenceProtocol]:
+                 dispatch: str | None = None) -> Type[TableProtocol]:
     """Look up a protocol class by registry name.
 
     ``dispatch`` selects nothing: every protocol runs on its table's
@@ -76,6 +76,6 @@ __all__ = [
     "PROTOCOLS",
     "TABLE1_PROTOCOLS",
     "WRITE_UPDATE_PROTOCOLS",
-    "CoherenceProtocol",
+    "TableProtocol",
     "get_protocol",
 ]

@@ -2,11 +2,10 @@
 
 Each protocol is a :class:`TransitionTable`: an ordered set of rows
 ``(state, event, guard) -> (actions, next_state)`` over the existing
-``CacheState`` / ``BusOp`` / ``SnoopReply`` vocabulary, executed by the
-:class:`TableProtocol` interpreter through the unchanged
-:class:`~repro.protocols.base.CoherenceProtocol` hook surface --
-``cache.py``, ``engine.py`` and ``mc/`` drive tables and imperative
-protocols identically.
+``CacheState`` / ``BusOp`` / ``SnoopReply`` vocabulary, executed by
+:class:`TableProtocol`, the one protocol class -- ``cache.py``,
+``engine.py`` and ``mc/`` call its ``processor_*``, ``snoop`` and
+``after_txn`` hooks, and every answer comes from a table row.
 
 The IR is deliberately small:
 
@@ -22,16 +21,18 @@ The IR is deliberately small:
   ``bus:read-excl``, ``apply-word``, ``refuse-lock``, ...), run in row
   order before the ``next_state`` is applied.
 
-Genuinely procedural machinery stays imperative in the base class and in
-small per-protocol overrides: the busy-wait register, multi-phase REBUS
-sequencing mechanics, the memory-hold RMW, I/O snoops, and Synapse's
-memory source bit.  Everything a state diagram would show lives in the
-tables, which is what makes them lintable (:mod:`repro.lint`) and
-renderable (``repro diagram``).
+Genuinely procedural machinery stays imperative in :class:`TableProtocol`
+and in small per-protocol overrides: multi-phase REBUS sequencing
+mechanics, the lost-copy revalidation, I/O snoops, the inert housekeeping
+snoops, and Synapse's memory source bit; the busy-wait register and the
+RMW methods live in the cache.  Everything a state diagram would show
+lives in the tables, which is what makes them lintable (:mod:`repro.lint`)
+and renderable (``repro diagram``).
 """
 
 from __future__ import annotations
 
+import abc
 import enum
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping
@@ -39,17 +40,12 @@ from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping
 from repro.bus.signals import SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.cache.state import CacheState
-from repro.common.errors import ProgramError, ProtocolError
+from repro.common.config import RmwMethod
+from repro.common.errors import ConfigError, ProgramError, ProtocolError
 from repro.common.types import Stamp, WordAddr
 from repro.processor.isa import OpKind
-from repro.protocols.base import (
-    Action,
-    CoherenceProtocol,
-    Done,
-    NeedBus,
-    Outcome,
-    TxnResult,
-)
+from repro.protocols.base import Action, Done, NeedBus, Outcome, TxnResult
+from repro.protocols.features import ProtocolFeatures
 
 if TYPE_CHECKING:
     from repro.cache.cache import PendingAccess, SnoopingCache
@@ -482,6 +478,37 @@ class TransitionTable:
                     changed = True
         return frozenset(reachable)
 
+    def unserved(self, rmw_ops: Iterable[BusOp]) -> str | None:
+        """Why atomic-RMW machinery putting ``rmw_ops`` on the bus would
+        die on this table mid-run, or ``None`` if it would not.
+
+        An operation outside the table's own alphabet (:meth:`issued_ops`)
+        needs a snoop row at every valid state and its fill or completion
+        row; the linter already holds the table to its own alphabet.
+        Either way a fill must not land in a transient state: a failed
+        test-and-set fetches without the write that would leave it.
+        """
+        own = self.issued_ops()
+        valid = sorted(derive_states(self) - {CacheState.INVALID},
+                       key=lambda s: s.value)
+        for op in rmw_ops:
+            snoop = SNOOP_EVENT.get(op)
+            fill = FILL_EVENT.get(op)
+            done = DONE_EVENT.get(op)
+            if op not in own:
+                for state in valid if snoop is not None else ():
+                    if not self.rules_for(state, snoop):
+                        return f"no {snoop.value} row at {state.value}"
+                event = fill or done
+                if event is not None and not self.has_event(event):
+                    return f"no {event.value} row"
+            fills = self.rules_for(CacheState.INVALID, fill) if fill else ()
+            for r in fills:
+                if r.next_state in self.transient_states:
+                    return (f"{fill.value} lands in the transient state "
+                            f"{r.next_state.value}")
+        return None
+
     # -- mutation helpers (the mc harness edits rows, not code) ----------
 
     def _select(self, state: CacheState, event: Event,
@@ -561,31 +588,96 @@ def derive_atomic_rmw(table: TransitionTable) -> bool:
     return table.has_event(Event.PR_RMW)
 
 
-# -- the interpreter --------------------------------------------------------
+# -- RMW methods --------------------------------------------------------------
+
+#: Bus operations the cache's atomic-RMW machinery (``SnoopingCache.
+#: _dispatch_rmw``) puts on the bus under each Feature-6 method.
+RMW_BUS_OPS: dict[RmwMethod, tuple[BusOp, ...]] = {
+    RmwMethod.MEMORY_HOLD: (BusOp.MEMORY_RMW,),
+    RmwMethod.CACHE_HOLD: (BusOp.UPGRADE, BusOp.READ_EXCL),
+    RmwMethod.BUS_HOLD: (BusOp.UPGRADE, BusOp.READ_EXCL),
+    RmwMethod.OPTIMISTIC: (BusOp.UPGRADE, BusOp.READ_EXCL),
+    RmwMethod.LOCK_STATE: (BusOp.UPGRADE, BusOp.READ_LOCK),
+}
+
+
+# -- the protocol -------------------------------------------------------------
 
 #: Op kinds whose completion context carries the ``writish`` atom.
 _WRITISH_KINDS = frozenset({OpKind.WRITE, OpKind.RELEASE})
 
 
-class TableProtocol(CoherenceProtocol):
-    """Executes a :class:`TransitionTable` through the base hook surface.
+class TableProtocol(abc.ABC):
+    """A coherence protocol: the :class:`TransitionTable` it executes.
 
-    Subclasses set :attr:`table` (and ``name``/``features()``), and may
+    An instance is attached to one cache (``self.cache``) and is the
+    *brain* of that cache: the cache consults it on every processor
+    access, on every snooped bus transaction, and when a granted
+    transaction completes.  State changes happen during the snoop and
+    completion calls -- atomically at bus-grant time, the
+    atomic-broadcast property the paper assumes for single-bus systems
+    (Section A.2).
+
+    Subclasses set ``name``, :attr:`table` and ``features()``, and may
     override :meth:`after_fill` or individual hooks for the genuinely
     procedural remnants of their protocol.
     """
 
+    #: Registry key, e.g. ``"goodman"``.
+    name: ClassVar[str] = ""
     table: ClassVar[TransitionTable]
 
     def __init__(self, cache: "SnoopingCache") -> None:
-        super().__init__(cache)
+        self.cache = cache
         # Resolved per instance so a class-level ``table`` patch (the mc
         # mutation harness) is honoured by instances created under it.
         self._table = self.table
         self._table.guard_rows()
-        self.revalidated_ops += tuple(
-            op for op in self._table.lost_copy
-            if op not in self.revalidated_ops)
+        #: Queued bus operations :meth:`revalidate_request` (or the
+        #: cache's optimistic-RMW abort) can change; the cache skips
+        #: revalidating every other operation, for which it is the
+        #: identity.  A tuple: membership by identity, no enum hashing.
+        self.revalidated_ops: tuple[BusOp, ...] = (BusOp.UPGRADE,) + tuple(
+            op for op in self._table.lost_copy if op is not BusOp.UPGRADE)
+
+    # -- identity --------------------------------------------------------
+
+    @classmethod
+    @abc.abstractmethod
+    def features(cls) -> ProtocolFeatures:
+        """The protocol's Table-1 column."""
+
+    @classmethod
+    def states(cls) -> frozenset[CacheState]:
+        return frozenset(cls.features().state_roles)
+
+    @classmethod
+    def is_source_state(cls, state: CacheState) -> bool:
+        return cls.features().state_role(state) == "S"
+
+    @classmethod
+    def supports_lock_state(cls) -> bool:
+        return CacheState.LOCK in cls.states()
+
+    @classmethod
+    def rmw_method_for(cls, method: RmwMethod) -> RmwMethod:
+        """The Feature-6 method a run configured with ``method`` uses.
+
+        Without a lock state, ``LOCK_STATE`` falls back to memory-hold
+        where the table puts MEMORY_RMW on the bus (the classic scheme,
+        Rudolph-Segall) and to cache-hold everywhere else.  A method
+        whose bus operations reach a row the table lacks raises
+        :class:`ConfigError`.
+        """
+        if method is RmwMethod.LOCK_STATE and not cls.supports_lock_state():
+            method = (RmwMethod.MEMORY_HOLD
+                      if BusOp.MEMORY_RMW in cls.table.issued_ops()
+                      else RmwMethod.CACHE_HOLD)
+        gap = cls.table.unserved(RMW_BUS_OPS[method])
+        if gap is not None:
+            raise ConfigError(f"protocol {cls.name!r} cannot serve "
+                              f"rmw_method={method.value!r}: {gap}")
+        return method
 
     # -- lookup seams ----------------------------------------------------
     # The three call shapes through which every table probe flows.  Each
@@ -639,13 +731,17 @@ class TableProtocol(CoherenceProtocol):
     def processor_lock(self, line: "CacheLine | None",
                        addr: WordAddr) -> Action:
         if not self.table.has_event(Event.PR_LOCK):
-            return super().processor_lock(line, addr)
+            raise ProgramError(
+                f"protocol {self.name!r} has no lock instruction; "
+                "lower LOCK/UNLOCK to test-and-set for this protocol"
+            )
         return self._processor_access(Event.PR_LOCK, line, addr, None)
 
     def processor_unlock(self, line: "CacheLine | None", addr: WordAddr,
                          stamp: Stamp) -> Action:
         if not self.table.has_event(Event.PR_UNLOCK):
-            return super().processor_unlock(line, addr, stamp)
+            raise ProgramError(
+                f"protocol {self.name!r} has no unlock instruction")
         return self._processor_access(Event.PR_UNLOCK, line, addr, stamp)
 
     def processor_write_block(self, line: "CacheLine | None",
@@ -734,50 +830,38 @@ class TableProtocol(CoherenceProtocol):
     # -- requester side --------------------------------------------------
 
     def revalidate_request(self, need: NeedBus, block) -> NeedBus:
+        """Re-check a queued bus request against the cache's own tags just
+        before it drives the bus.  A request predicated on holding a valid
+        copy (an UPGRADE, or a ``lost_copy`` operation of the table) whose
+        copy was invalidated while it waited must convert to a full miss
+        -- driving the stale invalidation would destroy another cache's
+        (possibly dirty) exclusive copy."""
+        if self.cache.line_for(block) is not None:
+            return need
         refetch = self.table.lost_copy.get(need.op)
-        if refetch is not None and self.cache.line_for(block) is None:
+        if refetch is not None:
             return NeedBus(op=refetch)
-        return super().revalidate_request(need, block)
+        if need.op is BusOp.UPGRADE:
+            if need.lock_intent:
+                return NeedBus(op=BusOp.READ_LOCK, lock_intent=True,
+                               high_priority=need.high_priority)
+            return NeedBus(op=BusOp.READ_EXCL)
+        return need
 
     def after_txn(self, pending: "PendingAccess", txn: BusTransaction,
                   response, data: list[Stamp] | None) -> TxnResult:
-        table = self.table
+        """Complete a granted transaction through its fill or done row."""
         op = txn.op
+        cache = self.cache
 
-        if (op is BusOp.WRITE_NO_FETCH
-                and table.has_event(Event.DONE_WRITE_NO_FETCH)):
-            line = self.cache.line_for(txn.block)
-            state = line.state if line is not None else CacheState.INVALID
-            row = self._lookup_completion(state, Event.DONE_WRITE_NO_FETCH,
-                                          pending, txn, response)
-            blank = [0] * self.cache.config.words_per_block
-            self.cache.install_block(txn.block, row.next_state, blank)
-            return TxnResult(Outcome.DONE)
-
-        if op is BusOp.UPGRADE and table.has_event(Event.DONE_UPGRADE):
-            line = self.cache.line_for(txn.block)
-            if line is None:
-                row = self._lookup_completion(
-                    CacheState.INVALID, Event.DONE_UPGRADE,
-                    pending, txn, response)
-                rebus = self._rebus_request(row, pending, txn)
-                assert rebus is not None
-                return TxnResult(Outcome.REBUS, rebus)
-            if table.has_lock_states and response.locked:
-                return TxnResult(Outcome.WAIT_LOCK)
-            row = self._lookup_completion(line.state, Event.DONE_UPGRADE,
-                                          pending, txn, response)
-            self._run_completion_actions(row, line, txn)
-            line.state = row.next_state
-            return TxnResult(Outcome.DONE)
-
-        if op.fetches_block and op in FILL_EVENT:
+        fill = FILL_EVENT.get(op)
+        if fill is not None:
             if response.locked or response.memory_locked:
                 return TxnResult(Outcome.WAIT_LOCK)
-            row = self._lookup_completion(CacheState.INVALID, FILL_EVENT[op],
+            row = self._lookup_completion(CacheState.INVALID, fill,
                                           pending, txn, response)
             assert data is not None
-            line = self.cache.install_block(txn.block, row.next_state, data)
+            line = cache.install_block(txn.block, row.next_state, data)
             rebus = self._rebus_request(row, pending, txn)
             if rebus is not None:
                 return TxnResult(Outcome.REBUS, rebus)
@@ -785,24 +869,45 @@ class TableProtocol(CoherenceProtocol):
             self.after_fill(pending, line)
             return TxnResult(Outcome.DONE)
 
-        if op in (BusOp.WRITE_WORD, BusOp.UPDATE_WORD):
-            event = DONE_EVENT[op]
-            if not table.has_event(event):
-                return super().after_txn(pending, txn, response, data)
-            line = self.cache.line_for(txn.block)
-            state = line.state if line is not None else CacheState.INVALID
-            row = self._lookup_completion(state, event,
-                                          pending, txn, response)
-            rebus = self._rebus_request(row, pending, txn)
-            if rebus is not None:
-                return TxnResult(Outcome.REBUS, rebus)
-            self._run_completion_actions(row, line, txn)
-            if line is not None:
-                line.state = row.next_state
-            pending.write_applied = True
+        event = DONE_EVENT.get(op)
+        if event is None:
+            raise ProtocolError(f"{self.name}: no completion row for "
+                                f"{op.value}")
+        line = cache.line_for(txn.block)
+        state = line.state if line is not None else CacheState.INVALID
+
+        if op is BusOp.WRITE_NO_FETCH:
+            row = self._lookup_completion(state, event, pending, txn,
+                                          response)
+            blank = [0] * cache.config.words_per_block
+            cache.install_block(txn.block, row.next_state, blank)
             return TxnResult(Outcome.DONE)
 
-        return super().after_txn(pending, txn, response, data)
+        if op is BusOp.UPGRADE:
+            if line is None:
+                row = self._lookup_completion(state, event, pending, txn,
+                                              response)
+                rebus = self._rebus_request(row, pending, txn)
+                assert rebus is not None
+                return TxnResult(Outcome.REBUS, rebus)
+            if response.locked and self.table.has_lock_states:
+                return TxnResult(Outcome.WAIT_LOCK)
+            row = self._lookup_completion(state, event, pending, txn,
+                                          response)
+            self._run_completion_actions(row, line, txn)
+            line.state = row.next_state
+            return TxnResult(Outcome.DONE)
+
+        # A word write or update.
+        row = self._lookup_completion(state, event, pending, txn, response)
+        rebus = self._rebus_request(row, pending, txn)
+        if rebus is not None:
+            return TxnResult(Outcome.REBUS, rebus)
+        self._run_completion_actions(row, line, txn)
+        if line is not None:
+            line.state = row.next_state
+        pending.write_applied = True
+        return TxnResult(Outcome.DONE)
 
     def after_fill(self, pending: "PendingAccess",
                    line: "CacheLine") -> None:
@@ -856,6 +961,23 @@ class TableProtocol(CoherenceProtocol):
                                     f"action {action!r}")
 
     # -- snooper side ----------------------------------------------------
+
+    def snoop(self, line: "CacheLine", txn: BusTransaction) -> SnoopReply:
+        """React to another cache's transaction; ``line`` is this cache's
+        valid line for the block."""
+        op = txn.op
+        if op.wants_exclusive:
+            return self.snoop_exclusive(line, txn)
+        if op is BusOp.READ_BLOCK:
+            return self.snoop_read(line, txn)
+        if op in (BusOp.WRITE_WORD, BusOp.UPDATE_WORD, BusOp.MEMORY_RMW):
+            return self.snoop_word_write(line, txn)
+        if op is BusOp.IO_OUTPUT_READ:
+            return self.snoop_io_output(line, txn)
+        if op in (BusOp.UNLOCK_BROADCAST, BusOp.MEMORY_LOCK_WRITE,
+                  BusOp.FLUSH_BLOCK):
+            return SnoopReply(hit=False)
+        raise ProtocolError(f"{self.name}: cannot snoop {txn}")
 
     def snoop_read(self, line: "CacheLine",
                    txn: BusTransaction) -> SnoopReply:
@@ -927,3 +1049,19 @@ class TableProtocol(CoherenceProtocol):
                 cache.memory.set_memory_source(line.block, True)
             return
         raise ProtocolError(f"{self.name}: unknown snoop action {action!r}")
+
+    def snoop_io_output(self, line: "CacheLine",
+                        txn: BusTransaction) -> SnoopReply:
+        """Special I/O read: the source supplies but keeps source status
+        and its state (Section E.2)."""
+        if self.is_source_state(line.state):
+            return SnoopReply(
+                hit=True, supplies=True, dirty=line.state.dirty,
+                data=line.snapshot())
+        return SnoopReply(hit=True)
+
+    # -- purge -----------------------------------------------------------
+
+    def purge_needs_flush(self, line: "CacheLine") -> bool:
+        """Whether purging ``line`` must write the block back to memory."""
+        return line.state.dirty and self.is_source_state(line.state)

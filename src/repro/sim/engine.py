@@ -43,7 +43,7 @@ from typing import Sequence
 
 from repro.bus.bus import Bus
 from repro.cache.cache import SnoopingCache
-from repro.common.config import RmwMethod, SystemConfig, WaitMode
+from repro.common.config import SystemConfig, WaitMode
 from repro.common.errors import ConfigError, DeadlockError, WatchdogTimeout
 from repro.common.types import NEVER
 from repro.memory.io_processor import IOProcessor
@@ -115,19 +115,8 @@ class Simulator:
         self.oracle = WriteOracle(self.stats, strict=config.strict_verify)
 
         protocol_cls = get_protocol(config.protocol, dispatch)
-        effective_rmw = config.rmw_method
-        if (
-            config.rmw_method is RmwMethod.LOCK_STATE
-            and not protocol_cls.supports_lock_state()
-        ):
-            # Sensible per-protocol defaults when the configured method is
-            # unavailable: the classic scheme and Rudolph-Segall serialize
-            # RMWs through the memory unit (Feature 6, first method);
-            # everything else holds the block in the cache.
-            if config.protocol in ("write-through", "rudolph-segall"):
-                effective_rmw = RmwMethod.MEMORY_HOLD
-            else:
-                effective_rmw = RmwMethod.CACHE_HOLD
+        # Raises ConfigError for a method the table cannot serve.
+        effective_rmw = protocol_cls.rmw_method_for(config.rmw_method)
         self.caches: list[SnoopingCache] = []
         for i in range(config.num_processors):
             cache = SnoopingCache(

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.config import CacheConfig
+from repro.common.config import CacheConfig, RmwMethod
 from repro.common.errors import ReproError
 from repro.processor import isa
+from repro.protocols import get_protocol
 from repro.sim.harness import ManualSystem
 from repro.verify.invariants import InvariantChecker
 
@@ -109,11 +110,11 @@ def check_conformance(protocol: str, *, serializing: bool = True) -> list[Findin
         from repro.processor.isa import test_and_set
 
         sys = _system(protocol, strict=serializing)
-        if protocol in ("write-through", "rudolph-segall"):
-            from repro.common.config import RmwMethod
-
-            for cache in sys.caches:
-                cache.rmw_method = RmwMethod.MEMORY_HOLD
+        # The method a run with the default rmw_method uses, as the
+        # engine resolves it from the protocol's table.
+        method = get_protocol(protocol).rmw_method_for(RmwMethod.LOCK_STATE)
+        for cache in sys.caches:
+            cache.rmw_method = method
         first = sys.run_op(0, isa.rmw(B, test_and_set(1)))
         second = sys.run_op(1, isa.rmw(B, test_and_set(2)))
         assert first.result == 1, "first TAS failed on a free word"

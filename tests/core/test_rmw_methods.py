@@ -3,12 +3,15 @@
 import pytest
 
 from repro.common.config import CacheConfig, RmwMethod, SystemConfig
+from repro.common.errors import ConfigError, SerializationViolation
 from repro.processor import isa
 from repro.processor.isa import fetch_and_add
 from repro.processor.isa import test_and_set as tas  # avoid pytest collection
-from repro.processor.program import Program
+from repro.processor.program import LockStyle, Program
+from repro.protocols import PROTOCOLS
 from repro.sim.engine import Simulator, run_workload
 from repro.sim.harness import ManualSystem
+from repro.workloads import lock_contention
 
 B = 0
 
@@ -185,3 +188,73 @@ class TestEngineDefaults:
         )
         sim = Simulator(config, [Program([])])
         assert sim.caches[0].rmw_method is RmwMethod.MEMORY_HOLD
+
+    def test_rudolph_segall_defaults_to_memory_hold(self):
+        config = SystemConfig(
+            num_processors=1, protocol="rudolph-segall",
+            cache=CacheConfig(words_per_block=1),
+        )
+        sim = Simulator(config, [Program([])])
+        assert sim.caches[0].rmw_method is RmwMethod.MEMORY_HOLD
+
+
+#: The pairs whose RMW bus operations reach a row the protocol's table
+#: lacks: no ``sn-write-word`` row (memory-hold), no ``sn-upgrade`` row
+#: (write-through), or an exclusive fill landing in the transient WC
+#: state (Rudolph-Segall).
+REFUSED = {
+    ("bitar-despain", RmwMethod.MEMORY_HOLD),
+    ("synapse", RmwMethod.MEMORY_HOLD),
+    *(("write-through", m) for m in (RmwMethod.CACHE_HOLD,
+                                     RmwMethod.BUS_HOLD,
+                                     RmwMethod.OPTIMISTIC)),
+    *(("rudolph-segall", m) for m in (RmwMethod.CACHE_HOLD,
+                                      RmwMethod.BUS_HOLD,
+                                      RmwMethod.OPTIMISTIC)),
+}
+
+#: Served by the table, but a contended memory-hold TTAS lock reads a
+#: stale lock word: the memory-hold RMW reads the word from memory even
+#: when the requester itself holds the block dirty (its own unlock
+#: write), then invalidates that dirty copy without a flush.
+_STALE_UNDER_MEMORY_HOLD = pytest.mark.xfail(
+    strict=True, raises=SerializationViolation,
+    reason="memory-hold RMW ignores and drops the requester's own dirty "
+           "copy (CHANGES.md FOUND line)")
+
+
+def _matrix():
+    for protocol in sorted(PROTOCOLS):
+        for method in RmwMethod:
+            marks = ()
+            if (method is RmwMethod.MEMORY_HOLD and protocol in
+                    ("berkeley", "goodman", "illinois", "yen")):
+                marks = (_STALE_UNDER_MEMORY_HOLD,)
+            yield pytest.param(protocol, method, marks=marks,
+                               id=f"{protocol}-{method.value}")
+
+
+class TestProtocolMethodMatrix:
+    """Every protocol x RMW method either runs a contended TTAS lock
+    clean or is refused with ConfigError at construction, before cycle 0
+    -- never a missing-row ProtocolError mid-run."""
+
+    @pytest.mark.parametrize("protocol,method", _matrix())
+    def test_runs_clean_or_refused_up_front(self, protocol, method):
+        config = SystemConfig(
+            num_processors=2, protocol=protocol, rmw_method=method,
+            strict_verify=protocol != "write-through",
+            cache=CacheConfig(
+                words_per_block=1 if protocol == "rudolph-segall" else 4),
+        )
+        programs = lock_contention(config, rounds=2,
+                                   lock_style=LockStyle.TTAS)
+        if (protocol, method) in REFUSED:
+            with pytest.raises(ConfigError) as refused:
+                Simulator(config, programs)
+            assert protocol in str(refused.value)
+            assert method.value in str(refused.value)
+            return
+        stats = Simulator(config, programs).run()
+        assert [p.lock_acquisitions for p in stats.processors.values()] == [
+            2, 2]

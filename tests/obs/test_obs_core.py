@@ -20,9 +20,11 @@ from repro.workloads import lock_contention
 class TestNullObservability:
     def test_inactive_and_inert(self):
         assert not NULL_OBS.active
-        NULL_OBS.on_advance(10)
-        NULL_OBS.record_bus_txn(0, 4, "READ", 0, 1)
-        NULL_OBS.record_lock_acquired(0, 0, 5)
+        # Every hook call site checks ``obs.active`` first; the null
+        # object has no hooks, so an unguarded call fails loudly.
+        assert not [n for n in dir(NULL_OBS) if n.startswith("record_")]
+        assert not hasattr(NULL_OBS, "on_advance")
+        assert not hasattr(NULL_OBS, "on_run_end")
 
     def test_refuses_binding(self):
         with pytest.raises(RuntimeError):

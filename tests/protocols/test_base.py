@@ -1,4 +1,4 @@
-"""The CoherenceProtocol base class: defaults, guards, introspection."""
+"""The TableProtocol class: lock guards, snoop routing, introspection."""
 
 import pytest
 
@@ -64,10 +64,23 @@ class TestIntrospection:
         assert not cls.is_source_state(CacheState.LOCK)  # unused state
 
     def test_flushes_on_transfer(self):
+        """Feature 7's column agrees with the table: a dirty holder
+        snooping a foreign read flushes under F and not otherwise."""
         from repro.protocols import get_protocol
+        from repro.protocols.features import FlushPolicy
+        from repro.protocols.table import Event
 
-        assert get_protocol("illinois").flushes_on_transfer()
-        assert not get_protocol("berkeley").flushes_on_transfer()
+        def read_snoop_flushes(name):
+            table = get_protocol(name).table
+            return "flush" in table.lookup(
+                CacheState.WRITE_DIRTY, Event.SN_READ, frozenset()).actions
+
+        assert get_protocol("illinois").features().flush_policy is (
+            FlushPolicy.FLUSH)
+        assert read_snoop_flushes("illinois")
+        assert get_protocol("berkeley").features().flush_policy is not (
+            FlushPolicy.FLUSH)
+        assert not read_snoop_flushes("berkeley")
 
 
 class TestBusWaitAccounting:

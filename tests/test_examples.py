@@ -34,3 +34,19 @@ def test_examples_exist():
     assert len(EXAMPLES) >= 3, "the deliverable requires >= 3 examples"
     names = {p.stem for p in EXAMPLES}
     assert "quickstart" in names
+
+
+def test_extend_protocol_example_is_a_clean_table():
+    """The protocol-extension template defines its protocol as a
+    transition table, which the linter passes."""
+    from repro.lint.rules import lint_table
+    from repro.protocols.table import TableProtocol, TransitionTable
+
+    path = EXAMPLES[0].parent / "extend_protocol.py"
+    spec = importlib.util.spec_from_file_location("example_extend", path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert issubclass(module.MsiProtocol, TableProtocol)
+    assert isinstance(module.MsiProtocol.table, TransitionTable)
+    assert lint_table(module.MsiProtocol.table) == []
