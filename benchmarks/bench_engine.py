@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro import CacheConfig, SystemConfig
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import Sweep, run_sweep_parallel
+from repro.analysis.sweeps import Sweep
 from repro.common.config import TopologyConfig
 from repro.sim.engine import Simulator
 from repro.workloads import lock_contention, scale_probe
@@ -418,7 +418,7 @@ def run_sweep_scaling() -> dict:
     serial = sweep.execute()
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = run_sweep_parallel(sweep, jobs=SWEEP_JOBS)
+    parallel = sweep.execute(jobs=SWEEP_JOBS)
     parallel_s = time.perf_counter() - t0
     assert list(serial["cycles"].values) == list(parallel["cycles"].values), (
         "parallel sweep changed the results"

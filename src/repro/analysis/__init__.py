@@ -2,8 +2,8 @@
 
 from repro.common.lazy import lazy_exports
 
-# Submodules load on first use: numpy (``sweeps``) and the process pool
-# (``resilient``) only when a sweep runs.
+# Submodules load on first use: the process pool (``resilient``) only
+# when a sweep runs.
 __all__ = lazy_exports(globals(), {
     "formulas": (
         "TrafficIncrease",
@@ -31,7 +31,6 @@ __all__ = lazy_exports(globals(), {
         "Sweep",
         "SweepSeries",
         "over_seeds",
-        "run_sweep_parallel",
     ),
     "table1": ("Table1", "build_table1"),
     "table2": ("TABLE2", "derived_innovations", "render_table2"),

@@ -34,15 +34,17 @@ sweep result.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from queue import Empty, SimpleQueue
 from typing import Callable, Sequence
 
-from repro.common.errors import FaultInjected, SweepPointError
+from repro.common.errors import SweepPointError
 from repro.faults.plan import CorruptStats, FaultKind, FaultPlan, _roll
 from repro.obs.registry import MetricRegistry
 
@@ -74,6 +76,18 @@ _REASON_STATUS = {
 }
 
 
+#: Backoff before a point's n-th retry: ``BACKOFF_BASE * 2**(n-1)``
+#: seconds, capped at ``BACKOFF_MAX``, stretched by up to
+#: ``BACKOFF_JITTER`` of itself.
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
+BACKOFF_JITTER = 0.5
+#: Worker-pool rebuilds tolerated before the sweep gives up.
+MAX_POOL_RESTARTS = 5
+#: Future-polling granularity; bounds timeout-detection latency.
+POLL_INTERVAL = 0.05
+
+
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """How hard the executor tries before giving up on a point."""
@@ -83,36 +97,23 @@ class ExecutionPolicy:
     #: Per-point wall-clock limit in seconds (None = unlimited); only
     #: enforceable with ``jobs > 1`` (a serial run cannot be preempted).
     timeout: float | None = None
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    backoff_jitter: float = 0.5
     #: Seeds the backoff jitter (and the fault plan's probabilistic
     #: draws go through the plan's own seed).
     seed: int = 0
     #: Record failures and keep sweeping instead of raising on the
     #: first exhausted point.
     keep_going: bool = False
-    #: Worker-pool rebuilds tolerated before the sweep gives up.
-    max_pool_restarts: int = 5
     #: Chaos mode: inject these faults into the workers.
     faults: FaultPlan | None = None
-    #: Future-polling granularity; bounds timeout-detection latency.
-    poll_interval: float = 0.05
 
     def backoff_delay(self, index: int, failures: int) -> float:
         """Deterministic backoff before retry ``failures`` of point
         ``index``: exponential in the failure count, jittered by a hash
         of ``(seed, index, failures)`` -- no shared RNG, so the delay
         does not depend on completion order."""
-        base = min(self.backoff_base * (2 ** max(0, failures - 1)),
-                   self.backoff_max)
-        return base * (1.0 + self.backoff_jitter * _roll(
+        base = min(BACKOFF_BASE * (2 ** max(0, failures - 1)), BACKOFF_MAX)
+        return base * (1.0 + BACKOFF_JITTER * _roll(
             self.seed, index, failures))
-
-    def backoff_schedule(self, index: int) -> list[float]:
-        """Every delay point ``index`` would see (for tests/inspection)."""
-        return [self.backoff_delay(index, n)
-                for n in range(1, self.max_attempts)]
 
 
 @dataclass
@@ -175,17 +176,6 @@ def _pool_point(x: object, index: int, attempt: int,
     """Worker-side wrapper over the initializer-installed callable."""
     assert _WORKER_RUN is not None
     return _execute_point(_WORKER_RUN, x, index, attempt, faults)
-
-
-def _pool_chunk(items: "list[tuple[int, object, int]]"):
-    """Run several ``(index, x, attempt)`` points in one worker call.
-
-    Used only by the fault-free, timeout-free fast path, where per-point
-    preemption and attribution are unnecessary -- one submission per
-    chunk removes most of the executor's IPC and future overhead."""
-    assert _WORKER_RUN is not None
-    return [_execute_point(_WORKER_RUN, x, index, attempt, None)
-            for index, x, attempt in items]
 
 
 def _execute_point(run: Callable, x: object, index: int, attempt: int,
@@ -338,6 +328,28 @@ class _Executor:
         self.outcomes: list[PointOutcome | None] = [None] * len(self.xs)
         self.payloads: list = [None] * len(self.xs)
         self._abort: SweepPointError | None = None
+        # Pool-loop state: points ready to submit, points backing off
+        # before a retry (a heap of ``(ready_at, tie_break, task)``), the
+        # in-flight futures, and the finished ones in completion order
+        # (put there by their done-callbacks, so a pass costs
+        # O(finished), not O(in flight)).
+        self._queue: deque[_Task] = deque()
+        self._delayed: list[tuple[float, int, _Task]] = []
+        self._order = itertools.count()
+        self._pending: dict = {}
+        self._done: SimpleQueue = SimpleQueue()
+        self._pool_restarts = 0
+
+    def execute(self) -> ExecutionReport:
+        if self.jobs <= 1:
+            self._execute_serial()
+        else:
+            self._execute_parallel()
+        if self._abort is not None:
+            raise self._abort
+        return ExecutionReport(outcomes=list(self.outcomes),
+                               payloads=list(self.payloads),
+                               registry=self.registry)
 
     # -- shared bookkeeping ------------------------------------------------
 
@@ -388,7 +400,7 @@ class _Executor:
 
     # -- serial path -------------------------------------------------------
 
-    def _execute_serial(self) -> ExecutionReport:
+    def _execute_serial(self) -> None:
         for index, x in enumerate(self.xs):
             task = _Task(index=index, x=x)
             while True:
@@ -400,127 +412,48 @@ class _Executor:
                 if delay > 0:
                     time.sleep(delay)
             if self._abort is not None:
-                raise self._abort
-        return ExecutionReport(outcomes=list(self.outcomes),
-                               payloads=list(self.payloads),
-                               registry=self.registry)
+                return
 
-    # -- parallel path -----------------------------------------------------
+    # -- pool path ---------------------------------------------------------
 
-    def execute(self) -> ExecutionReport:
-        if self.jobs <= 1:
-            return self._execute_serial()
-        if self.policy.timeout is None and self.policy.faults is None:
-            # Nothing needs per-point preemption or kill attribution:
-            # take the chunked fast path (one future per chunk of
-            # points, not one per point).
-            return self._execute_chunked()
-        return self._execute_parallel()
+    def _execute_parallel(self) -> None:
+        """Run every point as its own future on a process pool.
+
+        Each pass moves due retries onto the queue, submits the queue,
+        and collects whatever finished within :data:`POLL_INTERVAL`.  A
+        broken pool, or a point over the policy's timeout, tears the
+        pool down and rebuilds it (:meth:`_restart`)."""
+        queue, delayed, pending = self._queue, self._delayed, self._pending
+        queue.extend(_Task(index=i, x=x) for i, x in enumerate(self.xs))
+        pool = self._new_pool()
+        try:
+            while self._abort is None and (queue or delayed or pending):
+                now = time.monotonic()
+                while delayed and delayed[0][0] <= now:
+                    queue.append(heapq.heappop(delayed)[2])
+                broken = self._submit_queue(pool)
+                if not broken and pending:
+                    broken = self._collect_done()
+                elif not pending and delayed:
+                    time.sleep(min(max(0.0, delayed[0][0] - now),
+                                   BACKOFF_MAX))
+                if broken:
+                    cause = "broken"
+                elif self.policy.timeout is not None and self._time_out_hung():
+                    cause = "timeout"
+                else:
+                    continue
+                restarted = self._restart(pool, cause)
+                if restarted is None:
+                    break
+                pool = restarted
+        finally:
+            self._kill_pool(pool)
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.jobs,
                                    initializer=_init_worker,
                                    initargs=(self.run, self.warmup))
-
-    # -- chunked fast path (no timeout, no faults) -------------------------
-
-    def _execute_chunked(self) -> ExecutionReport:
-        """One future per *chunk* of points instead of one per point.
-
-        Eligible only when the policy carries no per-point timeout and no
-        fault plan, so a chunk never needs to be preempted or its worker
-        death attributed to one point.  Chunks are dealt round-robin
-        (``tasks[i::n]``), balancing mixed point sizes across workers;
-        retries of failing points are resubmitted as single-point chunks.
-        A broken pool is rebuilt (bounded by ``max_pool_restarts``) with
-        every in-flight point requeued and charged one pool failure,
-        matching the per-point path's quarantine accounting."""
-        policy = self.policy
-        pool = self._new_pool()
-        restarts = 0
-        try:
-            tasks = [_Task(index=i, x=x) for i, x in enumerate(self.xs)]
-            nchunks = max(1, min(len(tasks), self.jobs * 2))
-            pending: dict = {}
-            for chunk in (tasks[i::nchunks] for i in range(nchunks)):
-                if not chunk:
-                    continue
-                future = pool.submit(
-                    _pool_chunk,
-                    [(t.index, t.x, t.attempt) for t in chunk])
-                pending[future] = chunk
-            while pending:
-                if self._abort is not None:
-                    break
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                retry_tasks: list[_Task] = []
-                broken = False
-                for future in done:
-                    chunk = pending.pop(future)
-                    try:
-                        results = future.result()
-                    except (BrokenProcessPool, RuntimeError):
-                        broken = True
-                        retry_tasks.extend(self._survive_chunk_break(chunk))
-                        continue
-                    except Exception as exc:  # noqa: BLE001
-                        for task in chunk:
-                            retry, _ = self._record_failure(
-                                task, _REASON_RAISE,
-                                f"point {task.index} (x={task.x!r}) "
-                                f"failed in the pool: {exc}")
-                            if retry:
-                                retry_tasks.append(task)
-                        continue
-                    for task, result in zip(chunk, results):
-                        retry, delay = self._handle_result(task, result)
-                        if retry:
-                            if delay > 0:
-                                time.sleep(delay)
-                            retry_tasks.append(task)
-                if broken:
-                    restarts += 1
-                    self._restarts.inc(cause="broken")
-                    for future, chunk in list(pending.items()):
-                        retry_tasks.extend(self._survive_chunk_break(chunk))
-                    pending.clear()
-                    self._kill_pool(pool)
-                    if restarts > policy.max_pool_restarts:
-                        for task in retry_tasks:
-                            task.last_error = (
-                                task.last_error or
-                                "worker pool kept breaking; sweep gave up")
-                            self._finalize(task, STATUS_FAILED)
-                        break
-                    pool = self._new_pool()
-                for task in retry_tasks:
-                    future = pool.submit(
-                        _pool_chunk, [(task.index, task.x, task.attempt)])
-                    pending[future] = [task]
-        finally:
-            self._kill_pool(pool)
-        if self._abort is not None:
-            raise self._abort
-        return ExecutionReport(outcomes=list(self.outcomes),
-                               payloads=list(self.payloads),
-                               registry=self.registry)
-
-    def _survive_chunk_break(self, chunk: "list[_Task]") -> "list[_Task]":
-        """Charge each point of a chunk caught in a pool death one pool
-        failure; returns the points still eligible for requeue."""
-        survivors = []
-        for task in chunk:
-            if self.outcomes[task.index] is not None:
-                continue  # already finalized before the break
-            task.pool_failures += 1
-            if task.pool_failures >= self.policy.max_attempts:
-                task.last_error = (
-                    f"point {task.index} (x={task.x!r}) was in flight for "
-                    f"{task.pool_failures} worker-pool deaths")
-                self._finalize(task, STATUS_QUARANTINED)
-                continue
-            survivors.append(task)
-        return survivors
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -533,178 +466,132 @@ class _Executor:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _unfinished(self, pending: dict, queue: deque,
-                    delayed: list) -> list[_Task]:
-        tasks = list(pending.values())
-        tasks += [task for task in queue]
-        tasks += [task for _, _, task in delayed]
-        pending.clear()
-        queue.clear()
-        delayed.clear()
-        return tasks
+    def _retry_later(self, task: _Task, ready_at: float) -> None:
+        heapq.heappush(self._delayed, (ready_at, next(self._order), task))
 
-    def _requeue_after_break(self, tasks: list[_Task], queue: deque,
-                             now: float, delayed: list,
-                             order: "itertools.count") -> None:
-        """Requeue survivors of a pool death, attributing the death via
-        the fault plan when one is present."""
-        faults = self.policy.faults
-        attributed = faults is not None and any(
-            faults.kills(task.index, task.attempt) for task in tasks)
-        for task in tasks:
+    def _submit_queue(self, pool: ProcessPoolExecutor) -> bool:
+        """Submit every queued point; True when the pool is broken."""
+        queue = self._queue
+        while queue:
+            task = queue.popleft()
+            try:
+                future = pool.submit(_pool_point, task.x, task.index,
+                                     task.attempt, self.policy.faults)
+            except (BrokenProcessPool, RuntimeError):
+                queue.appendleft(task)
+                return True
             task.started_at = None
-            if faults is not None and faults.kills(task.index, task.attempt):
-                retry, delay = self._record_failure(
-                    task, _REASON_KILL,
-                    f"point {task.index} (x={task.x!r}) killed its worker "
-                    f"(attempt {task.attempt})")
-                if retry:
-                    delayed.append((now + delay, next(order), task))
-                continue
-            if attributed:
-                # The plan names the killer; this point is innocent.
-                queue.append(task)
-                continue
-            task.pool_failures += 1
-            if task.pool_failures >= self.policy.max_attempts:
-                task.last_error = (
-                    f"point {task.index} (x={task.x!r}) was in flight for "
-                    f"{task.pool_failures} worker-pool deaths")
-                self._finalize(task, STATUS_QUARANTINED)
-                continue
-            queue.append(task)
+            self._pending[future] = task
+            future.add_done_callback(self._done.put)
+        return False
 
-    def _execute_parallel(self) -> ExecutionReport:
-        policy = self.policy
-        queue: deque[_Task] = deque(
-            _Task(index=i, x=x) for i, x in enumerate(self.xs))
-        delayed: list[tuple[float, int, _Task]] = []
-        order = itertools.count()  # tie-break for identical ready times
-        pending: dict = {}
-        restarts = 0
-        pool = self._new_pool()
+    def _collect_done(self) -> bool:
+        """Handle the futures that finish within one poll interval; True
+        when one reports a broken pool (it stays pending, to be requeued
+        with the rest)."""
+        pending = self._pending
         try:
-            while queue or delayed or pending:
-                if self._abort is not None:
-                    break
-                now = time.monotonic()
-                if delayed:
-                    delayed.sort()
-                    while delayed and delayed[0][0] <= now:
-                        queue.append(delayed.pop(0)[2])
-                broken = False
-                while queue:
-                    task = queue.popleft()
-                    try:
-                        future = pool.submit(
-                            _pool_point, task.x, task.index,
-                            task.attempt, policy.faults)
-                    except (BrokenProcessPool, RuntimeError):
-                        queue.appendleft(task)
-                        broken = True
-                        break
-                    task.started_at = None
-                    pending[future] = task
-                if not broken and pending:
-                    timeout = policy.poll_interval
-                    if delayed and not pending:
-                        timeout = max(0.0, delayed[0][0] - now)
-                    done, _ = wait(pending, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-                    now = time.monotonic()
-                    for future in done:
-                        task = pending.pop(future)
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            pending[future] = task  # requeued with the rest
-                            break
-                        except Exception as exc:  # noqa: BLE001
-                            retry, delay = self._record_failure(
-                                task, _REASON_RAISE,
-                                f"point {task.index} (x={task.x!r}) "
-                                f"failed in the pool: {exc}")
-                            if retry:
-                                delayed.append((now + delay, next(order),
-                                                task))
-                            continue
-                        retry, delay = self._handle_result(task, result)
-                        if retry:
-                            delayed.append((now + delay, next(order), task))
-                elif not pending and delayed:
-                    delayed.sort()
-                    sleep_for = max(0.0, delayed[0][0] - time.monotonic())
-                    if sleep_for:
-                        time.sleep(min(sleep_for, policy.backoff_max))
-                if broken:
-                    restarts += 1
-                    self._restarts.inc(cause="broken")
-                    if restarts > policy.max_pool_restarts:
-                        self._give_up(pending, queue, delayed)
-                        break
-                    tasks = self._unfinished(pending, queue, delayed)
-                    self._kill_pool(pool)
-                    self._requeue_after_break(tasks, queue,
-                                              time.monotonic(), delayed,
-                                              order)
-                    pool = self._new_pool()
-                    continue
-                if policy.timeout is not None and pending:
-                    self._check_timeouts(pending, queue, delayed, order)
-                    if self._needs_restart:
-                        self._needs_restart = False
-                        restarts += 1
-                        self._restarts.inc(cause="timeout")
-                        if restarts > policy.max_pool_restarts:
-                            self._give_up(pending, queue, delayed)
-                            break
-                        tasks = self._unfinished(pending, queue, delayed)
-                        self._kill_pool(pool)
-                        for task in tasks:
-                            task.started_at = None
-                            queue.append(task)
-                        pool = self._new_pool()
-        finally:
-            self._kill_pool(pool)
-        if self._abort is not None:
-            raise self._abort
-        return ExecutionReport(outcomes=list(self.outcomes),
-                               payloads=list(self.payloads),
-                               registry=self.registry)
+            done = [self._done.get(timeout=POLL_INTERVAL)]
+        except Empty:
+            return False
+        while not self._done.empty():
+            done.append(self._done.get())
+        now = time.monotonic()
+        for future in done:
+            task = pending.pop(future, None)
+            if task is None:
+                continue  # a future of a pool torn down since
+            try:
+                result = future.result()
+            except BrokenProcessPool:
+                pending[future] = task
+                return True
+            except Exception as exc:  # noqa: BLE001
+                retry, delay = self._record_failure(
+                    task, _REASON_RAISE,
+                    f"point {task.index} (x={task.x!r}) "
+                    f"failed in the pool: {exc}")
+            else:
+                retry, delay = self._handle_result(task, result)
+            if retry:
+                self._retry_later(task, now + delay)
+        return False
 
-    _needs_restart = False
+    def _time_out_hung(self) -> bool:
+        """Declare over-deadline running futures hung; True when any was.
 
-    def _check_timeouts(self, pending: dict, queue: deque, delayed: list,
-                        order: "itertools.count") -> None:
-        """Declare over-deadline running futures hung.
-
-        The hung tasks take an attributed timeout failure; everything
+        The hung points take an attributed timeout failure; everything
         else in flight is requeued untouched once the pool is rebuilt.
         """
         now = time.monotonic()
         hung: list = []
-        for future, task in pending.items():
+        for future, task in self._pending.items():
             if task.started_at is None and future.running():
                 task.started_at = now
             elif (task.started_at is not None
                   and now - task.started_at > self.policy.timeout):
                 hung.append(future)
-        if not hung:
-            return
         for future in hung:
-            task = pending.pop(future)
+            task = self._pending.pop(future)
             retry, delay = self._record_failure(
                 task, _REASON_TIMEOUT,
                 f"point {task.index} (x={task.x!r}) exceeded the "
                 f"{self.policy.timeout}s wall-clock timeout "
                 f"(attempt {task.attempt})")
             if retry:
-                delayed.append((now + delay, next(order), task))
-        self._needs_restart = True
+                self._retry_later(task, now + delay)
+        return bool(hung)
 
-    def _give_up(self, pending: dict, queue: deque, delayed: list) -> None:
-        for task in self._unfinished(pending, queue, delayed):
-            task.last_error = (task.last_error or
-                               "worker pool kept breaking; sweep gave up")
-            self._finalize(task, STATUS_FAILED)
+    def _restart(self, pool: ProcessPoolExecutor,
+                 cause: str) -> ProcessPoolExecutor | None:
+        """Rebuild the pool after a break or a hang, requeueing every
+        unfinished point.  Past :data:`MAX_POOL_RESTARTS` the sweep gives
+        up instead: every unfinished point fails, and None is returned."""
+        self._pool_restarts += 1
+        self._restarts.inc(cause=cause)
+        tasks = list(self._pending.values()) + list(self._queue)
+        tasks += [task for _, _, task in sorted(self._delayed)]
+        self._pending.clear()
+        self._queue.clear()
+        self._delayed.clear()
+        if self._pool_restarts > MAX_POOL_RESTARTS:
+            for task in tasks:
+                task.last_error = (task.last_error or
+                                   "worker pool kept breaking; sweep gave up")
+                self._finalize(task, STATUS_FAILED)
+            return None
+        self._kill_pool(pool)
+        if cause == "broken":
+            self._requeue_after_break(tasks)
+        else:
+            self._queue.extend(tasks)
+        return self._new_pool()
+
+    def _requeue_after_break(self, tasks: list[_Task]) -> None:
+        """Requeue survivors of a pool death.  A fault plan attributes
+        the death to its killer and spares the innocent; without one,
+        every point caught in the break is charged a pool failure and
+        quarantined at ``max_attempts`` of them."""
+        faults = self.policy.faults
+        killers = {task.index for task in tasks
+                   if faults is not None
+                   and faults.kills(task.index, task.attempt)}
+        now = time.monotonic()
+        for task in tasks:
+            if task.index in killers:
+                retry, delay = self._record_failure(
+                    task, _REASON_KILL,
+                    f"point {task.index} (x={task.x!r}) killed its worker "
+                    f"(attempt {task.attempt})")
+                if retry:
+                    self._retry_later(task, now + delay)
+                continue
+            if not killers:
+                task.pool_failures += 1
+                if task.pool_failures >= self.policy.max_attempts:
+                    task.last_error = (
+                        f"point {task.index} (x={task.x!r}) was in flight "
+                        f"for {task.pool_failures} worker-pool deaths")
+                    self._finalize(task, STATUS_QUARANTINED)
+                    continue
+            self._queue.append(task)

@@ -1,4 +1,4 @@
-"""Parameter-sweep utilities (numpy-backed).
+"""Parameter-sweep utilities.
 
 The figure-style benches all share a shape: vary one parameter, run a
 deterministic simulation per point (optionally over several seeds), and
@@ -6,11 +6,11 @@ extract metrics.  These helpers centralize that, with seed statistics for
 the stochastic workload generators.
 
 Sweep points are independent simulations, so they parallelize trivially:
-``Sweep.execute(jobs=N)`` (or :func:`run_sweep_parallel`) fans the points
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  The ``run``
-callable must then be picklable -- a module-level function, not a lambda
-or closure; metric extraction always happens in the parent process, so
-the ``metrics`` callables are unconstrained.
+``Sweep.execute(jobs=N)`` fans the points out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  The ``run`` callable
+must then be picklable -- a module-level function, not a lambda or
+closure; metric extraction always happens in the parent process, so the
+``metrics`` callables are unconstrained.
 
 Per-point observability: a ``run`` callable may return an
 :class:`ObservedPoint` instead of bare stats, carrying the point's
@@ -29,10 +29,9 @@ value is ``NaN``; its verdict is on :attr:`Sweep.outcomes`.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.analysis.resilient import (
     ExecutionPolicy,
@@ -52,34 +51,36 @@ class ObservedPoint:
     obs: ObsResult | None = None
 
 
+def _ratio(a: float, b: float) -> float:
+    """``a / b``, where x/0 is a signed infinity and 0/0 is NaN -- not
+    +inf, which would smuggle a "ratio" out of two empty measurements."""
+    if b != 0:
+        return a / b
+    if a == 0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a)
+
+
 @dataclass
 class SweepSeries:
     """One metric's values along a sweep."""
 
     name: str
-    xs: np.ndarray
-    values: np.ndarray
+    xs: list[float]
+    values: list[float]
 
-    def ratio_to(self, other: "SweepSeries") -> np.ndarray:
-        if not np.array_equal(self.xs, other.xs):
+    def ratio_to(self, other: "SweepSeries") -> list[float]:
+        if list(self.xs) != list(other.xs):
             raise ValueError("series sampled at different points")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # x/0 is a signed infinity, 0/0 is NaN -- not +inf, which
-            # used to smuggle a "ratio" out of two empty measurements.
-            return np.where(
-                other.values != 0,
-                self.values / other.values,
-                np.where(self.values == 0, np.nan,
-                         np.sign(self.values) * np.inf),
-            )
+        return [_ratio(a, b) for a, b in zip(self.values, other.values)]
 
     @property
     def monotone_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.values) >= 0))
+        return all(b >= a for a, b in zip(self.values, self.values[1:]))
 
     @property
     def monotone_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.values) <= 0))
+        return all(b <= a for a, b in zip(self.values, self.values[1:]))
 
 
 @dataclass
@@ -158,33 +159,16 @@ class Sweep:
         self.observations = [
             r.obs if isinstance(r, ObservedPoint) else None for r in results
         ]
-        xs = np.asarray(list(self.xs), dtype=float)
+        xs = [float(x) for x in self.xs]
         return {
             name: SweepSeries(
                 name=name, xs=xs,
-                values=np.asarray([float(extract(stats))
-                                   if stats is not None else math.nan
-                                   for stats in stats_list],
-                                  dtype=float),
+                values=[float(extract(stats))
+                        if stats is not None else math.nan
+                        for stats in stats_list],
             )
             for name, extract in self.metrics.items()
         }
-
-
-def run_sweep_parallel(sweep: Sweep, jobs: int,
-                       policy: ExecutionPolicy | None = None,
-                       warmup: Callable | None = None,
-                       progress: Callable | None = None
-                       ) -> dict[str, SweepSeries]:
-    """Execute ``sweep`` with its points distributed over ``jobs`` worker
-    processes (serial when ``jobs <= 1``).
-
-    Results are identical to :meth:`Sweep.execute`: each point is a
-    deterministic, independent simulation, and the series preserve sweep
-    order regardless of completion order.
-    """
-    return sweep.execute(jobs=jobs, policy=policy, warmup=warmup,
-                         progress=progress)
 
 
 @dataclass(frozen=True)
@@ -209,11 +193,11 @@ def over_seeds(
     """Run once per seed and summarize the extracted metric."""
     if not seeds:
         raise ValueError("need at least one seed")
-    values = np.asarray([float(extract(run(seed))) for seed in seeds])
+    values = [float(extract(run(seed))) for seed in seeds]
     return SeedStatistics(
-        mean=float(values.mean()),
-        std=float(values.std(ddof=1)) if len(values) > 1 else 0.0,
-        minimum=float(values.min()),
-        maximum=float(values.max()),
+        mean=statistics.fmean(values),
+        std=statistics.stdev(values) if len(values) > 1 else 0.0,
+        minimum=min(values),
+        maximum=max(values),
         n=len(values),
     )

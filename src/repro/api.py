@@ -216,18 +216,18 @@ def _check_sample_interval(sample_interval: int) -> None:
 
 
 def simulate(
-    protocol: str = "bitar-despain",
+    protocol: str | None = None,
     workload: str = "lock-contention",
     *,
-    processors: int = 4,
+    processors: int | None = None,
     config: SystemConfig | None = None,
     programs: list[Program] | None = None,
     lock_style: LockStyle | None = None,
     topology: TopologyConfig | None = None,
     words_per_block: int | None = None,
-    num_blocks: int = 64,
-    work_while_waiting: bool = False,
-    seed: int = 0,
+    num_blocks: int | None = None,
+    work_while_waiting: bool | None = None,
+    seed: int | None = None,
     check_interval: int = 0,
     sample_interval: int = 0,
     tracing: bool = False,
@@ -238,10 +238,15 @@ def simulate(
     :class:`~repro.sim.engine.Simulator`).
 
     ``topology`` selects the interconnect fabric (``None``: the single
-    snooping bus).  Pass ``config`` and/or ``programs`` for full control; otherwise the
-    convenience keywords assemble them with the CLI's defaulting rules
-    (four-word blocks except Rudolph-Segall, strict verification except
-    classic write-through, cache-lock style on the proposal).
+    snooping bus).  Without ``config``, the machine keywords
+    (``protocol``, default ``bitar-despain``; ``processors``, default 4;
+    ``topology``, ``words_per_block``, ``num_blocks``, default 64;
+    ``work_while_waiting`` and ``seed``) assemble one with the CLI's
+    defaulting rules (four-word blocks except Rudolph-Segall, strict
+    verification except classic write-through, cache-lock style on the
+    proposal).  ``config`` is the whole machine: passing any of those
+    keywords with it raises :class:`~repro.common.errors.ConfigError`.
+    ``programs`` replaces the named workload.
     ``sample_interval > 0`` attaches the observability layer and returns
     its result alongside the statistics.  ``tracing=True`` additionally
     records causal spans and the per-processor cycle attribution (see
@@ -253,14 +258,21 @@ def simulate(
     from repro.sim.engine import run_workload
 
     _check_sample_interval(sample_interval)
+    machine = {"processors": processors, "topology": topology,
+               "words_per_block": words_per_block, "num_blocks": num_blocks,
+               "work_while_waiting": work_while_waiting, "seed": seed}
     if config is None:
         config = _build_config(
-            protocol, processors=processors, topology=topology,
-            words_per_block=words_per_block, num_blocks=num_blocks,
-            work_while_waiting=work_while_waiting, seed=seed,
-        )
+            "bitar-despain" if protocol is None else protocol,
+            **{k: v for k, v in machine.items() if v is not None})
     else:
-        protocol = config.protocol
+        given = [k for k, v in {"protocol": protocol, **machine}.items()
+                 if v is not None]
+        if given:
+            raise ConfigError(
+                f"simulate: {', '.join(given)} cannot be combined with "
+                f"config= (set it on the SystemConfig)")
+    protocol = config.protocol
     style_label: str | None = None
     if programs is None:
         programs = build_workload(workload, config, lock_style)
@@ -419,7 +431,7 @@ def sweep(
 
 
 def attribute(
-    protocol: str = "bitar-despain",
+    protocol: str | None = None,
     workload: str = "lock-contention",
     **kwargs,
 ):

@@ -483,8 +483,9 @@ class SnoopingCache:
             return CompletionInfo(outcome=Outcome.REBUS)
 
         if txn.op is BusOp.MEMORY_RMW:
-            self._apply_memory_rmw(pending, txn)
-            return CompletionInfo(outcome=Outcome.DONE)
+            return CompletionInfo(
+                outcome=Outcome.DONE,
+                victim_flush_words=self._apply_memory_rmw(pending, txn))
 
         result = self.protocol.after_txn(pending, txn, response, data)
 
@@ -583,14 +584,24 @@ class SnoopingCache:
                 self.obs.record_unlock_queued(self.id, line.block, self.now())
         line.state = CacheState.WRITE_DIRTY
 
-    def _apply_memory_rmw(self, pending: PendingAccess, txn: BusTransaction) -> None:
+    def _apply_memory_rmw(self, pending: PendingAccess, txn: BusTransaction) -> int:
         """Memory-hold RMW (Feature 6, first method): read-modify-write the
         word in main memory while holding bus and memory; the data is not
-        cached, and any local copy is now stale."""
-        assert self.memory is not None
+        cached, and any local copy is now stale.
+
+        A dirty local copy is the latest data, so it is written back
+        before the read; returns the words flushed, which the bus charges
+        as it charges a victim flush."""
+        assert self.memory is not None and self.protocol is not None
         op = pending.op
         assert op.rmw is not None and op.addr is not None
         offset = self.offset(op.addr)
+        line = self.line_for(txn.block)
+        flush_words = 0
+        if line is not None and self.protocol.purge_needs_flush(line):
+            self.memory.write_block(txn.block, line.snapshot())
+            self.stats.flushes += 1
+            flush_words = self._flush_word_count(line)
         old_stamp = self.memory.read_word(txn.block, offset)
         old_value = self.stamp_clock.value_of(old_stamp)
         new_value = op.rmw(old_value)
@@ -603,12 +614,12 @@ class SnoopingCache:
             if self.oracle is not None:
                 self.oracle.record_write(op.addr, stamp)
             op.result = 1
-        line = self.line_for(txn.block)
-        if line is not None and line.valid:
+        if line is not None:
             self.invalidate_line(line)
         pending.request = None
         pending.ready = True
         self._sync_request()
+        return flush_words
 
     def finish_bus_release(self) -> None:
         """Called by the bus when this port's transaction occupancy ends."""

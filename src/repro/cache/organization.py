@@ -86,6 +86,31 @@ class CacheArray:
     def set_of(self, block: BlockAddr) -> list[CacheLine]:
         return list(self._sets[self._set_index(block)])
 
+    def signature(self) -> tuple:
+        """Canonical behavioural state of the array, for the model
+        checker's fingerprints: each set's frames (tag, state value, word
+        stamps, sub-block dirty and valid bits) with the set's LRU rank
+        order -- the order, not the absolute cycles, picks future
+        victims."""
+        sets_sig = []
+        for frames in self._sets:
+            rank = tuple(sorted(range(len(frames)),
+                                key=lambda i: frames[i].last_used))
+            lines = tuple(
+                (
+                    line.block,
+                    line.state.value,
+                    tuple(line.words),
+                    tuple(line.unit_dirty)
+                    if line.unit_dirty is not None else None,
+                    tuple(line.unit_valid)
+                    if line.unit_valid is not None else None,
+                )
+                for line in frames
+            )
+            sets_sig.append((lines, rank))
+        return tuple(sets_sig)
+
     @property
     def capacity(self) -> int:
         return self.config.num_blocks

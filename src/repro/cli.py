@@ -812,9 +812,8 @@ def command_scenario(args: argparse.Namespace) -> int:
         config = api._build_config(args.protocol,
                                    processors=args.processors)
         programs = compile_scenario(spec, config, lock_style=style)
-        result = api.simulate(args.protocol, workload=spec.name,
-                              config=config, programs=programs,
-                              lock_style=style)
+        result = api.simulate(workload=spec.name, config=config,
+                              programs=programs, lock_style=style)
         if args.json:
             print(result.stats.to_json())
             return 0

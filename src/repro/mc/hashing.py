@@ -87,30 +87,10 @@ def _pending_sig(pending) -> tuple | None:
     )
 
 
-def _array_sig(array) -> tuple:
-    sets_sig = []
-    for frames in array._sets:
-        # LRU *rank order* (not absolute cycles) decides future victims.
-        rank = tuple(sorted(range(len(frames)),
-                            key=lambda i: frames[i].last_used))
-        lines = tuple(
-            (
-                line.block,
-                line.state.value,
-                tuple(line.words),
-                tuple(line.unit_dirty) if line.unit_dirty is not None else None,
-                tuple(line.unit_valid) if line.unit_valid is not None else None,
-            )
-            for line in frames
-        )
-        sets_sig.append((lines, rank))
-    return tuple(sets_sig)
-
-
 def _cache_sig(cache) -> tuple:
     return (
         cache.id,
-        _array_sig(cache.array),
+        cache.array.signature(),
         (cache.busy_wait.phase.value, cache.busy_wait.block),
         _pending_sig(cache._pending),
         tuple((_need_sig(need), block) for need, block in cache._detached),

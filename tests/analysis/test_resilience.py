@@ -1,16 +1,20 @@
 """The resilient sweep executor under injected chaos.
 
-Every test drives :func:`repro.analysis.resilient.execute_points` with a
+The tests drive :func:`repro.analysis.resilient.execute_points` with a
 seeded :class:`~repro.faults.FaultPlan`; the assertions are exact
 because the whole fault/retry/backoff pipeline is deterministic for a
-fixed seed.
+fixed seed.  One test kills a worker with no plan at all, where only
+the killer's verdict is deterministic.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.analysis.resilient import (
+    BACKOFF_JITTER,
+    BACKOFF_MAX,
     POINT_STATUSES,
     ExecutionPolicy,
     execute_points,
@@ -28,15 +32,25 @@ def _square(x):
                             workload="lock-contention")
 
 
-def _policy(**kwargs):
-    defaults = dict(backoff_base=0.01, backoff_max=0.05, poll_interval=0.02)
-    defaults.update(kwargs)
-    return ExecutionPolicy(**defaults)
+def _lock_point(n):
+    """A real point whose stats depend on ``x`` (``n`` processors)."""
+    from repro import api
+
+    return api._sweep_point(n, protocol="bitar-despain",
+                            workload="lock-contention")
+
+
+def _dies_at_three(n):
+    """Takes its worker process down at x=3 with no fault plan: the
+    executor sees a bare broken pool, with nothing to attribute it."""
+    if n == 3:
+        os._exit(1)
+    return _lock_point(n)
 
 
 class TestSerial:
     def test_clean_run(self):
-        report = execute_points(_square, [2, 3], policy=_policy())
+        report = execute_points(_square, [2, 3], policy=ExecutionPolicy())
         assert report.ok
         assert [o.status for o in report.outcomes] == ["ok", "ok"]
         assert all(p is not None for p in report.payloads)
@@ -44,7 +58,7 @@ class TestSerial:
     def test_raise_retried_to_success(self):
         plan = FaultPlan.parse("raise@1")
         report = execute_points(_square, [2, 3, 4],
-                                policy=_policy(faults=plan))
+                                policy=ExecutionPolicy(faults=plan))
         assert report.ok
         assert report.outcomes[1].attempts == 2
         assert report.summary()["retries"] == {"raise": 1}
@@ -52,14 +66,14 @@ class TestSerial:
     def test_corrupt_stats_rejected_and_retried(self):
         plan = FaultPlan.parse("corrupt@0")
         report = execute_points(_square, [2, 3],
-                                policy=_policy(faults=plan))
+                                policy=ExecutionPolicy(faults=plan))
         assert report.ok
         assert report.summary()["retries"] == {"corrupt": 1}
 
     def test_exhausted_point_raises_sweep_point_error(self):
         plan = FaultPlan.parse("raise@1:*")
         with pytest.raises(SweepPointError) as info:
-            execute_points(_square, [2, 3], policy=_policy(
+            execute_points(_square, [2, 3], policy=ExecutionPolicy(
                 faults=plan, max_attempts=2))
         assert info.value.index == 1
         assert info.value.x == 3
@@ -67,7 +81,7 @@ class TestSerial:
 
     def test_keep_going_returns_partial_results(self):
         plan = FaultPlan.parse("raise@1:*")
-        report = execute_points(_square, [2, 3, 4], policy=_policy(
+        report = execute_points(_square, [2, 3, 4], policy=ExecutionPolicy(
             faults=plan, max_attempts=2, keep_going=True))
         assert not report.ok
         assert [o.status for o in report.outcomes] == ["ok", "failed", "ok"]
@@ -80,7 +94,7 @@ class TestSerial:
         # Killing the orchestrator's own process would end the test
         # run; the serial path must degrade KILL to RAISE instead.
         plan = FaultPlan.parse("kill@0")
-        report = execute_points(_square, [2], policy=_policy(faults=plan))
+        report = execute_points(_square, [2], policy=ExecutionPolicy(faults=plan))
         assert report.ok
         assert report.outcomes[0].attempts == 2
 
@@ -89,7 +103,7 @@ class TestParallelChaos:
     def test_kill_breaks_and_respawns_the_pool(self):
         plan = FaultPlan.parse("kill@1")
         report = execute_points(_square, [2, 3, 4, 5], jobs=2,
-                                policy=_policy(faults=plan))
+                                policy=ExecutionPolicy(faults=plan))
         assert report.ok
         summary = report.summary()
         assert summary["retries"] == {"kill": 1}
@@ -98,7 +112,7 @@ class TestParallelChaos:
     def test_hang_times_out_and_recovers(self):
         plan = FaultPlan.parse("hang@2", hang_seconds=60.0)
         report = execute_points(_square, [2, 3, 4], jobs=2,
-                                policy=_policy(faults=plan, timeout=1.0))
+                                policy=ExecutionPolicy(faults=plan, timeout=1.0))
         assert report.ok
         summary = report.summary()
         assert summary["retries"] == {"timeout": 1}
@@ -106,11 +120,25 @@ class TestParallelChaos:
 
     def test_persistent_killer_quarantined_others_survive(self):
         plan = FaultPlan.parse("kill@1:*")
-        report = execute_points(_square, [2, 3, 4], jobs=2, policy=_policy(
+        report = execute_points(_square, [2, 3, 4], jobs=2, policy=ExecutionPolicy(
             faults=plan, max_attempts=2, keep_going=True))
         assert [o.status for o in report.outcomes] == \
             ["ok", "quarantined", "ok"]
         assert report.payloads[1] is None
+
+    def test_unattributed_worker_death_is_quarantined(self):
+        # No fault plan: the pool just breaks.  Every point in flight is
+        # charged the death, so the killer is quarantined; whether an
+        # innocent neighbour is also charged depends on timing.
+        xs = [2, 3, 4, 5]
+        report = execute_points(_dies_at_three, xs, jobs=2,
+                                policy=ExecutionPolicy(keep_going=True))
+        assert report.outcomes[1].status == "quarantined"
+        assert report.payloads[1] is None
+        assert report.summary()["pool_restarts"]["broken"] >= 1
+        for x, outcome, payload in zip(xs, report.outcomes, report.payloads):
+            if outcome.ok:
+                assert payload.to_payload() == _lock_point(x).to_payload()
 
     def test_acceptance_kill_plus_hang(self):
         # The ISSUE acceptance scenario: one SIGKILL, one hang, four
@@ -118,7 +146,7 @@ class TestParallelChaos:
         # restart per cause.
         plan = FaultPlan.parse("kill@1,hang@2", hang_seconds=60.0)
         report = execute_points(_square, [2, 3, 4, 5], jobs=2,
-                                policy=_policy(faults=plan, timeout=2.0,
+                                policy=ExecutionPolicy(faults=plan, timeout=2.0,
                                                keep_going=True))
         assert report.ok
         assert report.summary() == {
@@ -130,16 +158,20 @@ class TestParallelChaos:
 
 class TestDeterminism:
     def test_backoff_schedule_is_seeded(self):
-        policy = _policy(max_attempts=4, seed=9)
-        again = _policy(max_attempts=4, seed=9)
-        assert policy.backoff_schedule(3) == again.backoff_schedule(3)
-        assert policy.backoff_schedule(3) != policy.backoff_schedule(4)
+        def schedule(policy, index):
+            return [policy.backoff_delay(index, failures)
+                    for failures in range(1, policy.max_attempts)]
+
+        policy = ExecutionPolicy(max_attempts=4, seed=9)
+        again = ExecutionPolicy(max_attempts=4, seed=9)
+        assert schedule(policy, 3) == schedule(again, 3)
+        assert schedule(policy, 3) != schedule(policy, 4)
 
     def test_backoff_is_bounded(self):
-        policy = _policy(max_attempts=6, seed=1)
-        for delay in policy.backoff_schedule(0):
-            assert 0.0 < delay <= policy.backoff_max * (
-                1.0 + policy.backoff_jitter)
+        policy = ExecutionPolicy(max_attempts=6, seed=1)
+        for failures in range(1, policy.max_attempts):
+            delay = policy.backoff_delay(0, failures)
+            assert 0.0 < delay <= BACKOFF_MAX * (1.0 + BACKOFF_JITTER)
 
     def test_chaos_outcomes_bit_identical(self):
         def serialize(report):
@@ -151,7 +183,7 @@ class TestDeterminism:
         plan = FaultPlan.parse("kill@1,raise@0", seed=5, hang_seconds=60.0)
         runs = [
             execute_points(_square, [2, 3, 4, 5], jobs=2,
-                           policy=_policy(faults=plan, timeout=5.0,
+                           policy=ExecutionPolicy(faults=plan, timeout=5.0,
                                           seed=5, keep_going=True))
             for _ in range(2)
         ]
@@ -162,7 +194,7 @@ class TestRegistry:
     def test_counters_exported(self):
         plan = FaultPlan.parse("raise@0")
         report = execute_points(_square, [2, 3],
-                                policy=_policy(faults=plan))
+                                policy=ExecutionPolicy(faults=plan))
         snapshot = report.registry.snapshot()
         assert "sweep_point_retries_total" in snapshot
         assert "sweep_points_total" in snapshot
@@ -171,7 +203,7 @@ class TestRegistry:
 
     def test_statuses_are_known(self):
         plan = FaultPlan.parse("raise@0:*")
-        report = execute_points(_square, [2], policy=_policy(
+        report = execute_points(_square, [2], policy=ExecutionPolicy(
             faults=plan, max_attempts=2, keep_going=True))
         for outcome in report.outcomes:
             assert outcome.status in POINT_STATUSES

@@ -1,6 +1,7 @@
 """Sweep utilities."""
 
-import numpy as np
+import math
+
 import pytest
 
 from repro import SystemConfig, run_workload
@@ -9,7 +10,6 @@ from repro.analysis.sweeps import (
     Sweep,
     SweepSeries,
     over_seeds,
-    run_sweep_parallel,
 )
 from repro.workloads import interleaved_sharing, lock_contention
 
@@ -56,13 +56,13 @@ class TestParallelSweep:
 
     def test_parallel_matches_serial(self):
         serial = self._sweep().execute()
-        parallel = run_sweep_parallel(self._sweep(), jobs=2)
+        parallel = self._sweep().execute(jobs=2)
         for name in serial:
             assert list(serial[name].values) == list(parallel[name].values)
             assert list(serial[name].xs) == list(parallel[name].xs)
 
     def test_jobs_one_stays_serial(self):
-        result = run_sweep_parallel(self._sweep(), jobs=1)
+        result = self._sweep().execute(jobs=1)
         assert list(result["acquisitions"].values) == [4.0, 6.0, 8.0, 10.0]
 
     def test_execute_jobs_kwarg(self):
@@ -72,43 +72,43 @@ class TestParallelSweep:
 
 class TestSweepSeries:
     def test_ratio(self):
-        xs = np.array([1.0, 2.0])
-        a = SweepSeries("a", xs, np.array([2.0, 4.0]))
-        b = SweepSeries("b", xs, np.array([1.0, 2.0]))
+        xs = [1.0, 2.0]
+        a = SweepSeries("a", xs, [2.0, 4.0])
+        b = SweepSeries("b", xs, [1.0, 2.0])
         assert list(a.ratio_to(b)) == [2.0, 2.0]
 
     def test_ratio_guards_zero(self):
-        xs = np.array([1.0])
-        a = SweepSeries("a", xs, np.array([2.0]))
-        b = SweepSeries("b", xs, np.array([0.0]))
-        assert a.ratio_to(b)[0] == np.inf
+        xs = [1.0]
+        a = SweepSeries("a", xs, [2.0])
+        b = SweepSeries("b", xs, [0.0])
+        assert a.ratio_to(b)[0] == math.inf
 
     def test_ratio_zero_over_zero_is_nan(self):
         # 0/0 used to come out as +inf, smuggling a "ratio" out of two
         # empty measurements.
-        xs = np.array([1.0])
-        a = SweepSeries("a", xs, np.array([0.0]))
-        b = SweepSeries("b", xs, np.array([0.0]))
-        assert np.isnan(a.ratio_to(b)[0])
+        xs = [1.0]
+        a = SweepSeries("a", xs, [0.0])
+        b = SweepSeries("b", xs, [0.0])
+        assert math.isnan(a.ratio_to(b)[0])
 
     def test_ratio_negative_over_zero_is_negative_inf(self):
-        xs = np.array([1.0, 2.0])
-        a = SweepSeries("a", xs, np.array([-2.0, 3.0]))
-        b = SweepSeries("b", xs, np.array([0.0, 0.0]))
+        xs = [1.0, 2.0]
+        a = SweepSeries("a", xs, [-2.0, 3.0])
+        b = SweepSeries("b", xs, [0.0, 0.0])
         ratios = a.ratio_to(b)
-        assert ratios[0] == -np.inf
-        assert ratios[1] == np.inf
+        assert ratios[0] == -math.inf
+        assert ratios[1] == math.inf
 
     def test_mismatched_xs_rejected(self):
-        a = SweepSeries("a", np.array([1.0]), np.array([2.0]))
-        b = SweepSeries("b", np.array([2.0]), np.array([2.0]))
+        a = SweepSeries("a", [1.0], [2.0])
+        b = SweepSeries("b", [2.0], [2.0])
         with pytest.raises(ValueError):
             a.ratio_to(b)
 
     def test_monotone_flags(self):
-        xs = np.array([1.0, 2.0, 3.0])
-        up = SweepSeries("u", xs, np.array([1.0, 2.0, 3.0]))
-        down = SweepSeries("d", xs, np.array([3.0, 2.0, 1.0]))
+        xs = [1.0, 2.0, 3.0]
+        up = SweepSeries("u", xs, [1.0, 2.0, 3.0])
+        down = SweepSeries("d", xs, [3.0, 2.0, 1.0])
         assert up.monotone_increasing and not up.monotone_decreasing
         assert down.monotone_decreasing
 
@@ -184,7 +184,7 @@ class TestObservedMetricMerging:
         serial = self._sweep()
         serial.execute()
         parallel = self._sweep()
-        run_sweep_parallel(parallel, jobs=2)
+        parallel.execute(jobs=2)
         assert (parallel.registry.snapshot()["point_cycles"]
                 == serial.registry.snapshot()["point_cycles"])
 

@@ -35,6 +35,21 @@ class TestSimulate:
         assert result.config is config
         assert result.protocol == "illinois"
 
+    @pytest.mark.parametrize("keyword, value", [
+        ("protocol", "illinois"),
+        ("processors", 8),
+        ("num_blocks", 4),
+        ("seed", 5),
+        ("words_per_block", 2),
+        ("work_while_waiting", True),
+    ])
+    def test_machine_keyword_with_config_rejected(self, keyword, value):
+        # The config is the whole machine; a keyword beside it used to
+        # be dropped silently.
+        config = SystemConfig(num_processors=2, protocol="bitar-despain")
+        with pytest.raises(ConfigError, match=keyword):
+            api.simulate(config=config, **{keyword: value})
+
     def test_observed_run_attaches_obs(self):
         result = api.simulate(processors=2, sample_interval=10)
         assert result.obs is not None

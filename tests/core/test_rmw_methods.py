@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.config import CacheConfig, RmwMethod, SystemConfig
-from repro.common.errors import ConfigError, SerializationViolation
+from repro.common.errors import ConfigError
 from repro.processor import isa
 from repro.processor.isa import fetch_and_add
 from repro.processor.isa import test_and_set as tas  # avoid pytest collection
@@ -213,24 +213,10 @@ REFUSED = {
                                       RmwMethod.OPTIMISTIC)),
 }
 
-#: Served by the table, but a contended memory-hold TTAS lock reads a
-#: stale lock word: the memory-hold RMW reads the word from memory even
-#: when the requester itself holds the block dirty (its own unlock
-#: write), then invalidates that dirty copy without a flush.
-_STALE_UNDER_MEMORY_HOLD = pytest.mark.xfail(
-    strict=True, raises=SerializationViolation,
-    reason="memory-hold RMW ignores and drops the requester's own dirty "
-           "copy (CHANGES.md FOUND line)")
-
-
 def _matrix():
     for protocol in sorted(PROTOCOLS):
         for method in RmwMethod:
-            marks = ()
-            if (method is RmwMethod.MEMORY_HOLD and protocol in
-                    ("berkeley", "goodman", "illinois", "yen")):
-                marks = (_STALE_UNDER_MEMORY_HOLD,)
-            yield pytest.param(protocol, method, marks=marks,
+            yield pytest.param(protocol, method,
                                id=f"{protocol}-{method.value}")
 
 

@@ -458,8 +458,8 @@ class TestScenarioCommands:
 
 
 class TestWithoutNumpy:
-    """numpy is a test extra: ``repro run`` and ``repro lint`` must work
-    where it is not installed (``repro sweep`` needs it)."""
+    """numpy is a test extra: ``repro run``, ``repro lint`` and
+    ``repro sweep`` must work where it is not installed."""
 
     SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -477,6 +477,7 @@ class TestWithoutNumpy:
         ["run", "--protocol", "bitar-despain",
          "--workload", "lock-contention", "-n", "8"],
         ["lint", "--all"],
+        ["sweep", "--processors", "2", "4", "--jobs", "2"],
     ])
     def test_runs_and_prints_the_same(self, argv):
         blocked = self._cli(argv, block_numpy=True)
