@@ -16,6 +16,9 @@ from repro.common.config import CacheConfig, SystemConfig
 from repro.processor.program import LockStyle, Program
 from repro.sim.engine import run_workload
 from repro.sim.stats import SimStats
+from repro.workloads.registry import (default_lock_style,
+                                      default_strict_verify,
+                                      default_words_per_block)
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,6 @@ class ComparisonRow:
         )
 
 
-def default_style(protocol: str) -> LockStyle:
-    return LockStyle.CACHE_LOCK if protocol == "bitar-despain" else LockStyle.TTAS
-
-
 def compare_protocols(
     protocols: Sequence[str],
     make_programs: Callable[[SystemConfig, LockStyle], list[Program]],
@@ -56,15 +55,16 @@ def compare_protocols(
     """Run the same logical workload on every protocol."""
     rows = []
     for protocol in protocols:
-        wpb = 1 if protocol == "rudolph-segall" else 4
         config = SystemConfig(
             num_processors=num_processors,
             protocol=protocol,
-            strict_verify=protocol != "write-through",
-            cache=CacheConfig(words_per_block=wpb, num_blocks=64),
+            strict_verify=default_strict_verify(protocol),
+            cache=CacheConfig(
+                words_per_block=default_words_per_block(protocol),
+                num_blocks=64),
             seed=seed,
         )
-        programs = make_programs(config, default_style(protocol))
+        programs = make_programs(config, default_lock_style(protocol))
         stats = run_workload(config, programs, check_interval=check_interval)
         rows.append(ComparisonRow.from_stats(protocol, stats))
     return rows

@@ -422,10 +422,13 @@ class _Executor:
         Each pass moves due retries onto the queue, submits the queue,
         and collects whatever finished within :data:`POLL_INTERVAL`.  A
         broken pool, or a point over the policy's timeout, tears the
-        pool down and rebuilds it (:meth:`_restart`)."""
+        pool down and rebuilds it (:meth:`_restart`).  A sweep that
+        finishes every point shuts its idle pool down cleanly; an abort,
+        a give-up or an exception tears it down at once."""
         queue, delayed, pending = self._queue, self._delayed, self._pending
         queue.extend(_Task(index=i, x=x) for i, x in enumerate(self.xs))
         pool = self._new_pool()
+        finished = False
         try:
             while self._abort is None and (queue or delayed or pending):
                 now = time.monotonic()
@@ -447,8 +450,13 @@ class _Executor:
                 if restarted is None:
                     break
                 pool = restarted
+            else:
+                finished = self._abort is None
         finally:
-            self._kill_pool(pool)
+            if finished:
+                pool.shutdown(wait=True)
+            else:
+                self._kill_pool(pool)
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.jobs,

@@ -41,6 +41,7 @@ from repro.processor.program import LockStyle, Program
 from repro.sim.stats import SimStats
 from repro.workloads.registry import (WORKLOADS, build_workload,
                                       default_lock_style,
+                                      default_strict_verify,
                                       default_words_per_block,
                                       effective_lock_style)
 
@@ -195,7 +196,7 @@ def _build_config(
         num_processors=processors,
         protocol=protocol,
         topology=topology,
-        strict_verify=protocol != "write-through",
+        strict_verify=default_strict_verify(protocol),
         wait_mode=WaitMode.WORK if work_while_waiting else WaitMode.SPIN,
         cache=CacheConfig(words_per_block=words_per_block,
                           num_blocks=num_blocks),
@@ -475,7 +476,7 @@ def conform(protocol: str, *, serializing: bool | None = None) -> ConformanceRep
     from repro.verify.conformance import check_conformance
 
     if serializing is None:
-        serializing = protocol != "write-through"
+        serializing = default_strict_verify(protocol)
     findings = check_conformance(protocol, serializing=serializing)
     return ConformanceReport(
         protocol=protocol,

@@ -25,7 +25,10 @@ from typing import Callable
 from repro.common.config import CacheConfig, SystemConfig, TopologyConfig
 from repro.common.errors import ConfigError, ReproError
 from repro.processor.isa import lock, read, rmw, test_and_set, unlock, write
-from repro.processor.program import LockStyle, Program
+from repro.processor.program import Program
+from repro.workloads.registry import (default_lock_style,
+                                      default_strict_verify,
+                                      default_words_per_block)
 
 #: Word addresses used by every scenario.  With four-word blocks LOCK and
 #: DATA share one block (the paper's hard atom: lock word + data words);
@@ -56,32 +59,22 @@ class Scenario:
     exhaustive: bool = True
 
 
-def lock_style_for(protocol: str) -> LockStyle:
-    """How LOCK/UNLOCK are realized on ``protocol`` (mirrors the
-    benchmark harness: the proposal uses its lock state, others spin)."""
-    return (LockStyle.CACHE_LOCK if protocol == "bitar-despain"
-            else LockStyle.TTAS)
-
-
 def _config(protocol: str, n: int, *, num_blocks: int = 8,
             assoc: int | None = None, horizon: int = 2_000,
             topology: TopologyConfig | None = None) -> SystemConfig:
-    wpb = 1 if protocol == "rudolph-segall" else 4
     return SystemConfig(
         num_processors=n,
         protocol=protocol,
-        cache=CacheConfig(words_per_block=wpb, num_blocks=num_blocks,
-                          assoc=assoc),
-        # The classic write-through scheme legitimately yields stale reads
-        # (Section F.1); everything else must serialize.
-        strict_verify=protocol != "write-through",
+        cache=CacheConfig(words_per_block=default_words_per_block(protocol),
+                          num_blocks=num_blocks, assoc=assoc),
+        strict_verify=default_strict_verify(protocol),
         deadlock_horizon=horizon,
         topology=topology,
     )
 
 
 def _lowered(protocol: str, programs: list[Program]) -> list[Program]:
-    style = lock_style_for(protocol)
+    style = default_lock_style(protocol)
     return [program.lowered(style) for program in programs]
 
 

@@ -29,7 +29,8 @@ __all__ = lazy_exports(globals(), {
         "render_comparison",
         "render_critical_path",
     ),
-    "core": ("NULL_OBS", "NullObservability", "Observability", "ObsResult"),
+    "core": ("DETACHED_OPS", "NULL_OBS", "NullObservability",
+             "Observability", "ObsResult"),
     "export": (
         "assert_valid_chrome_trace",
         "chrome_trace",
@@ -43,8 +44,8 @@ __all__ = lazy_exports(globals(), {
         "write_samples",
         "write_spans",
     ),
-    "tracing": ("DETACHED_OPS", "SPAN_KINDS", "SpanTracer"),
+    "tracing": ("SPAN_KINDS",),
     "heatmap": ("HEATMAP_METRICS", "Heatmap", "build_heatmap"),
-    "registry": ("Counter", "Gauge", "Histogram", "MetricRegistry"),
+    "registry": ("Counter", "Histogram", "MetricRegistry"),
     "sampler": ("IntervalSampler",),
 })

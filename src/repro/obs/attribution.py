@@ -4,8 +4,8 @@ sum to the processor's total cycles.
 
 The partition is derived from two independent, already bit-identical
 sources -- the engine's :class:`~repro.sim.stats.ProcessorStats`
-counters and the :class:`~repro.obs.tracing.SpanTracer` tallies (both
-are event-cycle-driven) -- so the report is itself bit-identical
+counters and the traced tier's per-processor tallies on
+:class:`~repro.obs.core.Observability` (both are event-cycle-driven) -- so the report is itself bit-identical
 between the stepped and fast-forward engines.
 
 Buckets (:data:`BUCKETS`):
@@ -50,9 +50,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.schema import stamp
+from repro.obs.core import _Tally
 
 if TYPE_CHECKING:
-    from repro.obs.tracing import SpanTracer
+    from repro.obs.core import Observability
     from repro.sim.stats import SimStats
 
 #: The exhaustive cycle buckets, in render order.
@@ -171,26 +172,23 @@ class AttributionReport:
         return "\n".join(lines)
 
 
-def compute_attribution(tracer: "SpanTracer", stats: "SimStats",
-                        protocol: str | None = None,
-                        strict: bool = True) -> AttributionReport:
+def compute_attribution(obs: "Observability", stats: "SimStats",
+                        protocol: str | None = None) -> AttributionReport:
     """Turn one traced run into an :class:`AttributionReport`.
 
-    ``strict`` (the default) also checks the intermediate identities --
-    episode stalls matching ``stall_cycles`` exactly and the window
-    decomposition staying non-negative -- not just the final sum.
+    Besides the final sum, the intermediate identities are checked too:
+    episode stalls must match ``stall_cycles`` exactly and the window
+    decomposition must stay non-negative.
     """
-    from repro.obs.tracing import _Tally
-
     per_pid = []
     for pid in sorted(stats.processors):
         pstats = stats.processors[pid]
-        tally = tracer.tallies.get(pid) or _Tally()
+        tally = obs.tallies.get(pid) or _Tally()
 
         stall_accounted = (tally.out_arb + tally.out_transfer
                            + tally.inval_wait + tally.win_stall
                            + tally.crossbar_out + tally.crossbar_in)
-        if strict and stall_accounted != pstats.stall_cycles:
+        if stall_accounted != pstats.stall_cycles:
             raise AttributionError(
                 f"cpu{pid}: episodes account for {stall_accounted} stall "
                 f"cycles, engine counted {pstats.stall_cycles}")
@@ -199,7 +197,7 @@ def compute_attribution(tracer: "SpanTracer", stats: "SimStats",
         win_stall = tally.win_stall + tally.crossbar_in
         win_compute = (win - pstats.wait_idle_cycles
                        - pstats.wait_work_cycles - win_stall)
-        if strict and win_compute < 0:
+        if win_compute < 0:
             raise AttributionError(
                 f"cpu{pid}: window decomposition negative "
                 f"(win={win}, idle={pstats.wait_idle_cycles}, "
@@ -229,8 +227,8 @@ def compute_attribution(tracer: "SpanTracer", stats: "SimStats",
         cycles=stats.cycles,
         per_pid=per_pid,
         handoffs={block: list(chain)
-                  for block, chain in sorted(tracer.handoffs.items())},
-        block_waits=dict(sorted(tracer.block_waits.items())),
+                  for block, chain in sorted(obs.handoffs.items())},
+        block_waits=dict(sorted(obs.block_waits.items())),
         protocol=protocol,
     )
     report.validate()

@@ -9,10 +9,27 @@ site is guarded by ``if obs.active:``, so with observability disabled
 (the shared :data:`NULL_OBS` null object) the hot path costs exactly
 one attribute check.
 
+The layer has two tiers:
+
+* **untraced** (always on): the metric registry, the interval sampler,
+  and the timeline slices;
+* **traced** (``tracing=True``): causal spans, request episodes, the
+  per-processor attribution tallies, the lock handoff chains and the
+  per-block wait totals (span model: :mod:`repro.obs.tracing`).
+
+Both tiers read one lock table -- open waits by processor, the last
+acquirer of each block -- so a lock wait, hold or handoff is tracked
+once; with tracing on, the same entries also open and close spans.
+Every traced hook fires on an *event* cycle (a grant, snoop, issue,
+wake, or retire), never from the per-cycle or quiet-span accounting, so
+the spans are bit-identical between the stepped and fast-forward
+engines.
+
 Outputs are collected into an :class:`ObsResult`, a plain-data bundle
 (picklable, JSON-able) of the interval sample series, the metric
-registry snapshot, and the timeline slices -- the input to the heatmap
-and exporter passes in :mod:`repro.obs.heatmap` / :mod:`repro.obs.export`.
+registry snapshot, the timeline slices, and (traced) the spans and the
+attribution report -- the input to the heatmap and exporter passes in
+:mod:`repro.obs.heatmap` / :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -25,6 +42,13 @@ from repro.obs.sampler import IntervalSampler
 
 if TYPE_CHECKING:
     from repro.sim.stats import SimStats
+
+#: Bus operations that complete detached from the issuing cache's
+#: pending access (``take_bus_transaction`` pops them ahead of it); a
+#: grant for one of these must not close the requester's open episode.
+DETACHED_OPS = frozenset({
+    "UNLOCK_BROADCAST", "FLUSH_BLOCK", "MEMORY_LOCK_WRITE",
+})
 
 
 @dataclass
@@ -76,8 +100,25 @@ class NullObservability:
 NULL_OBS = NullObservability()
 
 
+@dataclass(slots=True)
+class _Tally:
+    """Per-processor raw cycle tallies, accumulated at span close."""
+
+    out_arb: int = 0          # arbitration, out-of-window, not inval-caused
+    out_transfer: int = 0     # transfer, out-of-window, not inval-caused
+    inval_wait: int = 0       # arb+transfer of inval-forced refetch episodes
+    win_stall: int = 0        # arb+transfer of episodes posted in a window
+    win_cycles: int = 0       # total lock-wait window cycles
+    crossbar_out: int = 0     # crossbar stall outside any window
+    crossbar_in: int = 0      # crossbar stall inside a window
+    hits_out: int = 0         # local-hit issue cycles outside any window
+    episodes: int = 0
+    aborted: int = 0
+
+
 class Observability:
-    """Metric registry + interval sampler + timeline collection."""
+    """Metric registry + interval sampler + timeline collection, and
+    with ``tracing=True`` causal spans and cycle-attribution tallies."""
 
     active = True
 
@@ -90,20 +131,44 @@ class Observability:
         #: observer is one comparison, not a call into the sampler.
         self.next_advance = self.sampler.next_boundary
         self.slices: list[dict] = []
-        #: Causal span tracer (``tracing=True``); every hook below
-        #: forwards to it, and it only ever sees event cycles, so its
-        #: output is engine-independent.
-        self.tracer = None
-        if tracing:
-            from repro.obs.tracing import SpanTracer
-
-            self.tracer = SpanTracer(self.registry)
         self._stats: "SimStats | None" = None
-        #: Lock bookkeeping for handoffs, queue depth, and wait slices.
-        self._last_owner: dict[int, int] = {}
-        self._open_waits: dict[int, tuple[int, int]] = {}  # pid -> (block, start)
+        #: Whether the traced tier (spans, episodes, tallies, handoff
+        #: chains, block waits) is recorded.
+        self.tracing = tracing
+
+        # The lock table, shared by both tiers.
+        #: pid -> open wait ``[block, start, wait span]``.
+        self._waits: dict[int, list] = {}
+        #: block -> ``[last acquirer, acquisition link, last hold span
+        #: id]``; the link ``(episode id, wait span id, chain index)``
+        #: and the span id are traced only.
+        self._locks: dict[int, list] = {}
+
+        # The traced tier.
+        self.spans: list[dict] = []
+        self.tallies: dict[int, _Tally] = {}
+        #: block -> ordered acquisition chain [{pid, acquired, hold}].
+        self.handoffs: dict[int, list[dict]] = {}
+        #: block -> total cycles processors spent waiting on it.
+        self.block_waits: dict[int, int] = {}
+        self.end_cycle: int | None = None
+        self._open_txn: dict | None = None
+        self._episodes: dict[int, dict] = {}        # requester -> state
+        self._last_collect: dict[int, int] = {}     # pid -> last collect cycle
+        self._last_spin: dict[int, int] = {}        # pid -> last spin-step cycle
+        self._last_episode: dict[int, int] = {}     # pid -> last closed span id
+        self._pending_inval: dict[tuple, int] = {}  # (cache, block) -> txn id
+        self._unlock_origin: dict[int, int] = {}    # block -> releasing cache
 
         reg = self.registry
+        if tracing:
+            self._span_hist = reg.histogram(
+                "span_cycles", "span duration by kind (cycles)",
+                label_names=("kind",))
+            self._bucket_hist = reg.histogram(
+                "bucket_wait_cycles",
+                "per-episode latency by attribution bucket (cycles)",
+                label_names=("bucket",))
         self._bus_txns = reg.counter(
             "bus_txns_total", "bus transactions granted",
             label_names=("op", "bus"))
@@ -165,10 +230,10 @@ class Observability:
 
     def _gauges(self) -> dict:
         depth: dict[int, int] = {}
-        for block, _start in self._open_waits.values():
+        for block, _start, _span in self._waits.values():
             depth[block] = depth.get(block, 0) + 1
         return {
-            "lock_waiters": len(self._open_waits),
+            "lock_waiters": len(self._waits),
             "lock_queue_depth": dict(sorted(depth.items())),
         }
 
@@ -180,10 +245,139 @@ class Observability:
 
     def on_run_end(self, cycles: int) -> None:
         self.sampler.finalize(cycles)
-        if self.tracer is not None:
-            self.tracer.finalize(cycles)
+        if not self.tracing:
+            return
+        # Close anything still open, marked truncated.
+        for pid in sorted(self._episodes):
+            episode = self._episodes[pid]
+            episode["arb"] += max(0, cycles - episode["arb_since"])
+            self._close_episode(pid, episode, cycles, truncated=True)
+        for pid in sorted(self._waits):
+            self._close_window(pid, self._waits.pop(pid), cycles,
+                               "truncated")
+        self._open_txn = None
+        self.end_cycle = cycles
 
-    # -- component publication hooks ---------------------------------------
+    # -- traced-tier plumbing ----------------------------------------------
+
+    def _tally(self, pid: int) -> _Tally:
+        tally = self.tallies.get(pid)
+        if tally is None:
+            tally = self.tallies[pid] = _Tally()
+        return tally
+
+    def _span(self, kind: str, name: str, track: str, start: int,
+              dur: int = 0, parent: int | None = None,
+              cause: int | None = None, **args) -> dict:
+        span = {
+            "id": len(self.spans), "kind": kind, "name": name,
+            "track": track, "start": start, "dur": dur,
+            "parent": parent, "cause": cause, "args": args,
+        }
+        self.spans.append(span)
+        return span
+
+    def _observe(self, span: dict) -> None:
+        self._span_hist.observe(span["dur"], kind=span["kind"])
+
+    def _observe_bucket(self, bucket: str, cycles: int) -> None:
+        if cycles > 0:
+            self._bucket_hist.observe(cycles, bucket=bucket)
+
+    def _open_episode(self, pid: int, span: dict, arb_since: int,
+                      inval: bool) -> None:
+        self._episodes[pid] = {
+            "span": span, "arb_since": arb_since, "arb": 0, "transfer": 0,
+            "phases": 1, "in_window": pid in self._waits, "inval": inval,
+        }
+
+    def _close_episode(self, pid: int, episode: dict, end: int,
+                       aborted: bool = False, truncated: bool = False,
+                       rearmed: bool = False) -> None:
+        span = episode["span"]
+        span["dur"] = max(0, end - span["start"])
+        arb, transfer = episode["arb"], episode["transfer"]
+        in_window, inval = episode["in_window"], episode["inval"]
+        span["args"].update(arb=arb, transfer=transfer,
+                            phases=episode["phases"])
+        if aborted:
+            span["args"]["aborted"] = True
+        if truncated:
+            span["args"]["truncated"] = True
+        if rearmed:
+            span["args"]["rearmed"] = True
+        if in_window:
+            span["args"]["in_window"] = True
+
+        tally = self._tally(pid)
+        tally.episodes += 1
+        if aborted:
+            tally.aborted += 1
+        if in_window:
+            tally.win_stall += arb + transfer
+            self._observe_bucket("lock_spin", arb + transfer)
+        elif inval:
+            tally.inval_wait += arb + transfer
+            self._observe_bucket("inval_refetch", arb + transfer)
+        else:
+            tally.out_arb += arb
+            tally.out_transfer += transfer
+            self._observe_bucket("bus_arb_wait", arb)
+            self._observe_bucket("miss_wait", transfer)
+        self._observe(span)
+        self._last_episode[pid] = span["id"]
+        self._episodes.pop(pid, None)
+
+    def _close_wait(self, pid: int, wait: list, cycle: int,
+                    outcome: str) -> int | None:
+        """Close a lock wait that ended in ``outcome`` (``acquired`` or
+        ``cancelled``); returns its wait span id when traced."""
+        block, start = wait[0], wait[1]
+        self._lock_wait.observe(cycle - start, block=block)
+        self.slices.append({
+            "track": f"cpu{pid}",
+            "name": f"wait {block}" + (" (cancelled)"
+                                       if outcome == "cancelled" else ""),
+            "start": start, "dur": cycle - start,
+            "args": {"block": block},
+        })
+        if wait[2] is None:
+            return None
+        return self._close_window(pid, wait, cycle, outcome)
+
+    def _close_window(self, pid: int, wait: list, cycle: int,
+                      outcome: str) -> int:
+        """The traced half of closing a wait: its span and tallies."""
+        block, _start, span = wait
+        span["dur"] = cycle - span["start"]
+        span["args"]["outcome"] = outcome
+        self._tally(pid).win_cycles += span["dur"]
+        self.block_waits[block] = (self.block_waits.get(block, 0)
+                                   + span["dur"])
+        self._observe(span)
+        return span["id"]
+
+    # -- bus transactions --------------------------------------------------
+
+    def record_txn_begin(self, cycle: int, op: str, block: int,
+                         requester: int, bus: int = 0) -> None:
+        if not self.tracing:
+            return
+        parent = None
+        if op == "UNLOCK_BROADCAST":
+            lock = self._locks.get(block)
+            parent = lock[2] if lock is not None else None
+        elif op not in DETACHED_OPS:
+            episode = self._episodes.get(requester)
+            if episode is not None:
+                parent = episode["span"]["id"]
+        span = self._span("txn", op, f"bus{bus}", cycle, parent=parent,
+                          block=block, requester=requester)
+        if op == "UNLOCK_BROADCAST":
+            origin = self._unlock_origin.pop(block, None)
+            if origin is not None:
+                span["args"]["origin"] = origin
+        self._open_txn = span
 
     def record_bus_txn(self, cycle: int, duration: int, op: str,
                        block: int, requester: int, bus: int = 0,
@@ -195,19 +389,45 @@ class Observability:
             "dur": duration,
             "args": {"block": block, "requester": requester},
         })
-        if self.tracer is not None:
-            self.tracer.txn_end(cycle, duration, op, block, requester,
-                                bus=bus, outcome=outcome)
-
-    def record_txn_begin(self, cycle: int, op: str, block: int,
-                         requester: int, bus: int = 0) -> None:
-        if self.tracer is not None:
-            self.tracer.txn_begin(cycle, op, block, requester, bus=bus)
+        if not self.tracing:
+            return
+        span = self._open_txn
+        self._open_txn = None
+        if span is not None:
+            span["dur"] = duration
+            span["args"]["outcome"] = outcome
+            self._observe(span)
+        if op in DETACHED_OPS:
+            return
+        episode = self._episodes.get(requester)
+        if episode is None:
+            return
+        if outcome == "REBUS":
+            # Multi-phase transaction: the transfer so far is banked and
+            # arbitration resumes once this phase's occupancy expires --
+            # resuming from the *release*, not the grant, or the phase's
+            # transfer would be double-counted.
+            episode["arb"] += cycle - episode["arb_since"]
+            episode["transfer"] += duration
+            episode["arb_since"] = cycle + duration
+            episode["phases"] += 1
+            return
+        episode["arb"] += cycle - episode["arb_since"]
+        if outcome == "WAIT_LOCK":
+            # The lock was held: the requester parks (arbitration only;
+            # the wait window opened at this same grant).
+            self._close_episode(requester, episode, cycle)
+        else:  # DONE: occupancy runs [cycle, cycle+duration), collect after
+            episode["transfer"] += duration
+            self._close_episode(requester, episode, cycle + duration)
+            self._last_collect[requester] = cycle + duration
 
     def record_invalidation(self, block: int, cache: int) -> None:
         self._invalidations.inc(block=block)
-        if self.tracer is not None:
-            self.tracer.invalidation(block, cache)
+        # Remember which transaction killed the copy; the victim's next
+        # request for this block is an invalidation-forced refetch.
+        if self.tracing and self._open_txn is not None:
+            self._pending_inval[(cache, block)] = self._open_txn["id"]
 
     def record_c2c(self, block: int, supplier: int) -> None:
         self._c2c.inc(block=block)
@@ -232,43 +452,119 @@ class Observability:
                               bank: int, count: int = 1) -> None:
         self._directory_msgs.inc(count, kind=kind, bank=bank)
 
+    # -- processor requests (traced only) ----------------------------------
+
+    def record_request_posted(self, cache: int, op_kind: str, block: int,
+                              cycle: int) -> None:
+        if not self.tracing:
+            return
+        stale = self._episodes.get(cache)
+        if stale is not None:  # defensive: never two open episodes per pid
+            stale["arb"] += max(0, cycle - stale["arb_since"])
+            self._close_episode(cache, stale, cycle, truncated=True)
+        # An abort-retry posts on the aborted episode's collect cycle, and
+        # a spin iteration posts on its deferred-result cycle: both are
+        # compute cycles, so arbitration starts on the next one.
+        posted_on_compute = (self._last_collect.get(cache) == cycle
+                             or self._last_spin.get(cache) == cycle)
+        arb_since = cycle + 1 if posted_on_compute else cycle
+        cause = self._pending_inval.pop((cache, block), None)
+        span = self._span("episode", f"{op_kind} {block}", f"cpu{cache}",
+                          arb_since, cause=cause, block=block, op=op_kind)
+        self._open_episode(cache, span, arb_since, cause is not None)
+
+    def record_request_aborted(self, cache: int, cycle: int) -> None:
+        if not self.tracing:
+            return
+        episode = self._episodes.get(cache)
+        if episode is None:
+            return
+        episode["arb"] += cycle - episode["arb_since"]
+        span = episode["span"]
+        if span["cause"] is None and self._open_txn is not None:
+            span["cause"] = self._open_txn["id"]
+        self._close_episode(cache, episode, cycle, aborted=True)
+        self._last_collect[cache] = cycle
+
+    def record_local_hit(self, pid: int, cycle: int) -> None:
+        # In-window hits are spin iterations; they land in the window's
+        # ``win_compute`` remainder (-> lock_spin), not the hit bucket.
+        if self.tracing and pid not in self._waits:
+            self._tally(pid).hits_out += 1
+
+    def record_spin_step(self, pid: int, cycle: int) -> None:
+        """A deferred spin result was processed this cycle (a compute
+        cycle); any access it chains starts stalling next cycle."""
+        if self.tracing:
+            self._last_spin[pid] = cycle
+
+    def record_crossbar(self, pid: int, start: int, until: int) -> None:
+        if not self.tracing:
+            return
+        # The issue cycle always stalls, and collection happens on the
+        # first tick at or after ``until`` -- so the stall contribution
+        # is at least one cycle even for an instant round trip.
+        stall = max(until - start, 1)
+        span = self._span("crossbar", "crossbar rmw", f"cpu{pid}", start,
+                          dur=stall)
+        tally = self._tally(pid)
+        in_window = pid in self._waits
+        if in_window:
+            tally.crossbar_in += stall
+        else:
+            tally.crossbar_out += stall
+        self._observe(span)
+        self._observe_bucket("lock_spin" if in_window else "miss_wait",
+                             stall)
+
+    # -- lock waits, wakes, holds ------------------------------------------
+
     def record_wait_start(self, pid: int, block: int, cycle: int) -> None:
         # Re-arms (lost post-unlock arbitration) keep the original start.
-        if pid not in self._open_waits:
-            self._open_waits[pid] = (block, cycle)
-        if self.tracer is not None:
-            self.tracer.wait_start(pid, block, cycle)
+        if pid in self._waits:
+            return
+        span = None
+        if self.tracing:
+            span = self._span("wait", f"wait {block}", f"cpu{pid}", cycle,
+                              block=block)
+        self._waits[pid] = [block, cycle, span]
+
+    def record_wait_wakeup(self, cache: int, block: int, cycle: int) -> None:
+        if not self.tracing or cache in self._episodes:
+            return
+        cause = self._open_txn["id"] if self._open_txn is not None else None
+        span = self._span("episode", f"retry {block}", f"cpu{cache}", cycle,
+                          cause=cause, block=block, op="RETRY")
+        self._open_episode(cache, span, cycle, False)
+
+    def record_wait_rearmed(self, cache: int, cycle: int) -> None:
+        if not self.tracing:
+            return
+        episode = self._episodes.get(cache)
+        if episode is None:
+            return
+        episode["arb"] += cycle - episode["arb_since"]
+        self._close_episode(cache, episode, cycle, rearmed=True)
 
     def record_wait_cancelled(self, pid: int, cycle: int) -> None:
-        open_wait = self._open_waits.pop(pid, None)
-        if open_wait is not None:
-            block, start = open_wait
-            self._close_wait(pid, block, start, cycle, cancelled=True)
-        if self.tracer is not None:
-            self.tracer.wait_cancelled(pid, cycle)
+        wait = self._waits.pop(pid, None)
+        if wait is not None:
+            self._close_wait(pid, wait, cycle, "cancelled")
 
     def record_lock_acquired(self, pid: int, block: int, cycle: int) -> None:
         self._lock_acquisitions.inc(block=block)
-        previous = self._last_owner.get(block)
-        if previous is not None and previous != pid:
+        lock = self._locks.setdefault(block, [None, None, None])
+        if lock[0] is not None and lock[0] != pid:
             self._lock_handoffs.inc(block=block)
-        self._last_owner[block] = pid
-        open_wait = self._open_waits.pop(pid, None)
-        if open_wait is not None:
-            wait_block, start = open_wait
-            self._close_wait(pid, wait_block, start, cycle, cancelled=False)
-        if self.tracer is not None:
-            self.tracer.lock_acquired(pid, block, cycle)
-
-    def _close_wait(self, pid: int, block: int, start: int, cycle: int,
-                    cancelled: bool) -> None:
-        self._lock_wait.observe(cycle - start, block=block)
-        self.slices.append({
-            "track": f"cpu{pid}",
-            "name": f"wait {block}" + (" (cancelled)" if cancelled else ""),
-            "start": start, "dur": cycle - start,
-            "args": {"block": block},
-        })
+        lock[0] = pid
+        wait = self._waits.pop(pid, None)
+        wait_id = None
+        if wait is not None:
+            wait_id = self._close_wait(pid, wait, cycle, "acquired")
+        if self.tracing:
+            chain = self.handoffs.setdefault(block, [])
+            chain.append({"pid": pid, "acquired": cycle, "hold": None})
+            lock[1] = (self._last_episode.get(pid), wait_id, len(chain) - 1)
 
     def record_lock_released(self, pid: int, block: int,
                              since: int, cycle: int) -> None:
@@ -278,48 +574,30 @@ class Observability:
             "start": since, "dur": cycle - since,
             "args": {"block": block},
         })
-        if self.tracer is not None:
-            self.tracer.lock_released(pid, block, since, cycle)
-
-    # -- tracing-only hooks (no registry work; forwarded verbatim) ---------
-
-    def record_request_posted(self, cache: int, op_kind: str, block: int,
-                              cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.request_posted(cache, op_kind, block, cycle)
-
-    def record_request_aborted(self, cache: int, cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.request_aborted(cache, cycle)
-
-    def record_local_hit(self, pid: int, cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.local_hit(pid, cycle)
-
-    def record_spin_step(self, pid: int, cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.spin_step(pid, cycle)
-
-    def record_wait_wakeup(self, cache: int, block: int, cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.wait_wakeup(cache, block, cycle)
-
-    def record_wait_rearmed(self, cache: int, cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.wait_rearmed(cache, cycle)
-
-    def record_crossbar(self, pid: int, start: int, until: int) -> None:
-        if self.tracer is not None:
-            self.tracer.crossbar(pid, start, until)
+        if not self.tracing:
+            return
+        span = self._span("hold", f"hold {block}", f"cpu{pid}", since,
+                          dur=cycle - since, block=block)
+        lock = self._locks.setdefault(block, [None, None, None])
+        if lock[0] == pid and lock[1] is not None:
+            episode, wait_id, index = lock[1]
+            lock[1] = None
+            span["parent"] = episode
+            if wait_id is not None:
+                span["cause"] = wait_id
+            self.handoffs[block][index]["hold"] = cycle - since
+        lock[2] = span["id"]
+        self._observe(span)
 
     def record_unlock_queued(self, cache: int, block: int,
                              cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.unlock_queued(cache, block, cycle)
+        if self.tracing:
+            self._unlock_origin[block] = cache
 
     def record_lock_spill(self, cache: int, block: int, cycle: int) -> None:
-        if self.tracer is not None:
-            self.tracer.lock_spill(cache, block, cycle)
+        if self.tracing:
+            self._span("mark", f"lock spill {block}", f"cpu{cache}", cycle,
+                       block=block)
 
     # -- results -----------------------------------------------------------
 
@@ -327,25 +605,21 @@ class Observability:
         """Reduce the run to plain data (safe to pickle across the
         process-pool sweep path)."""
         cycles = self._stats.cycles if self._stats is not None else 0
-        spans: list[dict] = []
         attribution = None
-        if self.tracer is not None:
-            spans = list(self.tracer.spans)
-            # Attribution needs the finalized tallies (open episodes are
-            # closed by on_run_end); a mid-run reduction keeps the spans
-            # but skips the exact accounting.
-            if self._stats is not None and self.tracer.end_cycle is not None:
-                from repro.obs.attribution import compute_attribution
+        # Attribution needs the finalized tallies (open episodes are
+        # closed by on_run_end); a mid-run reduction keeps the spans but
+        # skips the exact accounting.
+        if self._stats is not None and self.end_cycle is not None:
+            from repro.obs.attribution import compute_attribution
 
-                attribution = compute_attribution(
-                    self.tracer, self._stats).to_dict()
+            attribution = compute_attribution(self, self._stats).to_dict()
         return ObsResult(
             interval=self.sampler.interval,
             cycles=cycles,
             samples=list(self.sampler.samples),
             metrics=self.registry.snapshot(),
             slices=list(self.slices),
-            spans=spans,
+            spans=list(self.spans),
             attribution=attribution,
         )
 

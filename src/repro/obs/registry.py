@@ -1,6 +1,6 @@
 """Label-aware metric registry.
 
-Components publish counters, gauges, and histograms here; the exporters
+Components publish counters and histograms here; the exporters
 and heatmap passes read the registry back out as plain data.  The design
 follows the Prometheus data model in miniature: a metric has a name, a
 help string, and a fixed tuple of label *names*; every observation
@@ -91,23 +91,6 @@ class Counter(_Metric):
         }
 
 
-class Gauge(Counter):
-    """A value that can move both ways (waiter counts, queue depths)."""
-
-    kind = "gauge"
-    __slots__ = ()
-
-    def inc(self, amount: float = 1, **labels: Any) -> None:
-        key = self._key(labels)
-        self.values[key] = self.values.get(key, 0) + amount
-
-    def dec(self, amount: float = 1, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-    def set(self, value: float, **labels: Any) -> None:
-        self.values[self._key(labels)] = value
-
-
 class Histogram(_Metric):
     """Bucketed distribution per label set (cumulative bucket counts)."""
 
@@ -164,7 +147,7 @@ class Histogram(_Metric):
 class MetricRegistry:
     """The collection every component publishes into.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: asking for an
+    ``counter``/``histogram`` are get-or-create: asking for an
     existing name returns the existing metric (label names must match),
     so independent components can share a metric safely.
     """
@@ -191,10 +174,6 @@ class MetricRegistry:
     def counter(self, name: str, help: str = "",
                 label_names: Iterable[str] = ()) -> Counter:
         return self._get_or_create(Counter, name, help, label_names)
-
-    def gauge(self, name: str, help: str = "",
-              label_names: Iterable[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, label_names)
 
     def histogram(self, name: str, help: str = "",
                   label_names: Iterable[str] = (),
@@ -271,9 +250,9 @@ class MetricRegistry:
         """Fold a full registry snapshot (from :meth:`snapshot`) into
         this registry.
 
-        Counters and histograms merge additively.  Gauges are skipped:
-        they are point-in-time readings, and summing them across workers
-        would fabricate a queue depth no single run ever saw.
+        Counters and histograms merge additively; any other kind is
+        skipped (a point-in-time reading summed across workers would
+        fabricate a value no single run ever saw).
         """
         for name, metric in sorted(snapshot.items()):
             kind = metric.get("kind")

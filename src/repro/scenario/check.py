@@ -11,10 +11,13 @@ battery.  This is the oracle the scenario fuzzer feeds.
 from __future__ import annotations
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.mc.scenarios import Scenario, lock_style_for
+from repro.mc.scenarios import Scenario
 from repro.processor.program import LockStyle
 from repro.scenario.compile import compile_scenario
 from repro.scenario.model import ScenarioSpec
+from repro.workloads.registry import (default_lock_style,
+                                      default_strict_verify,
+                                      default_words_per_block)
 
 __all__ = ["mc_scenario", "checker_config"]
 
@@ -25,12 +28,12 @@ def checker_config(protocol: str, processors: int, *,
     """The model checker's system shape for a scenario run (mirrors the
     battery's defaults: paper block sizes, strict verification except
     classic write-through, a tight progress horizon)."""
-    wpb = 1 if protocol == "rudolph-segall" else 4
     return SystemConfig(
         num_processors=processors,
         protocol=protocol,
-        cache=CacheConfig(words_per_block=wpb, num_blocks=num_blocks),
-        strict_verify=protocol != "write-through",
+        cache=CacheConfig(words_per_block=default_words_per_block(protocol),
+                          num_blocks=num_blocks),
+        strict_verify=default_strict_verify(protocol),
         deadlock_horizon=deadlock_horizon,
     )
 
@@ -55,7 +58,7 @@ def mc_scenario(
         config = checker_config(protocol, processors,
                                 num_blocks=num_blocks)
         style = lock_style if lock_style is not None \
-            else lock_style_for(protocol)
+            else default_lock_style(protocol)
         return config, compile_scenario(spec, config, lock_style=style)
 
     return Scenario(

@@ -1,13 +1,13 @@
-"""Synchronization library: spinlocks, cache-state locks, software queues."""
+"""Synchronization library: cache-state locks and software queues.
+
+Test-and-set and test-and-test-and-set spinlocks are built by lowering
+cache-state lock ops (:func:`repro.processor.program.lower_locks`).
+"""
 
 from repro.sync.cache_lock import CacheLock
 from repro.sync.queue import SoftwareQueue
-from repro.sync.spinlock import TasLock, TtasLock, critical_section
 
 __all__ = [
     "CacheLock",
     "SoftwareQueue",
-    "TasLock",
-    "TtasLock",
-    "critical_section",
 ]

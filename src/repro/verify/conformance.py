@@ -22,6 +22,7 @@ from repro.processor import isa
 from repro.protocols import get_protocol
 from repro.sim.harness import ManualSystem
 from repro.verify.invariants import InvariantChecker
+from repro.workloads.registry import default_words_per_block
 
 B = 0
 
@@ -38,8 +39,8 @@ class Finding:
 def _system(protocol: str, n: int = 3, **kwargs) -> ManualSystem:
     cache_config = kwargs.pop("cache_config", None)
     if cache_config is None:
-        wpb = 1 if protocol == "rudolph-segall" else 4
-        cache_config = CacheConfig(words_per_block=wpb, num_blocks=8)
+        cache_config = CacheConfig(
+            words_per_block=default_words_per_block(protocol), num_blocks=8)
     return ManualSystem(protocol=protocol, n_caches=n,
                         cache_config=cache_config, **kwargs)
 
@@ -86,7 +87,7 @@ def check_conformance(protocol: str, *, serializing: bool = True) -> list[Findin
         sys = _system(
             protocol, n=2, strict=serializing,
             cache_config=CacheConfig(
-                words_per_block=1 if protocol == "rudolph-segall" else 4,
+                words_per_block=default_words_per_block(protocol),
                 num_blocks=2, assoc=1,
             ),
         )

@@ -6,13 +6,16 @@ ops honor the style; *style-blind* reference-stream workloads
 (:data:`STYLE_BLIND_WORKLOADS`) contain no synchronization at all, and
 passing an explicit style to one raises a
 :class:`~repro.common.errors.LockStyleIgnoredWarning` instead of being
-silently dropped.  Protocol-dependent defaults (block size, lock style)
-live here too so every entry point resolves them identically.
+silently dropped.  The per-protocol run defaults (block size, lock
+style, strict verification) live here too so every entry point -- the
+CLI, :mod:`repro.api`, the model checker, the conformance battery and
+the comparison runner -- resolves them identically.
 
 Scenario-built entries (``scenario:*``) compile declarative
 :mod:`repro.scenario` specs to programs at build time; they are ordinary
 registry citizens, so the CLI, :mod:`repro.api`, and sweep worker
-processes pick them up with no special casing.
+processes pick them up with no special casing.  The scenario DSL loads
+only when one of them is built.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from repro import workloads
 from repro.common.config import SystemConfig
 from repro.common.errors import LockStyleIgnoredWarning
 from repro.processor.program import LockStyle, Program
-from repro.scenario.compile import compile_scenario
-from repro.scenario.library import SCENARIOS
 
 
 def _lowered(programs, style: LockStyle):
@@ -57,8 +58,17 @@ STYLE_BLIND_WORKLOADS = frozenset(
     {"sharing", "scale-probe", "migration", "process-switch", "smith"})
 
 
+#: The names of :data:`repro.scenario.library.SCENARIOS`, spelled out so
+#: registering their ``scenario:*`` keys does not load the DSL (a test
+#: keeps the two equal).
+SCENARIO_NAMES = ("lock-contention", "producer-consumer", "request-queue")
+
+
 def _scenario_builder(name: str):
     def build(cfg: SystemConfig, style: LockStyle) -> list[Program]:
+        from repro.scenario.compile import compile_scenario
+        from repro.scenario.library import SCENARIOS
+
         return compile_scenario(SCENARIOS[name](), cfg, lock_style=style)
     return build
 
@@ -66,7 +76,7 @@ def _scenario_builder(name: str):
 # Scenario-built twins of the ported workloads: bit-identical programs,
 # built from the declarative specs instead of the generator functions.
 # Registered at import time so CLI choices and sweep workers see them.
-for _name in sorted(SCENARIOS):
+for _name in SCENARIO_NAMES:
     WORKLOADS[f"scenario:{_name}"] = _scenario_builder(_name)
 
 
@@ -79,6 +89,12 @@ def default_lock_style(protocol: str) -> LockStyle:
     """Cache-lock on the proposal, test-and-test-and-set elsewhere."""
     return (LockStyle.CACHE_LOCK if protocol == "bitar-despain"
             else LockStyle.TTAS)
+
+
+def default_strict_verify(protocol: str) -> bool:
+    """Strict write verification, except on classic write-through,
+    whose stale reads are legitimate (Section F.1)."""
+    return protocol != "write-through"
 
 
 def canonical_workload_name(name: str) -> str:

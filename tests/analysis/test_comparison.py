@@ -3,7 +3,6 @@
 from repro.analysis.comparison import (
     ComparisonRow,
     compare_protocols,
-    default_style,
     render_comparison,
 )
 from repro.processor.program import LockStyle
@@ -31,8 +30,18 @@ class TestCompare:
         assert rows[0].cycles > 0
 
     def test_default_style(self):
-        assert default_style("bitar-despain") is LockStyle.CACHE_LOCK
-        assert default_style("goodman") is LockStyle.TTAS
+        # Locks are lowered with the registry's per-protocol default:
+        # cache-lock on the proposal, TTAS elsewhere.
+        seen = {}
+
+        def make(config, style):
+            seen[config.protocol] = style
+            return lock_contention(config, lock_style=style, rounds=1)
+
+        compare_protocols(["bitar-despain", "goodman"], make,
+                          num_processors=2)
+        assert seen == {"bitar-despain": LockStyle.CACHE_LOCK,
+                        "goodman": LockStyle.TTAS}
 
     def test_render(self):
         rows = [ComparisonRow("x", 10, 5, 0.5, 0, 2, 0)]

@@ -17,6 +17,7 @@ from repro.analysis.resilient import (
     BACKOFF_MAX,
     POINT_STATUSES,
     ExecutionPolicy,
+    _Executor,
     execute_points,
 )
 from repro.common.errors import SweepPointError
@@ -154,6 +155,34 @@ class TestParallelChaos:
             "retries": {"kill": 1, "timeout": 1},
             "pool_restarts": {"broken": 1, "timeout": 1},
         }
+
+
+class TestPoolShutdown:
+    @pytest.fixture
+    def kills(self, monkeypatch):
+        """Record every immediate pool teardown (and still do it)."""
+        calls = []
+        original = _Executor._kill_pool
+
+        def kill(pool):
+            calls.append(pool)
+            original(pool)
+
+        monkeypatch.setattr(_Executor, "_kill_pool", staticmethod(kill))
+        return calls
+
+    def test_finished_sweep_shuts_its_pool_down_cleanly(self, kills):
+        report = execute_points(_square, [2, 3], jobs=2,
+                                policy=ExecutionPolicy())
+        assert report.ok
+        assert kills == []
+
+    def test_aborted_sweep_tears_its_pool_down(self, kills):
+        plan = FaultPlan.parse("raise@1:*")
+        with pytest.raises(SweepPointError):
+            execute_points(_square, [2, 3], jobs=2, policy=ExecutionPolicy(
+                faults=plan, max_attempts=1))
+        assert len(kills) == 1
 
 
 class TestDeterminism:

@@ -53,7 +53,7 @@ def _attributed(protocol: str, style: LockStyle, *,
 def attributed(request):
     protocol, style = request.param
     obs, stats = _attributed(protocol, style)
-    report = compute_attribution(obs.tracer, stats, protocol=protocol)
+    report = compute_attribution(obs, stats, protocol=protocol)
     return report, stats
 
 
@@ -103,7 +103,7 @@ class TestBitIdentity:
             obs, stats = _attributed(protocol, style,
                                      fast_forward=fast_forward)
             payloads.append(compute_attribution(
-                obs.tracer, stats, protocol=protocol).to_dict())
+                obs, stats, protocol=protocol).to_dict())
         assert payloads[1] == payloads[0], (
             f"{protocol}: attribution diverges under fast-forward")
 
@@ -154,7 +154,7 @@ class TestComparison:
         for protocol, style in MATRIX:
             obs, stats = _attributed(protocol, style)
             reports[protocol] = compute_attribution(
-                obs.tracer, stats, protocol=protocol)
+                obs, stats, protocol=protocol)
         comparison = compare_attributions(reports)
         assert comparison["kind"] == "attribution-comparison"
         entries = comparison["protocols"]

@@ -41,7 +41,7 @@ def _artifacts(fast_forward: bool) -> dict[str, str]:
     sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
     stats = sim.run()
     result = obs.result()
-    report = compute_attribution(obs.tracer, stats)
+    report = compute_attribution(obs, stats)
     trace = chrome_trace(result)
     assert_valid_chrome_trace(trace)
     return {

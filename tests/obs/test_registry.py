@@ -1,4 +1,4 @@
-"""Metric registry: counters, gauges, histograms, and label discipline."""
+"""Metric registry: counters, histograms, and label discipline."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricRegistry,
 )
@@ -54,22 +53,6 @@ class TestCounter:
             {"labels": {"op": "WRITE"}, "value": 1},
         ]
         json.dumps(snap)  # JSON-able throughout
-
-
-class TestGauge:
-    def test_moves_both_ways(self):
-        g = Gauge("waiters")
-        g.inc()
-        g.inc(2)
-        g.dec()
-        assert g.value() == 2
-        g.set(7)
-        assert g.value() == 7
-
-    def test_snapshot_kind(self):
-        g = Gauge("waiters")
-        g.set(1)
-        assert g.snapshot()["kind"] == "gauge"
 
 
 class TestHistogram:
@@ -117,11 +100,11 @@ class TestMetricRegistry:
         with pytest.raises(ValueError):
             reg.counter("txns", label_names=("bus",))
         with pytest.raises(ValueError):
-            reg.gauge("txns", label_names=("op",))
+            reg.histogram("txns", label_names=("op",))
 
     def test_names_and_get(self):
         reg = MetricRegistry()
-        reg.gauge("b")
+        reg.histogram("b")
         reg.counter("a")
         assert reg.names() == ["a", "b"]
         assert reg.get("a").kind == "counter"
@@ -192,7 +175,10 @@ class TestRegistrySnapshotMerging:
         assert snap["lat"]["values"][0]["bucket_counts"] == [1, 1]
 
     def test_merge_snapshot_skips_gauges(self):
-        a, b = MetricRegistry(), MetricRegistry()
-        b.gauge("depth").set(7)
-        a.merge_snapshot(b.snapshot())
+        # Only counters and histograms merge; a point-in-time reading
+        # (a gauge from another exporter, say) is not summed.
+        a = MetricRegistry()
+        a.merge_snapshot({"depth": {"kind": "gauge", "help": "",
+                                    "label_names": [],
+                                    "values": [{"labels": {}, "value": 7}]}})
         assert a.get("depth") is None

@@ -1,4 +1,4 @@
-"""The causal span tracer: span DAG shape, lock handoff chains, and
+"""The traced tier's causal spans: span DAG shape, lock handoff chains, and
 engine independence of the trace itself."""
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ class TestSpanDag:
 class TestLockCausality:
     def test_handoff_chain_orders_every_acquisition(self, traced):
         obs, stats = traced
-        tracer = obs.tracer
-        assert tracer is not None
-        chains = tracer.handoffs
+        chains = obs.handoffs
         assert chains, "contended run must record lock handoffs"
         acquired = sum(len(chain) for chain in chains.values())
         assert acquired == stats.lock_acquisitions
@@ -82,9 +80,8 @@ class TestLockCausality:
 
     def test_block_wait_cycles_accumulate(self, traced):
         obs, _stats = traced
-        tracer = obs.tracer
-        assert tracer.block_waits
-        assert all(cycles > 0 for cycles in tracer.block_waits.values())
+        assert obs.block_waits
+        assert all(cycles > 0 for cycles in obs.block_waits.values())
 
     def test_hold_spans_link_back_through_the_wait(self, traced):
         obs, _stats = traced

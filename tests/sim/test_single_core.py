@@ -33,6 +33,7 @@ UNUSED_BY_A_RUN = (
     "numpy", "csv", "concurrent.futures", "repro.analysis",
     "repro.obs.tracing", "repro.obs.export", "repro.obs.attribution",
     "repro.obs.heatmap", "repro.verify.conformance", "repro.sim.harness",
+    "repro.scenario.compile", "repro.scenario.library",
 )
 
 LAZY_PACKAGES = ("repro.obs", "repro.verify", "repro.workloads",

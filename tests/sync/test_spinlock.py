@@ -1,29 +1,34 @@
-"""Unit tests for the synchronization library."""
+"""Unit tests for the synchronization library: the spinlock lowering
+(:func:`repro.processor.program.lower_locks`) and the cache-state lock."""
 
+from repro.processor import isa
 from repro.processor.isa import OpKind
-from repro.sync import CacheLock, TasLock, TtasLock, critical_section
+from repro.processor.program import LockStyle, lower_locks
+from repro.sync import CacheLock
 
 
 class TestTasLock:
     def test_acquire_shape(self):
-        ops = TasLock(lock_word=8, token=3).acquire()
+        ops = lower_locks([isa.lock(8)], LockStyle.TAS)
         assert len(ops) == 1
         assert ops[0].kind is OpKind.TAS_ACQUIRE
         assert ops[0].addr == 8
-        assert ops[0].value == 3
+        assert ops[0].value == 1
 
     def test_release_writes_zero(self):
-        ops = TasLock(8).release()
+        ops = lower_locks([isa.unlock(8, value=5)], LockStyle.TAS)
         assert ops[0].kind is OpKind.RELEASE
         assert ops[0].value == 0
 
 
 class TestTtasLock:
     def test_acquire_kind(self):
-        assert TtasLock(0).acquire()[0].kind is OpKind.TTAS_ACQUIRE
+        ops = lower_locks([isa.lock(0)], LockStyle.TTAS)
+        assert ops[0].kind is OpKind.TTAS_ACQUIRE
 
     def test_ready_work(self):
-        assert TtasLock(0).acquire(ready_work=12)[0].ready_work == 12
+        ops = lower_locks([isa.lock(0, ready_work=12)], LockStyle.TTAS)
+        assert ops[0].ready_work == 12
 
 
 class TestCacheLock:
@@ -35,14 +40,3 @@ class TestCacheLock:
         ops = CacheLock(0).release(value=5)
         assert ops[0].kind is OpKind.UNLOCK
         assert ops[0].value == 5
-
-
-class TestCriticalSection:
-    def test_wraps_body(self):
-        from repro.processor import isa
-
-        body = [isa.write(1), isa.write(2)]
-        ops = critical_section(CacheLock(0), body)
-        assert ops[0].kind is OpKind.LOCK
-        assert ops[-1].kind is OpKind.UNLOCK
-        assert [op.kind for op in ops[1:-1]] == [OpKind.WRITE, OpKind.WRITE]

@@ -45,6 +45,15 @@ class TestBuildMatrix:
 
 
 class TestNaming:
+    def test_scenario_keys_match_the_library(self):
+        # The registry spells the scenario names out so registering them
+        # does not load the DSL; they must track the library.
+        from repro.scenario.library import SCENARIOS
+
+        keys = sorted(key.removeprefix("scenario:") for key in WORKLOADS
+                      if key.startswith("scenario:"))
+        assert keys == sorted(SCENARIOS)
+
     def test_registry_keys_are_canonical(self):
         for key in WORKLOADS:
             assert canonical_workload_name(key) == key
