@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 from repro.bus.arbiter import Arbiter
 from repro.bus.signals import SNOOP_MISS, BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
+from repro.cache.directory import BroadcastLog
 from repro.common.config import TimingConfig
 from repro.common.errors import CoherenceViolation
 from repro.common.types import NEVER, BlockAddr, CacheId, Stamp
@@ -24,6 +25,7 @@ from repro.protocols.features import ReadSourcePolicy
 from repro.obs.core import NULL_OBS
 
 if TYPE_CHECKING:
+    from repro.cache.directory import DirectoryModel
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
@@ -83,6 +85,9 @@ class BusPort(Protocol):
     """What the bus requires of anything attached to it (caches, I/O)."""
 
     id: CacheId
+    #: The port's directory-duality model (Feature 3), which the fabric
+    #: charges for the snoops it delivers; ``None`` for a cacheless port.
+    directory: "DirectoryModel | None"
 
     def route_requests(self, entry: RequesterEntry) -> None:
         """Keep ``entry`` placed from now on (see :class:`RequesterEntry`)."""
@@ -145,6 +150,9 @@ class Bus:
         self._active_port: BusPort | None = None
         #: Retries forced by cache-hold RMW snOop refusals.
         self.retries = 0
+        #: Every grant's broadcast, which settles the duality models of
+        #: the caches it snoops (see :meth:`_snoop_all`).
+        self._broadcasts = BroadcastLog()
 
     # -- wiring -------------------------------------------------------------
 
@@ -158,11 +166,19 @@ class Bus:
             raise ValueError(f"port {port.id} already attached")
         self._ports[port.id] = port
         self._port_list.append(port)
+        self._add_delivery(port)
         if self._arbiter is None:
             self._arbiter = Arbiter([port.id])
         else:
             self._arbiter.add(port.id)
         return len(self._port_list) - 1
+
+    def _add_delivery(self, port: BusPort) -> None:
+        """Wire ``port`` into snoop delivery.  Every broadcast snoops
+        every port but the requester, so the port's duality model
+        settles from this bus's broadcast log."""
+        if port.directory is not None:
+            port.directory.watch(self._broadcasts)
 
     def _route(self, block) -> "Bus":
         """Every request on a single bus is this bus's to grant."""
@@ -342,8 +358,15 @@ class Bus:
         that are not :data:`SNOOP_MISS`, in port order.  A miss changes
         nothing downstream, so aggregation, flush absorption and timing
         walk only the caches that reacted.  ``port.snoop`` is looked up
-        per delivery: every delivery is a real call, whatever wraps it."""
+        per delivery: every delivery is a real call, whatever wraps it.
+
+        The bus charges directory-duality interference (Feature 3) once
+        per broadcast, not once per delivery: the broadcast log counts
+        the snoops of every cache but the requester and charges the
+        caches that wrote status earlier in the cycle
+        (:class:`~repro.cache.directory.BroadcastLog`)."""
         rid = requester.id
+        self._broadcasts.record(self.clock.cycle, requester.directory)
         replies: dict[CacheId, SnoopReply] = {}
         for cid, port in self._ports.items():
             if cid != rid:

@@ -33,6 +33,7 @@ from repro.common.config import TimingConfig, TopologyConfig
 from repro.common.types import CacheId
 
 if TYPE_CHECKING:
+    from repro.cache.directory import DirectoryModel
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
@@ -92,6 +93,17 @@ class ClusterBus(Bus):
         super().__init__(system.memory, system.timing, system.clock,
                          system.stats, obs=system.obs, index=index)
         self._system = system
+        #: ``(id, port, cluster, duality model)`` per port in port
+        #: order, the cluster computed once at attach.
+        self._fanout: list[tuple[CacheId, BusPort, int,
+                                 DirectoryModel | None]] = []
+
+    def _add_delivery(self, port: BusPort) -> None:
+        """The interest filter delivers to a subset of the ports, so each
+        delivery charges its cache's duality model explicitly."""
+        self._fanout.append((port.id, port,
+                             self._system.cluster_of_port(port.id),
+                             port.directory))
 
     def _snoop_all(
         self, requester: BusPort, txn: BusTransaction
@@ -102,16 +114,22 @@ class ClusterBus(Bus):
         interested.add(system.cluster_of_port(requester.id))
         home = system.home_cluster(self.index)
         system.link_messages += sum(1 for c in interested if c != home)
+        rid = requester.id
+        now = self.clock.cycle
+        filtered = 0
         replies: dict[CacheId, SnoopReply] = {}
-        for cid, port in self._ports.items():
-            if cid == requester.id:
+        for cid, port, cluster, model in self._fanout:
+            if cid == rid:
                 continue
-            if system.cluster_of_port(cid) not in interested:
-                system.filtered_snoops += 1
+            if cluster not in interested:
+                filtered += 1
                 continue
+            if model is not None:
+                model.record_delivery(now)
             reply = port.snoop(txn)
             if reply is not SNOOP_MISS:
                 replies[cid] = reply
+        system.filtered_snoops += filtered
         return replies
 
     def _duration(self, txn, response, replies, info) -> int:

@@ -39,6 +39,7 @@ class _BusPortView:
         self._system = system
         self._bus_index = bus_index
         self.id: CacheId = port.id
+        self.directory = port.directory
 
     def has_bus_request(self) -> bool:
         # The bus asks only the ports its requester index lists, and a

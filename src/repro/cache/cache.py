@@ -654,13 +654,12 @@ class SnoopingCache:
         """React to another cache's granted transaction.
 
         This runs on N-1 caches per bus transaction, so the common case
-        is straight-line code: after the directory consultation is
-        charged, a cache that does not :meth:`cares_about` the block
-        returns the shared :data:`SNOOP_MISS` without consulting its
-        protocol.
+        is straight-line code: a cache that does not :meth:`cares_about`
+        the block returns the shared :data:`SNOOP_MISS` without
+        consulting its protocol.  The directory consultation is charged
+        by the fabric that delivers the snoop (see
+        :mod:`repro.cache.directory`), not here.
         """
-        self.directory.record_snoop(self.clock.cycle)
-
         block = txn.block
         op = txn.op
         if (block not in self._tagged and self._held_block != block

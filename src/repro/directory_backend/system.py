@@ -86,6 +86,17 @@ class DirectoryFabric(Bus):
         self._table.guard_rows()
         self._active_row: Rule | None = None
 
+    def _add_delivery(self, port: BusPort) -> None:
+        """The bank probes a subset of the ports and charges each probe
+        to its cache's duality model (:meth:`_probe`), so no model
+        settles from its broadcasts."""
+
+    def _probe(self, port: BusPort, txn: BusTransaction) -> SnoopReply:
+        model = port.directory
+        if model is not None:
+            model.record_delivery(self.clock.cycle)
+        return port.snoop(txn)
+
     # -- delivery -----------------------------------------------------------
 
     def _entry_of(self, txn: BusTransaction) -> DirectoryEntry:
@@ -119,11 +130,11 @@ class DirectoryFabric(Bus):
                 # ``enroll``: a coarse region may have grown.
                 for cid in sharers.members():
                     if cid != rid and cid in ports:
-                        replies[cid] = ports[cid].snoop(txn)
+                        replies[cid] = self._probe(ports[cid], txn)
             elif action == "probe-all":
                 for cid, port in ports.items():
                     if cid != rid:
-                        replies[cid] = port.snoop(txn)
+                        replies[cid] = self._probe(port, txn)
         self._last_probed = set(replies)
         return replies
 

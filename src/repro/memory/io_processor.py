@@ -45,6 +45,9 @@ class IoRequest:
 class IOProcessor:
     """A cacheless bus port performing I/O transfers."""
 
+    #: No directory, so no duality model for the fabric to charge.
+    directory = None
+
     def __init__(self, memory: "MainMemory", stamp_clock: "StampClock",
                  stats: "SimStats") -> None:
         self.id = IO_CACHE_ID
