@@ -9,8 +9,8 @@ races it against its descendants.
 This is the template for adding any protocol: write its
 ``TransitionTable`` (one row per state x event it reacts to), subclass
 ``TableProtocol`` with a ``name``, the table and the Table-1 feature
-column, register it, and check it with ``lint_table`` and
-``check_conformance``.
+column, register it with ``register_protocol``, and check it with
+``lint_table`` and ``check_conformance``.
 
 Run:  python examples/extend_protocol.py
 """
@@ -20,7 +20,7 @@ from repro.analysis import render_table
 from repro.analysis.diagram import render_diagram
 from repro.cache.state import CacheState
 from repro.lint.rules import lint_table
-from repro.protocols import PROTOCOLS
+from repro.protocols import register_protocol, unregister_protocol
 from repro.protocols.features import (
     DirectoryDuality,
     FlushPolicy,
@@ -115,7 +115,7 @@ def main() -> None:
         raise SystemExit(1)
     print("msi-example lints clean.")
 
-    PROTOCOLS[MsiProtocol.name] = MsiProtocol
+    register_protocol(MsiProtocol)
     try:
         failures = check_conformance(MsiProtocol.name)
         if failures:
@@ -143,7 +143,7 @@ def main() -> None:
             rows, title="The new protocol vs its descendants",
         ))
     finally:
-        PROTOCOLS.pop(MsiProtocol.name, None)
+        unregister_protocol(MsiProtocol.name)
 
 
 if __name__ == "__main__":

@@ -38,17 +38,22 @@ from repro.common.errors import (
 )
 from repro.processor.isa import Op, OpKind
 from repro.processor.program import LockStyle, Program
-from repro.protocols import PROTOCOLS, TABLE1_PROTOCOLS, get_protocol
+from repro.protocols import PROTOCOL_NAMES, TABLE1_PROTOCOLS, get_protocol
 from repro.sim.engine import Simulator, run_workload
 from repro.sim.stats import ProcessorStats, SimStats
 
 def __getattr__(name: str):
     # ``repro.api`` (and ``repro.mc``) import the simulator internals, so
     # they load lazily to keep ``import repro`` light and cycle-free.
+    # ``PROTOCOLS`` imports all ten protocol modules, so it waits too.
     if name in ("api", "mc"):
         import importlib
 
         return importlib.import_module(f"repro.{name}")
+    if name == "PROTOCOLS":
+        from repro.protocols import PROTOCOLS
+
+        return PROTOCOLS
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
@@ -64,6 +69,7 @@ __all__ = [
     "Op",
     "OpKind",
     "PROTOCOLS",
+    "PROTOCOL_NAMES",
     "ProcessorStats",
     "Program",
     "ProgramError",

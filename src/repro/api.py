@@ -513,7 +513,7 @@ def lint(protocols=None) -> dict:
     """
     from repro.lint import build_report, lint_protocol
 
-    from repro.protocols import PROTOCOLS
+    from repro.protocols import PROTOCOL_NAMES
 
-    names = sorted(PROTOCOLS) if protocols is None else list(protocols)
+    names = sorted(PROTOCOL_NAMES) if protocols is None else list(protocols)
     return build_report({name: lint_protocol(name) for name in names})

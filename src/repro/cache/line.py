@@ -25,8 +25,8 @@ class CacheLine:
 
     @staticmethod
     def empty(block: BlockAddr, words_per_block: int) -> "CacheLine":
-        # Positional: a cache array builds one per frame (65,536 at 1024
-        # processors), and keyword init costs half again as much.
+        # Positional: a cache array builds one per frame it fills, and
+        # keyword init costs half again as much.
         return CacheLine(block, CacheState.INVALID,
                          [NEVER_WRITTEN] * words_per_block)
 

@@ -5,6 +5,12 @@ the lock scheme) and set-associative caches (where a locked block can be
 forced out, exercising the memory lock-tag fallback).  Replacement is LRU
 within a set; locked lines are skipped as victims when any alternative
 exists.
+
+Frames are created on first fill, not up front: a 1024-processor machine
+touches a few blocks per cache, not its 65,536 frames.  A set's frames
+are therefore the ones filled so far, in fill order, and every frame it
+lacks is an unused one -- tag ``-1``, invalid, never written, LRU clock
+0 -- which :meth:`CacheArray.signature` hashes exactly as such.
 """
 
 from __future__ import annotations
@@ -12,7 +18,12 @@ from __future__ import annotations
 from repro.cache.line import CacheLine
 from repro.cache.state import CacheState
 from repro.common.config import CacheConfig
-from repro.common.types import BlockAddr
+from repro.common.types import NEVER_WRITTEN, BlockAddr
+
+#: The tag of a frame that has never been filled: no block has it, so an
+#: update-invalid snoop (which checks tags of invalid lines) never
+#: matches it.
+UNUSED_TAG = -1
 
 
 class CacheArray:
@@ -20,13 +31,9 @@ class CacheArray:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        # Empty frames carry an impossible tag so a never-used frame can
-        # never tag-match a real block (update-invalid snoops check tags
-        # of invalid lines).
-        self._sets: list[list[CacheLine]] = [
-            [CacheLine.empty(-1, config.words_per_block) for _ in range(config.ways)]
-            for _ in range(config.num_sets)
-        ]
+        #: Set index -> the set's frames filled so far, in fill order;
+        #: a set never filled has no entry.
+        self._sets: dict[int, list[CacheLine]] = {}
         # Tag index: block -> frames currently *tagged* with it, valid or
         # not.  Tags change only in install(), so the index stays exact
         # while validity flips freely on the lines themselves; lookup()
@@ -54,11 +61,18 @@ class CacheArray:
 
     def choose_victim(self, block: BlockAddr) -> CacheLine:
         """Pick the frame that will hold ``block``: an invalid frame if one
-        exists, otherwise the LRU line -- preferring unlocked victims."""
-        candidates = self._sets[self._set_index(block)]
+        exists, then a new frame while the set has fewer than ``ways``,
+        otherwise the LRU line -- preferring unlocked victims.
+
+        A new frame joins its set when :meth:`install` fills it.  Unused
+        frames only ever follow filled ones, so this is the frame an
+        array built whole would have picked."""
+        candidates = self._sets.get(self._set_index(block), ())
         for line in candidates:
             if not line.valid:
                 return line
+        if len(candidates) < self.config.ways:
+            return CacheLine.empty(UNUSED_TAG, self.config.words_per_block)
         unlocked = [line for line in candidates if not line.locked]
         pool = unlocked if unlocked else candidates
         return min(pool, key=lambda line: line.last_used)
@@ -67,11 +81,15 @@ class CacheArray:
                 words: list[int], cycle: int) -> CacheLine:
         """Overwrite ``victim`` in place with a new resident block."""
         if victim.block != block:
-            old = self._tagged.get(victim.block)
-            if old is not None:
-                old.remove(victim)
-                if not old:
-                    del self._tagged[victim.block]
+            if victim.block == UNUSED_TAG:
+                self._sets.setdefault(self._set_index(block),
+                                      []).append(victim)
+            else:
+                old = self._tagged.get(victim.block)
+                if old is not None:
+                    old.remove(victim)
+                    if not old:
+                        del self._tagged[victim.block]
             self._tagged.setdefault(block, []).append(victim)
         victim.block = block
         victim.state = state
@@ -80,22 +98,31 @@ class CacheArray:
         return victim
 
     def lines(self) -> list[CacheLine]:
-        """All valid lines (for invariant checks and purge sweeps)."""
-        return [line for lines in self._sets for line in lines if line.valid]
+        """All valid lines, in set order (for invariant checks and purge
+        sweeps)."""
+        sets = self._sets
+        return [line for index in sorted(sets) for line in sets[index]
+                if line.valid]
 
     def set_of(self, block: BlockAddr) -> list[CacheLine]:
-        return list(self._sets[self._set_index(block)])
+        """The frames of ``block``'s set filled so far."""
+        return list(self._sets.get(self._set_index(block), ()))
 
     def signature(self) -> tuple:
         """Canonical behavioural state of the array, for the model
         checker's fingerprints: each set's frames (tag, state value, word
         stamps, sub-block dirty and valid bits) with the set's LRU rank
         order -- the order, not the absolute cycles, picks future
-        victims."""
+        victims.  A frame not yet created hashes as an unused one."""
+        ways = self.config.ways
+        unused = (UNUSED_TAG, CacheState.INVALID.value,
+                  (NEVER_WRITTEN,) * self.config.words_per_block, None, None)
         sets_sig = []
-        for frames in self._sets:
-            rank = tuple(sorted(range(len(frames)),
-                                key=lambda i: frames[i].last_used))
+        for index in range(self.config.num_sets):
+            frames = self._sets.get(index, ())
+            missing = ways - len(frames)
+            clocks = [line.last_used for line in frames] + [0] * missing
+            rank = tuple(sorted(range(ways), key=clocks.__getitem__))
             lines = tuple(
                 (
                     line.block,
@@ -107,7 +134,7 @@ class CacheArray:
                     if line.unit_valid is not None else None,
                 )
                 for line in frames
-            )
+            ) + (unused,) * missing
             sets_sig.append((lines, rank))
         return tuple(sets_sig)
 

@@ -25,9 +25,9 @@ from typing import Sequence
 from repro import LockStyle
 from repro.analysis import lock_metrics, render_table, traffic_metrics
 from repro.bus.fabric import FABRIC_KINDS
-from repro.common.config import TopologyConfig
+from repro.common.config import DIRECTORY_ENTRY_KINDS, TopologyConfig
 from repro.common.errors import ConfigError
-from repro.protocols import PROTOCOLS
+from repro.protocols import PROTOCOL_NAMES
 from repro.workloads.registry import (WORKLOADS, canonical_workload_name,
                                       default_lock_style)
 
@@ -55,8 +55,6 @@ class _RemovedFlag(argparse.Action):
 
 def _add_fabric_flags(parser: argparse.ArgumentParser) -> None:
     """The fabric geometry knobs shared by ``run`` and ``sweep``."""
-    from repro.directory_backend import DIRECTORY_ENTRY_KINDS
-
     parser.add_argument("--clusters", type=int, default=None, metavar="K",
                         help="clusters of the clustered fabric (default 2)")
     parser.add_argument("--directory-banks", type=int, default=None,
@@ -155,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a workload and print statistics")
-    run.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    run.add_argument("--protocol", choices=sorted(PROTOCOL_NAMES),
                      default="bitar-despain")
     run.add_argument("--workload", type=_workload_name,
                      default="lock-contention", metavar="NAME",
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="sweep processor count and print cycles/utilization"
     )
-    sweep.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    sweep.add_argument("--protocol", choices=sorted(PROTOCOL_NAMES),
                        default="bitar-despain")
     sweep.add_argument("--workload", type=_workload_name,
                        default="lock-contention", metavar="NAME")
@@ -272,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
                          default="lock-contention", metavar="NAME")
     compare.add_argument("-n", "--processors", type=int, default=4)
     compare.add_argument("--protocols", nargs="+", default=None,
-                         choices=sorted(PROTOCOLS),
+                         choices=sorted(PROTOCOL_NAMES),
                          help="defaults to the six Table-1 protocols")
 
     conform = sub.add_parser(
         "conformance", help="run the protocol conformance battery"
     )
-    conform.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    conform.add_argument("--protocol", choices=sorted(PROTOCOL_NAMES),
                          required=True)
 
     check = sub.add_parser(
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="model-check schedule space: exhaustive interleaving "
              "exploration, fuzzing, and seeded-bug mutation testing",
     )
-    check.add_argument("--protocol", choices=[*sorted(PROTOCOLS), "all"],
+    check.add_argument("--protocol", choices=[*sorted(PROTOCOL_NAMES), "all"],
                        default="all",
                        help="protocol to check (default: all ten)")
     check.add_argument("--scenario", nargs="+", default=None,
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
              "determinism, reachability, write-serialization, lock-state)",
     )
     lint_target = lint.add_mutually_exclusive_group(required=True)
-    lint_target.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    lint_target.add_argument("--protocol", choices=sorted(PROTOCOL_NAMES),
                              help="lint one protocol's table")
     lint_target.add_argument("--all", action="store_true",
                              help="lint every registered protocol")
@@ -331,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a protocol's state diagram generated from its "
              "transition table",
     )
-    diagram.add_argument("protocol", choices=sorted(PROTOCOLS))
+    diagram.add_argument("protocol", choices=sorted(PROTOCOL_NAMES))
     diagram.add_argument("--format", choices=("dot", "mermaid"),
                          default="dot",
                          help="Graphviz DOT (default) or Mermaid "
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "file) and simulate it")
     s_run.add_argument("scenario",
                        help="library name or path to a scenarios/*.json file")
-    s_run.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    s_run.add_argument("--protocol", choices=sorted(PROTOCOL_NAMES),
                        default="bitar-despain")
     s_run.add_argument("-n", "--processors", type=int, default=4)
     s_run.add_argument("--lock-style",
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_fuzz.add_argument("--scenario", nargs="+", default=None,
                         metavar="NAME",
                         help="library scenario(s) to fuzz (default: all)")
-    s_fuzz.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    s_fuzz.add_argument("--protocol", choices=sorted(PROTOCOL_NAMES),
                         default="bitar-despain")
     s_fuzz.add_argument("-n", "--processors", type=int, default=3)
     s_fuzz.add_argument("--seed", type=int, default=0)
@@ -931,6 +929,8 @@ def _command_scenario_fuzz(args: argparse.Namespace) -> int:
 
 
 def command_protocols(args: argparse.Namespace) -> int:
+    from repro.protocols import PROTOCOLS
+
     rows = [
         [name, cls.features().citation, len(cls.states())]
         for name, cls in sorted(PROTOCOLS.items())

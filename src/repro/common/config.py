@@ -242,6 +242,11 @@ class CacheConfig:
 TOPOLOGY_KINDS: tuple[str, ...] = ("snoop", "multibus", "clustered",
                                   "directory")
 
+#: Sharer-set representations a ``directory`` topology can name (see
+#: :mod:`repro.directory_backend.representations`).
+DIRECTORY_ENTRY_KINDS: tuple[str, ...] = ("full-bit-vector",
+                                         "limited-pointer", "coarse-vector")
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -288,10 +293,6 @@ class TopologyConfig:
     directory_region_size: int = 4
 
     def __post_init__(self) -> None:
-        from repro.directory_backend.representations import (
-            DIRECTORY_ENTRY_KINDS,
-        )
-
         if self.kind not in TOPOLOGY_KINDS:
             raise ConfigError(
                 f"unknown topology kind {self.kind!r}; expected one of "

@@ -13,38 +13,17 @@ per-block sharer tracking is one of three pluggable representations
 (:mod:`repro.directory_backend.representations`).
 """
 
-from repro.directory_backend.representations import (
-    DIRECTORY_ENTRY_KINDS,
-    CoarseVector,
-    FullBitVector,
-    LimitedPointerSet,
-    SharerSet,
-    bits_per_block,
-)
-from repro.directory_backend.state import DirectoryEntry, DirectoryState
-from repro.directory_backend.system import DirectoryFabric, DirectorySystem
-from repro.directory_backend.table import (
-    HOME_BANK_TABLE,
-    DirectoryTable,
-    DirEvent,
-    HomeState,
-    build_home_bank_table,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "DIRECTORY_ENTRY_KINDS",
-    "CoarseVector",
-    "DirEvent",
-    "DirectoryEntry",
-    "DirectoryFabric",
-    "DirectoryState",
-    "DirectorySystem",
-    "DirectoryTable",
-    "FullBitVector",
-    "HOME_BANK_TABLE",
-    "HomeState",
-    "LimitedPointerSet",
-    "SharerSet",
-    "bits_per_block",
-    "build_home_bank_table",
-]
+# The fabric builder resolves ``DirectorySystem`` only for a directory
+# topology, so a snoop, multibus or clustered run loads none of this
+# package.
+__all__ = lazy_exports(globals(), {
+    "representations": ("DIRECTORY_ENTRY_KINDS", "CoarseVector",
+                        "FullBitVector", "LimitedPointerSet", "SharerSet",
+                        "bits_per_block"),
+    "state": ("DirectoryEntry", "DirectoryState"),
+    "system": ("DirectoryFabric", "DirectorySystem"),
+    "table": ("HOME_BANK_TABLE", "DirectoryTable", "DirEvent", "HomeState",
+              "build_home_bank_table"),
+})

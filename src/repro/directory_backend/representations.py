@@ -27,13 +27,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from repro.common.config import DIRECTORY_ENTRY_KINDS
+
 if TYPE_CHECKING:
     from repro.common.config import TopologyConfig
     from repro.common.types import CacheId
-
-#: Legal values of ``TopologyConfig.directory_entry``.
-DIRECTORY_ENTRY_KINDS = ("full-bit-vector", "limited-pointer",
-                         "coarse-vector")
 
 
 class SharerSet:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.common import schema
 from repro.lint.rules import Finding, lint_table
-from repro.protocols import PROTOCOLS, get_protocol
+from repro.protocols import PROTOCOL_NAMES, get_protocol
 
 
 def lint_protocol(name: str) -> list[Finding]:
@@ -17,7 +17,7 @@ def lint_all() -> dict[str, list[Finding]]:
     policy, keyed by registry name."""
     from repro.directory_backend.table import HOME_BANK_TABLE
 
-    findings = {name: lint_protocol(name) for name in sorted(PROTOCOLS)}
+    findings = {name: lint_protocol(name) for name in sorted(PROTOCOL_NAMES)}
     findings[HOME_BANK_TABLE.name] = lint_table(HOME_BANK_TABLE)
     return findings
 
@@ -31,8 +31,8 @@ def build_report(findings_by_protocol: dict[str, list[Finding]]) -> dict:
         findings = findings_by_protocol[name]
         entry: dict = {"ok": not findings,
                        "findings": [f.to_dict() for f in findings]}
-        if name in PROTOCOLS:
-            table = PROTOCOLS[name].table
+        if name in PROTOCOL_NAMES:
+            table = get_protocol(name).table
         elif name == HOME_BANK_TABLE.name:
             table = HOME_BANK_TABLE
         else:

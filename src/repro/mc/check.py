@@ -21,7 +21,7 @@ from repro.mc.fuzz import FuzzResult, fuzz
 from repro.mc.mutations import MUTATIONS, Mutation, get_mutation
 from repro.mc.scenarios import SCENARIOS, Scenario, get_scenario
 from repro.mc.shrink import shrink
-from repro.protocols import PROTOCOLS
+from repro.protocols import PROTOCOL_NAMES
 
 
 @dataclass
@@ -186,7 +186,7 @@ def check(
     """
     started = time.monotonic()
     report = CheckReport(protocols=sorted(protocols)
-                         if protocols is not None else sorted(PROTOCOLS))
+                         if protocols is not None else sorted(PROTOCOL_NAMES))
     scenario_list = _resolve_scenarios(scenarios)
     if mutations is True:
         selected = list(MUTATIONS.values())

@@ -39,24 +39,26 @@ from __future__ import annotations
 import functools
 import time
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.bus.bus import Bus
 from repro.cache.cache import SnoopingCache
 from repro.common.config import SystemConfig, WaitMode
 from repro.common.errors import ConfigError, DeadlockError, WatchdogTimeout
 from repro.common.types import NEVER
-from repro.memory.io_processor import IOProcessor
 from repro.memory.main_memory import MainMemory
 from repro.processor.processor import Processor, _State
 from repro.processor.program import Program
 from repro.obs.core import NULL_OBS, Observability
 from repro.protocols import get_protocol
 from repro.sim.clock import Clock, StampClock
-from repro.sim.schedule import ChoiceKind, Scheduler
 from repro.sim.stats import SimStats
-from repro.verify.invariants import InvariantChecker
 from repro.verify.oracle import WriteOracle
+
+if TYPE_CHECKING:
+    from repro.memory.io_processor import IOProcessor
+    from repro.sim.schedule import Scheduler
+    from repro.verify.invariants import InvariantChecker
 
 #: Stepped-loop iterations between wall-clock watchdog checks; keeps the
 #: hot path at one integer compare per cycle when a watchdog is armed.
@@ -137,6 +139,8 @@ class Simulator:
 
         self.io: IOProcessor | None = None
         if config.with_io:
+            from repro.memory.io_processor import IOProcessor
+
             self.io = IOProcessor(self.memory, self.stamp_clock, self.stats)
             self.io.oracle = self.oracle
             self.bus.attach(self.io)
@@ -183,16 +187,23 @@ class Simulator:
         self._progress_ticks = 0
         self._computing = 0
 
-        self.checker = InvariantChecker.for_system(
-            self.caches, self.memory, self.oracle,
-            serialized=config.strict_verify, fabric=self.bus,
-        )
         self._check_interval = check_interval
         self._last_progress_sig: tuple = ()
         self._last_progress_cycle = 0
         self._watchdog_deadline: float | None = None
         self._watchdog_budget = 0.0
         self._watchdog_started = 0.0
+
+    @functools.cached_property
+    def checker(self) -> InvariantChecker:
+        """The coherence-invariant checker, built on first use: a run
+        with ``check_interval=0`` never loads it."""
+        from repro.verify.invariants import InvariantChecker
+
+        return InvariantChecker.for_system(
+            self.caches, self.memory, self.oracle,
+            serialized=self.config.strict_verify, fabric=self.bus,
+        )
 
     # -- running ----------------------------------------------------------
 
@@ -329,6 +340,8 @@ class Simulator:
         default order (ascending pid) is candidate 0, so the base
         scheduler reproduces the unscheduled engine exactly.
         """
+        from repro.sim.schedule import ChoiceKind
+
         scheduler = self.scheduler
         assert scheduler is not None
         due = [self.processors[pid] for pid in batch]

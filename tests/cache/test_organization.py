@@ -142,3 +142,69 @@ class TestLruProperties:
             victim = arr.choose_victim(block)
             arr.install(victim, block, CacheState.READ, [0] * 4, 1)
             assert arr.lookup(block) is not None
+
+
+#: A frame never filled, as ``signature()`` hashes it with two-word
+#: blocks: tag -1, invalid, never-written words, no sub-block bits.
+_UNUSED = (-1, "I", (0, 0), None, None)
+
+
+class TestLazyFrames:
+    """Frames are created on first fill; victims and signatures are
+    those of an array whose every frame exists from the start (the
+    constants below were recorded from such an array)."""
+
+    def test_fresh_signature(self):
+        arr = make(num_blocks=4, assoc=2, wpb=2)
+        assert arr.signature() == (((_UNUSED, _UNUSED), (0, 1)),
+                                   ((_UNUSED, _UNUSED), (0, 1)))
+        assert arr.set_of(0) == [] and arr.lines() == []
+
+    def test_fill_invalidate_refill_evict(self):
+        """Two ways, two sets: fill, a locked fill, invalidate, refill
+        into the invalid frame, LRU eviction that passes over the older
+        locked line, and a fill at cycle 0 (its LRU clock ties with the
+        unused frame's)."""
+        arr = make(num_blocks=4, assoc=2, wpb=2)
+        steps = []
+
+        def fill(block, state, cycle):
+            victim = arr.choose_victim(block)
+            before = (victim.block, victim.state.value, victim.valid)
+            line = arr.install(victim, block, state, [cycle] * 2, cycle)
+            steps.append((block, before, arr.set_of(block).index(line)))
+            return line
+
+        first = fill(0, CacheState.READ, 1)
+        fill(4, CacheState.LOCK, 2)
+        first.state = CacheState.INVALID
+        fill(8, CacheState.READ, 3)
+        fill(12, CacheState.READ, 4)
+        fill(2, CacheState.READ, 0)
+        assert steps == [
+            (0, (-1, "I", False), 0),
+            (4, (-1, "I", False), 1),
+            (8, (0, "I", False), 0),
+            (12, (8, "R", True), 0),
+            (2, (-1, "I", False), 0),
+        ]
+        assert arr.signature() == (
+            (((12, "R", (4, 4), None, None), (4, "L", (2, 2), None, None)),
+             (1, 0)),
+            (((2, "R", (0, 0), None, None), _UNUSED), (0, 1)),
+        )
+
+    def test_set_of_never_offers_an_unused_frame(self):
+        """Rudolph-Segall's update-invalid snoop revalidates an invalid
+        frame of the set whose tag matches; a frame never filled must
+        never be one it could match."""
+        arr = make(num_blocks=4, assoc=2, wpb=1)
+        arr.choose_victim(0)  # a new frame, not yet filled
+        assert arr.set_of(0) == []
+        line = arr.install(arr.choose_victim(0), 0, CacheState.READ, [5], 1)
+        line.state = CacheState.INVALID
+        arr.choose_victim(2)  # the invalidated frame, offered again
+        assert arr.set_of(0) == [line]
+        for block in range(8):
+            for frame in arr.set_of(block):
+                assert frame.block >= 0

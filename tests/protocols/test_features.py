@@ -4,10 +4,13 @@ import pytest
 
 from repro.cache.state import CacheState
 from repro.protocols import (
+    PROTOCOL_NAMES,
     PROTOCOLS,
     TABLE1_PROTOCOLS,
     WRITE_UPDATE_PROTOCOLS,
     get_protocol,
+    register_protocol,
+    unregister_protocol,
 )
 from repro.common.errors import UnknownProtocolError
 from repro.protocols.features import TABLE1_STATE_ROWS
@@ -33,6 +36,45 @@ class TestRegistry:
     def test_names_match_keys(self):
         for name, cls in PROTOCOLS.items():
             assert cls.name == name
+
+    def test_every_name_loads_its_class(self):
+        for name in PROTOCOL_NAMES:
+            cls = get_protocol(name)
+            assert cls.name == name
+            assert PROTOCOLS[name] is cls
+
+    def test_all_ten_in_registry_order(self):
+        order = ("write-through", "goodman", "synapse", "illinois", "yen",
+                 "berkeley", "bitar-despain", "dragon", "firefly",
+                 "rudolph-segall")
+        assert PROTOCOL_NAMES == order
+        assert tuple(PROTOCOLS) == order
+
+    def test_unknown_protocol_lists_all_ten(self):
+        with pytest.raises(UnknownProtocolError) as info:
+            get_protocol("mesi-2000")
+        message = info.value.args[0]
+        assert "'mesi-2000'" in message
+        assert message.endswith(", ".join(sorted(PROTOCOL_NAMES)))
+
+    def test_register_and_unregister_an_extension(self):
+        class Extension(PROTOCOLS["illinois"]):
+            name = "illinois-extension"
+
+        register_protocol(Extension)
+        try:
+            assert get_protocol("illinois-extension") is Extension
+            assert "illinois-extension" not in PROTOCOLS
+        finally:
+            unregister_protocol("illinois-extension")
+        with pytest.raises(UnknownProtocolError):
+            get_protocol("illinois-extension")
+
+    def test_reproduced_names_cannot_be_taken(self):
+        with pytest.raises(ValueError):
+            register_protocol(PROTOCOLS["illinois"])
+        with pytest.raises(ValueError):
+            unregister_protocol("illinois")
 
 
 class TestStateCounts:

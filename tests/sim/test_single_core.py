@@ -36,8 +36,21 @@ UNUSED_BY_A_RUN = (
     "repro.scenario.compile", "repro.scenario.library",
 )
 
+#: Modules a snoop-bus ``bitar-despain`` run without invariant checks
+#: must not load: the nine other protocols, the other fabrics, the
+#: scheduler, the I/O processor and the invariant checker.
+UNUSED_BY_A_SNOOP_RUN = (
+    "repro.protocols.write_through", "repro.protocols.goodman",
+    "repro.protocols.synapse", "repro.protocols.illinois",
+    "repro.protocols.yen", "repro.protocols.berkeley",
+    "repro.protocols.dragon", "repro.protocols.firefly",
+    "repro.protocols.rudolph_segall", "repro.directory_backend",
+    "repro.bus.multibus", "repro.sim.schedule", "repro.memory.io_processor",
+    "repro.verify.invariants",
+)
+
 LAZY_PACKAGES = ("repro.obs", "repro.verify", "repro.workloads",
-                 "repro.analysis")
+                 "repro.analysis", "repro.directory_backend")
 
 
 def _probe(code: str) -> list:
@@ -62,6 +75,43 @@ def test_an_unobserved_run_imports_only_what_it_uses():
         "                  if m in sys.modules]))\n"
     )
     assert loaded == []
+
+
+def test_a_snoop_run_loads_one_protocol_and_one_fabric():
+    loaded = _probe(
+        "import json, sys\n"
+        "from repro.common.config import SystemConfig\n"
+        "from repro.sim.engine import Simulator\n"
+        "from repro.workloads.registry import build_workload\n"
+        "config = SystemConfig(protocol='bitar-despain')\n"
+        "sim = Simulator(config, build_workload('lock-contention', config),\n"
+        "                check_interval=0)\n"
+        "sim.run()\n"
+        f"print(json.dumps([m for m in {UNUSED_BY_A_SNOOP_RUN!r}\n"
+        "                  if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def test_importing_the_cli_loads_no_protocol_module():
+    loaded = _probe(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m.startswith(('repro.protocols.',\n"
+        "                                   'repro.core.'))\n"
+        "                  and m not in ('repro.protocols.base',\n"
+        "                                'repro.protocols.features',\n"
+        "                                'repro.protocols.table')]))\n"
+    )
+    assert loaded == []
+
+
+def test_the_checker_is_built_on_first_use():
+    sim = _directory_sim()
+    assert "checker" not in vars(sim)
+    assert sim.checker is sim.checker
+    assert sim.checker.caches == sim.caches
 
 
 def test_importing_the_cli_loads_no_numpy_or_process_pool():
