@@ -36,7 +36,6 @@ from repro.common.config import (CacheConfig, SystemConfig, TopologyConfig,
                                  WaitMode)
 from repro.common.errors import ConfigError
 from repro.common.schema import stamp
-from repro.obs.core import ObsResult
 from repro.processor.program import LockStyle, Program
 from repro.sim.stats import SimStats
 from repro.workloads.registry import (WORKLOADS, build_workload,
@@ -47,6 +46,7 @@ from repro.workloads.registry import (WORKLOADS, build_workload,
 
 if TYPE_CHECKING:
     from repro.mc.check import CheckReport
+    from repro.obs.core import ObsResult
 
 __all__ = [
     "RunResult",

@@ -22,7 +22,7 @@ from repro.common.types import NEVER, BlockAddr, CacheId, Stamp
 from repro.protocols.base import Outcome
 from repro.protocols.features import ReadSourcePolicy
 
-from repro.obs.core import NULL_OBS
+from repro.obs.null import NULL_OBS
 
 if TYPE_CHECKING:
     from repro.cache.directory import DirectoryModel

@@ -53,7 +53,7 @@ class ClusteredBusSystem(MultiBusSystem):
         stats: "SimStats",
         obs: "Observability" = None,  # type: ignore[assignment]
     ) -> None:
-        from repro.obs.core import NULL_OBS
+        from repro.obs.null import NULL_OBS
 
         self.topology = topology
         self.clusters = topology.clusters

@@ -20,7 +20,7 @@ from repro.bus.signals import SnoopReply
 from repro.bus.transaction import BusTransaction
 from repro.common.config import TimingConfig
 from repro.common.types import BlockAddr, CacheId, Stamp
-from repro.obs.core import NULL_OBS
+from repro.obs.null import NULL_OBS
 
 if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory

@@ -25,7 +25,7 @@ from repro.cache.state import CacheState
 from repro.common.config import CacheConfig, RmwMethod
 from repro.common.errors import ProgramError, ProtocolError
 from repro.common.types import BlockAddr, CacheId, Stamp, WordAddr, block_of
-from repro.obs.core import NULL_OBS
+from repro.obs.null import NULL_OBS
 from repro.processor.isa import Op, OpKind
 from repro.protocols.base import Done, NeedBus, Outcome, TxnResult
 

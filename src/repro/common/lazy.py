@@ -6,7 +6,7 @@ importing the package costs nothing, and a run loads only the modules it
 uses.  Usage, at the end of the ``__init__``::
 
     __all__ = lazy_exports(globals(), {
-        "core": ("Observability", "NULL_OBS"),
+        "core": ("Observability", "ObsResult"),
         "export": ("write_chrome_trace",),
     })
 """

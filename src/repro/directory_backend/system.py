@@ -248,7 +248,7 @@ class DirectorySystem(MultiBusSystem):
         stats: "SimStats",
         obs: "Observability" = None,  # type: ignore[assignment]
     ) -> None:
-        from repro.obs.core import NULL_OBS
+        from repro.obs.null import NULL_OBS
 
         self.topology = topology
         super().__init__(topology.directory_banks, memory, timing, clock,

@@ -17,7 +17,7 @@ Quickstart::
 from repro.common.lazy import lazy_exports
 
 # Each submodule loads on first use of one of its names: an unobserved
-# run imports only ``core`` (with ``registry`` and ``sampler``).
+# run imports only ``null``.
 __all__ = lazy_exports(globals(), {
     "attribution": (
         "BUCKETS",
@@ -29,8 +29,7 @@ __all__ = lazy_exports(globals(), {
         "render_comparison",
         "render_critical_path",
     ),
-    "core": ("DETACHED_OPS", "NULL_OBS", "NullObservability",
-             "Observability", "ObsResult"),
+    "core": ("DETACHED_OPS", "Observability", "ObsResult"),
     "export": (
         "assert_valid_chrome_trace",
         "chrome_trace",
@@ -44,6 +43,7 @@ __all__ = lazy_exports(globals(), {
         "write_samples",
         "write_spans",
     ),
+    "null": ("NULL_OBS", "NullObservability"),
     "tracing": ("SPAN_KINDS",),
     "heatmap": ("HEATMAP_METRICS", "Heatmap", "build_heatmap"),
     "registry": ("Counter", "Histogram", "MetricRegistry"),

@@ -6,8 +6,8 @@ One :class:`Observability` instance rides along one simulation run.  The
 processors, which publish into it through the ``record_*`` hooks.
 ``obs.active`` is the simulator's one instrumentation gate: every call
 site is guarded by ``if obs.active:``, so with observability disabled
-(the shared :data:`NULL_OBS` null object) the hot path costs exactly
-one attribute check.
+(the shared :data:`~repro.obs.null.NULL_OBS` null object) the hot path
+costs exactly one attribute check.
 
 The layer has two tiers:
 
@@ -34,7 +34,9 @@ attribution report -- the input to the heatmap and exporter passes in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import TYPE_CHECKING
 
 from repro.obs.registry import MetricRegistry
@@ -66,38 +68,7 @@ class ObsResult:
     attribution: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "interval": self.interval,
-            "cycles": self.cycles,
-            "samples": self.samples,
-            "metrics": self.metrics,
-            "slices": self.slices,
-            "spans": self.spans,
-            "attribution": self.attribution,
-        }
-
-
-class NullObservability:
-    """The disabled layer: ``active`` is False.
-
-    Every hook call site is guarded by ``obs.active``, so the null object
-    carries no hooks: an unguarded call fails loudly instead of silently
-    doing nothing.  Shared across simulators, hence it refuses to be
-    bound to a run.
-    """
-
-    active = False
-    next_advance = 0
-
-    def bind(self, stats: "SimStats") -> None:
-        raise RuntimeError(
-            "cannot bind the shared null observability; construct the "
-            "simulator with obs=Observability(...)"
-        )
-
-
-#: Module-level null object used whenever observability is disabled.
-NULL_OBS = NullObservability()
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(slots=True)
@@ -114,6 +85,25 @@ class _Tally:
     hits_out: int = 0         # local-hit issue cycles outside any window
     episodes: int = 0
     aborted: int = 0
+
+
+@dataclass(slots=True)
+class _Episode:
+    """One processor's open stall episode, closed by ``_close_episode``."""
+
+    span: dict
+    arb_since: int
+    in_window: bool           # posted (or woken) inside a lock wait window
+    inval: bool = False       # an invalidation-forced refetch
+    arb: int = 0
+    transfer: int = 0
+    phases: int = 1
+
+
+def _children(metric):
+    """Label values -> the child of ``metric`` bound to them, cached."""
+    names = metric.label_names
+    return cache(lambda *values: metric.labels(**dict(zip(names, values))))
 
 
 class Observability:
@@ -146,14 +136,14 @@ class Observability:
 
         # The traced tier.
         self.spans: list[dict] = []
-        self.tallies: dict[int, _Tally] = {}
+        self.tallies: dict[int, _Tally] = defaultdict(_Tally)
         #: block -> ordered acquisition chain [{pid, acquired, hold}].
         self.handoffs: dict[int, list[dict]] = {}
         #: block -> total cycles processors spent waiting on it.
         self.block_waits: dict[int, int] = {}
         self.end_cycle: int | None = None
         self._open_txn: dict | None = None
-        self._episodes: dict[int, dict] = {}        # requester -> state
+        self._episodes: dict[int, _Episode] = {}    # requester -> state
         self._last_collect: dict[int, int] = {}     # pid -> last collect cycle
         self._last_spin: dict[int, int] = {}        # pid -> last spin-step cycle
         self._last_episode: dict[int, int] = {}     # pid -> last closed span id
@@ -162,53 +152,55 @@ class Observability:
 
         reg = self.registry
         if tracing:
-            self._span_hist = reg.histogram(
-                "span_cycles", "span duration by kind (cycles)",
-                label_names=("kind",))
-            self._bucket_hist = reg.histogram(
+            from repro.obs.tracing import SPAN_KINDS
+
+            spans = reg.histogram(
+                "span_cycles", "span duration by kind (cycles)", ("kind",))
+            self._span_cycles = {kind: spans.labels(kind=kind)
+                                 for kind in SPAN_KINDS}
+            buckets = reg.histogram(
                 "bucket_wait_cycles",
                 "per-episode latency by attribution bucket (cycles)",
                 label_names=("bucket",))
-        self._bus_txns = reg.counter(
-            "bus_txns_total", "bus transactions granted",
-            label_names=("op", "bus"))
-        self._bus_txn_cycles = reg.histogram(
+            self._bucket_cycles = {b: buckets.labels(bucket=b) for b in (
+                "lock_spin", "inval_refetch", "bus_arb_wait", "miss_wait")}
+        self._bus_txns = _children(reg.counter(
+            "bus_txns_total", "bus transactions granted", ("op", "bus")))
+        self._bus_txn_cycles = _children(reg.histogram(
             "bus_txn_cycles", "bus occupancy per transaction (cycles)",
-            label_names=("op",))
-        self._invalidations = reg.counter(
+            label_names=("op",)))
+        self._invalidations = _children(reg.counter(
             "invalidations_total", "invalidations received, by block",
-            label_names=("block",))
-        self._c2c = reg.counter(
+            label_names=("block",)))
+        self._c2c = _children(reg.counter(
             "c2c_transfers_total", "cache-to-cache supplies, by block",
-            label_names=("block",))
-        self._source_losses = reg.counter(
+            label_names=("block",)))
+        self._source_losses = _children(reg.counter(
             "source_losses_total",
             "memory fetches despite cached copies (Feature 8 MEM), by block",
-            label_names=("block",))
-        self._unlock_broadcasts = reg.counter(
+            label_names=("block",)))
+        self._unlock_broadcasts = _children(reg.counter(
             "unlock_broadcasts_total", "unlock broadcasts, by block",
-            label_names=("block", "spurious"))
-        self._lock_acquisitions = reg.counter(
+            label_names=("block", "spurious")))
+        self._lock_acquisitions = _children(reg.counter(
             "lock_acquisitions_total", "lock acquisitions, by block",
-            label_names=("block",))
-        self._lock_handoffs = reg.counter(
+            label_names=("block",)))
+        self._lock_handoffs = _children(reg.counter(
             "lock_handoffs_total",
             "acquisitions by a different processor than the previous owner",
-            label_names=("block",))
-        self._lock_hold = reg.histogram(
-            "lock_hold_cycles", "lock hold time (cycles)",
-            label_names=("block",))
-        self._lock_wait = reg.histogram(
-            "lock_wait_cycles", "lock wait/spin time (cycles)",
-            label_names=("block",))
-        self._cluster_hops = reg.counter(
+            label_names=("block",)))
+        self._lock_hold = _children(reg.histogram(
+            "lock_hold_cycles", "lock hold time (cycles)", ("block",)))
+        self._lock_wait = _children(reg.histogram(
+            "lock_wait_cycles", "lock wait/spin time (cycles)", ("block",)))
+        self._cluster_hops = _children(reg.counter(
             "cluster_hops_total",
             "inter-cluster link crossings, by (src, dst) cluster",
-            label_names=("src", "dst"))
-        self._directory_msgs = reg.counter(
+            label_names=("src", "dst")))
+        self._directory_msgs = _children(reg.counter(
             "directory_msgs_total",
             "directory point-to-point messages, by kind and home bank",
-            label_names=("kind", "bank"))
+            label_names=("kind", "bank")))
 
     # -- wiring (called by the Simulator) ----------------------------------
 
@@ -250,7 +242,7 @@ class Observability:
         # Close anything still open, marked truncated.
         for pid in sorted(self._episodes):
             episode = self._episodes[pid]
-            episode["arb"] += max(0, cycles - episode["arb_since"])
+            episode.arb += max(0, cycles - episode.arb_since)
             self._close_episode(pid, episode, cycles, truncated=True)
         for pid in sorted(self._waits):
             self._close_window(pid, self._waits.pop(pid), cycles,
@@ -259,12 +251,6 @@ class Observability:
         self.end_cycle = cycles
 
     # -- traced-tier plumbing ----------------------------------------------
-
-    def _tally(self, pid: int) -> _Tally:
-        tally = self.tallies.get(pid)
-        if tally is None:
-            tally = self.tallies[pid] = _Tally()
-        return tally
 
     def _span(self, kind: str, name: str, track: str, start: int,
               dur: int = 0, parent: int | None = None,
@@ -277,54 +263,43 @@ class Observability:
         self.spans.append(span)
         return span
 
-    def _observe(self, span: dict) -> None:
-        self._span_hist.observe(span["dur"], kind=span["kind"])
-
-    def _observe_bucket(self, bucket: str, cycles: int) -> None:
-        if cycles > 0:
-            self._bucket_hist.observe(cycles, bucket=bucket)
-
-    def _open_episode(self, pid: int, span: dict, arb_since: int,
-                      inval: bool) -> None:
-        self._episodes[pid] = {
-            "span": span, "arb_since": arb_since, "arb": 0, "transfer": 0,
-            "phases": 1, "in_window": pid in self._waits, "inval": inval,
-        }
-
-    def _close_episode(self, pid: int, episode: dict, end: int,
+    def _close_episode(self, pid: int, episode: _Episode, end: int,
                        aborted: bool = False, truncated: bool = False,
                        rearmed: bool = False) -> None:
-        span = episode["span"]
-        span["dur"] = max(0, end - span["start"])
-        arb, transfer = episode["arb"], episode["transfer"]
-        in_window, inval = episode["in_window"], episode["inval"]
-        span["args"].update(arb=arb, transfer=transfer,
-                            phases=episode["phases"])
+        span = episode.span
+        span["dur"] = dur = max(0, end - span["start"])
+        arb, transfer = episode.arb, episode.transfer
+        args = span["args"]
+        args["arb"], args["transfer"], args["phases"] = (arb, transfer,
+                                                         episode.phases)
         if aborted:
-            span["args"]["aborted"] = True
+            args["aborted"] = True
         if truncated:
-            span["args"]["truncated"] = True
+            args["truncated"] = True
         if rearmed:
-            span["args"]["rearmed"] = True
-        if in_window:
-            span["args"]["in_window"] = True
-
-        tally = self._tally(pid)
+            args["rearmed"] = True
+        tally = self.tallies[pid]
         tally.episodes += 1
         if aborted:
             tally.aborted += 1
-        if in_window:
+        buckets = self._bucket_cycles
+        if episode.in_window:
+            args["in_window"] = True
             tally.win_stall += arb + transfer
-            self._observe_bucket("lock_spin", arb + transfer)
-        elif inval:
+            if arb + transfer > 0:
+                buckets["lock_spin"].observe(arb + transfer)
+        elif episode.inval:
             tally.inval_wait += arb + transfer
-            self._observe_bucket("inval_refetch", arb + transfer)
+            if arb + transfer > 0:
+                buckets["inval_refetch"].observe(arb + transfer)
         else:
             tally.out_arb += arb
             tally.out_transfer += transfer
-            self._observe_bucket("bus_arb_wait", arb)
-            self._observe_bucket("miss_wait", transfer)
-        self._observe(span)
+            if arb > 0:
+                buckets["bus_arb_wait"].observe(arb)
+            if transfer > 0:
+                buckets["miss_wait"].observe(transfer)
+        self._span_cycles["episode"].observe(dur)
         self._last_episode[pid] = span["id"]
         self._episodes.pop(pid, None)
 
@@ -333,7 +308,7 @@ class Observability:
         """Close a lock wait that ended in ``outcome`` (``acquired`` or
         ``cancelled``); returns its wait span id when traced."""
         block, start = wait[0], wait[1]
-        self._lock_wait.observe(cycle - start, block=block)
+        self._lock_wait(block).observe(cycle - start)
         self.slices.append({
             "track": f"cpu{pid}",
             "name": f"wait {block}" + (" (cancelled)"
@@ -351,10 +326,10 @@ class Observability:
         block, _start, span = wait
         span["dur"] = cycle - span["start"]
         span["args"]["outcome"] = outcome
-        self._tally(pid).win_cycles += span["dur"]
+        self.tallies[pid].win_cycles += span["dur"]
         self.block_waits[block] = (self.block_waits.get(block, 0)
                                    + span["dur"])
-        self._observe(span)
+        self._span_cycles["wait"].observe(span["dur"])
         return span["id"]
 
     # -- bus transactions --------------------------------------------------
@@ -370,7 +345,7 @@ class Observability:
         elif op not in DETACHED_OPS:
             episode = self._episodes.get(requester)
             if episode is not None:
-                parent = episode["span"]["id"]
+                parent = episode.span["id"]
         span = self._span("txn", op, f"bus{bus}", cycle, parent=parent,
                           block=block, requester=requester)
         if op == "UNLOCK_BROADCAST":
@@ -382,8 +357,8 @@ class Observability:
     def record_bus_txn(self, cycle: int, duration: int, op: str,
                        block: int, requester: int, bus: int = 0,
                        *, outcome: str | None = None) -> None:
-        self._bus_txns.inc(op=op, bus=bus)
-        self._bus_txn_cycles.observe(duration, op=op)
+        self._bus_txns(op, bus).inc()
+        self._bus_txn_cycles(op).observe(duration)
         self.slices.append({
             "track": f"bus{bus}", "name": op, "start": cycle,
             "dur": duration,
@@ -396,7 +371,7 @@ class Observability:
         if span is not None:
             span["dur"] = duration
             span["args"]["outcome"] = outcome
-            self._observe(span)
+            self._span_cycles["txn"].observe(duration)
         if op in DETACHED_OPS:
             return
         episode = self._episodes.get(requester)
@@ -407,40 +382,40 @@ class Observability:
             # arbitration resumes once this phase's occupancy expires --
             # resuming from the *release*, not the grant, or the phase's
             # transfer would be double-counted.
-            episode["arb"] += cycle - episode["arb_since"]
-            episode["transfer"] += duration
-            episode["arb_since"] = cycle + duration
-            episode["phases"] += 1
+            episode.arb += cycle - episode.arb_since
+            episode.transfer += duration
+            episode.arb_since = cycle + duration
+            episode.phases += 1
             return
-        episode["arb"] += cycle - episode["arb_since"]
+        episode.arb += cycle - episode.arb_since
         if outcome == "WAIT_LOCK":
             # The lock was held: the requester parks (arbitration only;
             # the wait window opened at this same grant).
             self._close_episode(requester, episode, cycle)
         else:  # DONE: occupancy runs [cycle, cycle+duration), collect after
-            episode["transfer"] += duration
+            episode.transfer += duration
             self._close_episode(requester, episode, cycle + duration)
             self._last_collect[requester] = cycle + duration
 
     def record_invalidation(self, block: int, cache: int) -> None:
-        self._invalidations.inc(block=block)
+        self._invalidations(block).inc()
         # Remember which transaction killed the copy; the victim's next
         # request for this block is an invalidation-forced refetch.
         if self.tracing and self._open_txn is not None:
             self._pending_inval[(cache, block)] = self._open_txn["id"]
 
     def record_c2c(self, block: int, supplier: int) -> None:
-        self._c2c.inc(block=block)
+        self._c2c(block).inc()
 
     def record_source_loss(self, block: int) -> None:
-        self._source_losses.inc(block=block)
+        self._source_losses(block).inc()
 
     def record_unlock_broadcast(self, block: int, spurious: bool) -> None:
-        self._unlock_broadcasts.inc(block=block, spurious=spurious)
+        self._unlock_broadcasts(block, spurious).inc()
 
     def record_cluster_hop(self, cycle: int, block: int,
                            src_cluster: int, dst_cluster: int) -> None:
-        self._cluster_hops.inc(src=src_cluster, dst=dst_cluster)
+        self._cluster_hops(src_cluster, dst_cluster).inc()
         self.slices.append({
             "track": "link", "name": f"hop {src_cluster}->{dst_cluster}",
             "start": cycle, "dur": 1,
@@ -450,7 +425,7 @@ class Observability:
 
     def record_directory_msgs(self, cycle: int, kind: str, block: int,
                               bank: int, count: int = 1) -> None:
-        self._directory_msgs.inc(count, kind=kind, bank=bank)
+        self._directory_msgs(kind, bank).inc(count)
 
     # -- processor requests (traced only) ----------------------------------
 
@@ -460,7 +435,7 @@ class Observability:
             return
         stale = self._episodes.get(cache)
         if stale is not None:  # defensive: never two open episodes per pid
-            stale["arb"] += max(0, cycle - stale["arb_since"])
+            stale.arb += max(0, cycle - stale.arb_since)
             self._close_episode(cache, stale, cycle, truncated=True)
         # An abort-retry posts on the aborted episode's collect cycle, and
         # a spin iteration posts on its deferred-result cycle: both are
@@ -471,16 +446,15 @@ class Observability:
         cause = self._pending_inval.pop((cache, block), None)
         span = self._span("episode", f"{op_kind} {block}", f"cpu{cache}",
                           arb_since, cause=cause, block=block, op=op_kind)
-        self._open_episode(cache, span, arb_since, cause is not None)
+        self._episodes[cache] = _Episode(span, arb_since, cache in self._waits,
+                                         cause is not None)
 
     def record_request_aborted(self, cache: int, cycle: int) -> None:
-        if not self.tracing:
-            return
-        episode = self._episodes.get(cache)
+        episode = self._episodes.get(cache)  # none open unless tracing
         if episode is None:
             return
-        episode["arb"] += cycle - episode["arb_since"]
-        span = episode["span"]
+        episode.arb += cycle - episode.arb_since
+        span = episode.span
         if span["cause"] is None and self._open_txn is not None:
             span["cause"] = self._open_txn["id"]
         self._close_episode(cache, episode, cycle, aborted=True)
@@ -490,7 +464,7 @@ class Observability:
         # In-window hits are spin iterations; they land in the window's
         # ``win_compute`` remainder (-> lock_spin), not the hit bucket.
         if self.tracing and pid not in self._waits:
-            self._tally(pid).hits_out += 1
+            self.tallies[pid].hits_out += 1
 
     def record_spin_step(self, pid: int, cycle: int) -> None:
         """A deferred spin result was processed this cycle (a compute
@@ -505,17 +479,16 @@ class Observability:
         # first tick at or after ``until`` -- so the stall contribution
         # is at least one cycle even for an instant round trip.
         stall = max(until - start, 1)
-        span = self._span("crossbar", "crossbar rmw", f"cpu{pid}", start,
-                          dur=stall)
-        tally = self._tally(pid)
+        self._span("crossbar", "crossbar rmw", f"cpu{pid}", start, dur=stall)
+        tally = self.tallies[pid]
         in_window = pid in self._waits
         if in_window:
             tally.crossbar_in += stall
         else:
             tally.crossbar_out += stall
-        self._observe(span)
-        self._observe_bucket("lock_spin" if in_window else "miss_wait",
-                             stall)
+        self._span_cycles["crossbar"].observe(stall)
+        self._bucket_cycles["lock_spin" if in_window
+                            else "miss_wait"].observe(stall)
 
     # -- lock waits, wakes, holds ------------------------------------------
 
@@ -532,18 +505,20 @@ class Observability:
     def record_wait_wakeup(self, cache: int, block: int, cycle: int) -> None:
         if not self.tracing or cache in self._episodes:
             return
-        cause = self._open_txn["id"] if self._open_txn is not None else None
-        span = self._span("episode", f"retry {block}", f"cpu{cache}", cycle,
-                          cause=cause, block=block, op="RETRY")
-        self._open_episode(cache, span, cycle, False)
+        txn = self._open_txn
+        span = {"id": len(self.spans), "kind": "episode",
+                "name": f"retry {block}", "track": f"cpu{cache}",
+                "start": cycle, "dur": 0, "parent": None,
+                "cause": txn["id"] if txn is not None else None,
+                "args": {"block": block, "op": "RETRY"}}
+        self.spans.append(span)
+        self._episodes[cache] = _Episode(span, cycle, cache in self._waits)
 
     def record_wait_rearmed(self, cache: int, cycle: int) -> None:
-        if not self.tracing:
-            return
-        episode = self._episodes.get(cache)
+        episode = self._episodes.get(cache)  # none open unless tracing
         if episode is None:
             return
-        episode["arb"] += cycle - episode["arb_since"]
+        episode.arb += cycle - episode.arb_since
         self._close_episode(cache, episode, cycle, rearmed=True)
 
     def record_wait_cancelled(self, pid: int, cycle: int) -> None:
@@ -552,10 +527,10 @@ class Observability:
             self._close_wait(pid, wait, cycle, "cancelled")
 
     def record_lock_acquired(self, pid: int, block: int, cycle: int) -> None:
-        self._lock_acquisitions.inc(block=block)
+        self._lock_acquisitions(block).inc()
         lock = self._locks.setdefault(block, [None, None, None])
         if lock[0] is not None and lock[0] != pid:
-            self._lock_handoffs.inc(block=block)
+            self._lock_handoffs(block).inc()
         lock[0] = pid
         wait = self._waits.pop(pid, None)
         wait_id = None
@@ -568,7 +543,7 @@ class Observability:
 
     def record_lock_released(self, pid: int, block: int,
                              since: int, cycle: int) -> None:
-        self._lock_hold.observe(cycle - since, block=block)
+        self._lock_hold(block).observe(cycle - since)
         self.slices.append({
             "track": f"cpu{pid}", "name": f"hold {block}",
             "start": since, "dur": cycle - since,
@@ -587,7 +562,7 @@ class Observability:
                 span["cause"] = wait_id
             self.handoffs[block][index]["hold"] = cycle - since
         lock[2] = span["id"]
-        self._observe(span)
+        self._span_cycles["hold"].observe(span["dur"])
 
     def record_unlock_queued(self, cache: int, block: int,
                              cycle: int) -> None:

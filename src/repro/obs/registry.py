@@ -24,8 +24,46 @@ DEFAULT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 LabelKey = tuple
 
 
+class _Child:
+    """One label set of a metric, bound by :meth:`_Metric.labels`: the
+    label names are checked once, at binding, and the series is created
+    by the first update, so binding alone adds nothing to a snapshot."""
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: "_Metric", key: LabelKey) -> None:
+        self._metric, self._key = metric, key
+
+
+class CounterChild(_Child):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self._metric.name} cannot decrease")
+        values = self._metric.values
+        values[self._key] = values.get(self._key, 0) + amount
+
+
+class HistogramChild(_Child):
+    __slots__ = ("_series",)
+
+    def __init__(self, metric: "Histogram", key: LabelKey) -> None:
+        super().__init__(metric, key)
+        self._series: list | None = None
+
+    def observe(self, value: float) -> None:
+        series = self._series
+        if series is None:
+            series = self._series = self._metric._series_for(self._key)
+        series[bisect_left(self._metric.buckets, value)] += 1
+        series[-2] += value
+        series[-1] += 1
+
+
 class _Metric:
-    """Shared plumbing: name, help, and label-key construction."""
+    """Shared plumbing: name, help, label keys and child binding (each
+    metric class names its ``child`` class)."""
 
     kind = "abstract"
     __slots__ = ("name", "help", "label_names")
@@ -37,27 +75,25 @@ class _Metric:
         self.label_names = tuple(label_names)
 
     def _key(self, labels: dict) -> LabelKey:
-        if len(labels) != len(self.label_names):
-            raise ValueError(
-                f"metric {self.name} takes labels {self.label_names}, "
-                f"got {sorted(labels)}"
-            )
-        try:
-            return tuple(labels[n] for n in self.label_names)
-        except KeyError as exc:
-            raise ValueError(
-                f"metric {self.name} takes labels {self.label_names}, "
-                f"got {sorted(labels)}"
-            ) from exc
+        if sorted(labels) != sorted(self.label_names):
+            raise ValueError(f"metric {self.name} takes labels "
+                             f"{self.label_names}, got {sorted(labels)}")
+        return tuple(labels[n] for n in self.label_names)
 
     def _labels_of(self, key: LabelKey) -> dict:
         return dict(zip(self.label_names, key))
+
+    def labels(self, **labels: Any) -> _Child:
+        """The child bound to one label set, as in the Prometheus
+        client; hot call sites bind once and update it directly."""
+        return self.child(self, self._key(labels))
 
 
 class Counter(_Metric):
     """A monotonically increasing value per label set."""
 
     kind = "counter"
+    child = CounterChild
     __slots__ = ("values",)
 
     def __init__(self, name: str, help: str = "",
@@ -66,10 +102,7 @@ class Counter(_Metric):
         self.values: dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        key = self._key(labels)
-        self.values[key] = self.values.get(key, 0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels: Any) -> float:
         return self.values.get(self._key(labels), 0)
@@ -92,9 +125,11 @@ class Counter(_Metric):
 
 
 class Histogram(_Metric):
-    """Bucketed distribution per label set (cumulative bucket counts)."""
+    """Bucketed distribution per label set: per-bucket (not cumulative)
+    counts, plus the sum and count of the observed values."""
 
     kind = "histogram"
+    child = HistogramChild
     __slots__ = ("buckets", "_series")
 
     def __init__(self, name: str, help: str = "",
@@ -107,15 +142,14 @@ class Histogram(_Metric):
         self._series: dict[LabelKey, list] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
+        self.labels(**labels).observe(value)
+
+    def _series_for(self, key: LabelKey) -> list:
+        """``[bucket counts..., +Inf count, sum, count]`` of ``key``."""
         series = self._series.get(key)
         if series is None:
-            # [bucket counts..., +Inf count, sum, count]
             series = self._series[key] = [0] * (len(self.buckets) + 1) + [0.0, 0]
-        index = bisect_left(self.buckets, value)
-        series[index] += 1
-        series[-2] += value
-        series[-1] += 1
+        return series
 
     def count(self, **labels: Any) -> int:
         series = self._series.get(self._key(labels))
@@ -144,6 +178,12 @@ class Histogram(_Metric):
         }
 
 
+def _check_kind(name: str, snapshot: dict, kind: str) -> None:
+    if snapshot.get("kind") != kind:
+        raise ValueError(f"metric {name}: can only merge {kind} snapshots, "
+                         f"got {snapshot.get('kind')!r}")
+
+
 class MetricRegistry:
     """The collection every component publishes into.
 
@@ -157,18 +197,14 @@ class MetricRegistry:
 
     def _get_or_create(self, cls, name: str, help: str,
                        label_names: Iterable[str], **kwargs):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls) or (
-                existing.label_names != tuple(label_names)
-            ):
-                raise ValueError(
-                    f"metric {name} already registered with a different "
-                    f"type or label set"
-                )
-            return existing
-        metric = cls(name, help, label_names, **kwargs)
-        self._metrics[name] = metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = cls(name, help, label_names,
+                                               **kwargs)
+        elif (not isinstance(metric, cls)
+              or metric.label_names != tuple(label_names)):
+            raise ValueError(f"metric {name} already registered with a "
+                             f"different type or label set")
         return metric
 
     def counter(self, name: str, help: str = "",
@@ -194,11 +230,7 @@ class MetricRegistry:
         the snapshots back -- e.g. the sweep executor folding a retried
         point's counters into the sweep-level registry.
         """
-        if snapshot.get("kind") != "counter":
-            raise ValueError(
-                f"metric {name}: can only merge counter snapshots, got "
-                f"{snapshot.get('kind')!r}"
-            )
+        _check_kind(name, snapshot, "counter")
         counter = self.counter(name, help or snapshot.get("help", ""),
                                tuple(snapshot.get("label_names", ())))
         for entry in snapshot.get("values", ()):
@@ -214,11 +246,7 @@ class MetricRegistry:
         process boundary; bucket boundaries must match any existing
         histogram of the same name.
         """
-        if snapshot.get("kind") != "histogram":
-            raise ValueError(
-                f"metric {name}: can only merge histogram snapshots, got "
-                f"{snapshot.get('kind')!r}"
-            )
+        _check_kind(name, snapshot, "histogram")
         buckets = tuple(sorted(snapshot.get("buckets", ())))
         histogram = self.histogram(name, help or snapshot.get("help", ""),
                                    tuple(snapshot.get("label_names", ())),
@@ -235,11 +263,7 @@ class MetricRegistry:
                     f"metric {name}: snapshot has {len(counts)} bucket "
                     f"counts, expected {len(histogram.buckets) + 1}"
                 )
-            key = histogram._key(entry["labels"])
-            series = histogram._series.get(key)
-            if series is None:
-                series = histogram._series[key] = (
-                    [0] * (len(histogram.buckets) + 1) + [0.0, 0])
+            series = histogram._series_for(histogram._key(entry["labels"]))
             for index, count in enumerate(counts):
                 series[index] += count
             series[-2] += entry["sum"]

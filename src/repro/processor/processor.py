@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.common.config import WaitMode
 from repro.common.errors import ProgramError
 from repro.common.types import NEVER
-from repro.obs.core import NULL_OBS
+from repro.obs.null import NULL_OBS
 from repro.processor.isa import Op, OpKind, test_and_set
 from repro.processor.program import Program
 

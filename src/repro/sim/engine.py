@@ -49,7 +49,7 @@ from repro.common.types import NEVER
 from repro.memory.main_memory import MainMemory
 from repro.processor.processor import Processor, _State
 from repro.processor.program import Program
-from repro.obs.core import NULL_OBS, Observability
+from repro.obs.null import NULL_OBS
 from repro.protocols import get_protocol
 from repro.sim.clock import Clock, StampClock
 from repro.sim.stats import SimStats
@@ -57,6 +57,7 @@ from repro.verify.oracle import WriteOracle
 
 if TYPE_CHECKING:
     from repro.memory.io_processor import IOProcessor
+    from repro.obs.core import Observability
     from repro.sim.schedule import Scheduler
     from repro.verify.invariants import InvariantChecker
 

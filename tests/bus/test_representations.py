@@ -288,7 +288,7 @@ class TestDirectoryAccounting:
         tallies = sim.bus.message_tallies()
         assert sum(tallies.values()) > 0
         counted: dict[str, float] = {}
-        for (kind, _bank), value in obs._directory_msgs.values.items():
+        for (kind, _bank), value in obs.registry.get("directory_msgs_total").values.items():
             counted[kind] = counted.get(kind, 0) + value
         # Tally keys are the plural of the obs counter's kind label.
         for kind, total in tallies.items():

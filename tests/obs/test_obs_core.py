@@ -10,7 +10,7 @@ import pytest
 from repro import CacheConfig, SystemConfig
 from repro.analysis.sweeps import ObservedPoint, Sweep
 from repro.obs import NULL_OBS, Observability, ObsResult
-from repro.obs.core import NullObservability
+from repro.obs.null import NullObservability
 from repro.processor.program import LockStyle
 from repro.sim.engine import Simulator
 from repro.sim.stats import SimStats

@@ -182,3 +182,82 @@ class TestRegistrySnapshotMerging:
                                     "label_names": [],
                                     "values": [{"labels": {}, "value": 7}]}})
         assert a.get("depth") is None
+
+
+class TestBoundChildren:
+    """``labels()`` binds one label set once; the child updates the same
+    series the keyword path does."""
+
+    def test_wrong_label_names_raise_at_bind_time(self):
+        c = Counter("txns", label_names=("op",))
+        h = Histogram("hold", label_names=("block",))
+        for bind in (lambda: c.labels(bus=0), lambda: c.labels(),
+                     lambda: c.labels(op="READ", bus=0),
+                     lambda: h.labels(op="READ"), lambda: h.labels()):
+            with pytest.raises(ValueError):
+                bind()
+
+    def test_child_and_keywords_update_one_series(self):
+        c = Counter("txns", label_names=("op",))
+        child = c.labels(op="READ")
+        child.inc()
+        c.inc(2, op="READ")
+        child.inc(3)
+        assert c.value(op="READ") == 6
+        assert [v["labels"] for v in c.snapshot()["values"]] == [
+            {"op": "READ"}]
+
+        h = Histogram("hold", label_names=("block",), buckets=(1, 10))
+        h.observe(20, block=0)          # the keyword path creates it
+        late = h.labels(block=0)
+        late.observe(4)
+        h.observe(0, block=0)
+        assert h.count(block=0) == 3
+        assert h.sum(block=0) == 24.0
+        assert h.snapshot()["values"] == [
+            {"labels": {"block": 0}, "bucket_counts": [1, 1, 1],
+             "sum": 24.0, "count": 3}]
+
+    def test_binding_without_updating_leaves_the_snapshot_unchanged(self):
+        reg = MetricRegistry()
+        counter = reg.counter("txns", label_names=("op",))
+        histogram = reg.histogram("hold", label_names=("block",))
+        before = reg.snapshot()
+        counter.labels(op="READ")
+        histogram.labels(block=64)
+        assert reg.snapshot() == before
+        assert before["txns"]["values"] == before["hold"]["values"] == []
+
+    def test_counter_child_refuses_a_negative_amount(self):
+        c = Counter("n", label_names=("op",))
+        child = c.labels(op="READ")
+        with pytest.raises(ValueError):
+            child.inc(-1)
+        assert c.snapshot()["values"] == []
+
+    def test_merge_round_trips_match_the_keyword_path(self):
+        def fill(reg, bound):
+            c = reg.counter("txns", label_names=("op", "bus"))
+            h = reg.histogram("lat", label_names=("op",), buckets=(2, 8))
+            for op, bus, value in (("READ", 0, 1), ("WRITE", 1, 9),
+                                   ("READ", 0, 3)):
+                if bound:
+                    c.labels(op=op, bus=bus).inc(value)
+                    h.labels(op=op).observe(value)
+                else:
+                    c.inc(value, op=op, bus=bus)
+                    h.observe(value, op=op)
+
+        bound, keywords = MetricRegistry(), MetricRegistry()
+        fill(bound, True)
+        fill(keywords, False)
+        snap = bound.snapshot()
+        assert snap == keywords.snapshot()
+        merged = MetricRegistry()
+        merged.merge_snapshot(snap)
+        assert merged.snapshot() == snap
+        merged.merge_snapshot(snap)
+        assert merged.snapshot()["txns"]["values"] == [
+            {"labels": {"op": "READ", "bus": 0}, "value": 8},
+            {"labels": {"op": "WRITE", "bus": 1}, "value": 18}]
+        assert merged.snapshot()["lat"]["values"][0]["count"] == 4

@@ -26,11 +26,12 @@ def _directory_sim(**kwargs) -> Simulator:
                      **kwargs)
 
 
-#: Modules an unobserved run must not load: the exporters and span
-#: machinery of ``repro.obs``, the conformance battery, the analysis
-#: layer (numpy, the process pool) and what only they use.
+#: Modules an unobserved run must not load: all of ``repro.obs`` but its
+#: null object, the conformance battery, the analysis layer (numpy, the
+#: process pool) and what only they use.
 UNUSED_BY_A_RUN = (
     "numpy", "csv", "concurrent.futures", "repro.analysis",
+    "repro.obs.core", "repro.obs.registry", "repro.obs.sampler",
     "repro.obs.tracing", "repro.obs.export", "repro.obs.attribution",
     "repro.obs.heatmap", "repro.verify.conformance", "repro.sim.harness",
     "repro.scenario.compile", "repro.scenario.library",
@@ -73,6 +74,18 @@ def test_an_unobserved_run_imports_only_what_it_uses():
         "Simulator(config, build_workload('lock-contention', config)).run()\n"
         f"print(json.dumps([m for m in {UNUSED_BY_A_RUN!r}\n"
         "                  if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def test_an_unobserved_api_run_loads_no_observability_layer():
+    loaded = _probe(
+        "import json, sys\n"
+        "from repro import api\n"
+        "api.simulate(processors=2)\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m.startswith('repro.obs.')\n"
+        "                  and m != 'repro.obs.null']))\n"
     )
     assert loaded == []
 
