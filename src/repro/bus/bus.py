@@ -31,6 +31,22 @@ if TYPE_CHECKING:
     from repro.sim.clock import Clock
     from repro.sim.stats import SimStats
 
+# Enum members bound once for the per-transaction path: reading a
+# member through its class is a Python-level ``EnumType.__getattr__``
+# call (DESIGN.md section 4).
+_REBUS = Outcome.REBUS
+_UNLOCK_BROADCAST, _IO_OUTPUT_READ, _MEMORY_RMW, _FLUSH_BLOCK = (
+    BusOp.UNLOCK_BROADCAST, BusOp.IO_OUTPUT_READ, BusOp.MEMORY_RMW,
+    BusOp.FLUSH_BLOCK)
+#: Operations by the occupancy rule :meth:`Bus._base_duration` applies.
+_ADDRESS_ONLY_OPS = (BusOp.UPGRADE, BusOp.WRITE_NO_FETCH,
+                     BusOp.MEMORY_LOCK_WRITE, BusOp.UNLOCK_BROADCAST,
+                     BusOp.IO_INPUT)
+_WORD_WRITE_OPS = (BusOp.WRITE_WORD, BusOp.UPDATE_WORD)
+#: Read-source policies under which a memory fetch despite cached
+#: copies counts as a source loss (Feature 8).
+_SOURCE_LOSS_POLICIES = (ReadSourcePolicy.MEMORY, ReadSourcePolicy.LRU)
+
 
 class RequesterEntry:
     """One port's place in its fabric's requester index.
@@ -317,7 +333,7 @@ class Bus:
             # Open the transaction span before snooping so the snoop-time
             # hooks (invalidations, wakeups, aborts) attach to it as the
             # cause of whatever they force elsewhere.
-            self.obs.record_txn_begin(now, txn.op.name, txn.block,
+            self.obs.record_txn_begin(now, txn.op._name_, txn.block,
                                       txn.requester, bus=self.index)
 
         replies = self._snoop_all(port, txn)
@@ -327,16 +343,17 @@ class Bus:
         data = self._resolve_data(port, txn, response, replies)
 
         info = port.on_txn_granted(txn, response, data)
-        if info.outcome is Outcome.REBUS and response.retry:
+        if info.outcome is _REBUS and response.retry:
             self.retries += 1
 
         duration = self._duration(txn, response, replies, info)
-        self.stats.record_txn(txn.op.name, duration)
+        name = txn.op._name_
+        self.stats.record_txn(name, duration)
         self._count_events(txn, response)
         if self.obs.active:
-            self.obs.record_bus_txn(now, duration, txn.op.name, txn.block,
+            self.obs.record_bus_txn(now, duration, name, txn.block,
                                     txn.requester, bus=self.index,
-                                    outcome=info.outcome.name)
+                                    outcome=info.outcome._name_)
         self._busy_until = now + duration
         self._active_port = port
 
@@ -365,14 +382,13 @@ class Bus:
         the snoops of every cache but the requester and charges the
         caches that wrote status earlier in the cycle
         (:class:`~repro.cache.directory.BroadcastLog`)."""
-        rid = requester.id
         self._broadcasts.record(self.clock.cycle, requester.directory)
         replies: dict[CacheId, SnoopReply] = {}
-        for cid, port in self._ports.items():
-            if cid != rid:
+        for port in self._port_list:
+            if port is not requester:
                 reply = port.snoop(txn)
                 if reply is not SNOOP_MISS:
-                    replies[cid] = reply
+                    replies[port.id] = reply
         return replies
 
     def _absorb_flushes(
@@ -390,7 +406,7 @@ class Bus:
         response: BusResponse,
         replies: dict[CacheId, SnoopReply],
     ) -> list[Stamp] | None:
-        if not (txn.op.fetches_block or txn.op is BusOp.IO_OUTPUT_READ):
+        if not (txn.op.fetches_block or txn.op is _IO_OUTPUT_READ):
             return None
         if response.locked:
             return None
@@ -431,7 +447,7 @@ class Bus:
         if protocol is None:
             return False
         policy = protocol.features().read_source_policy
-        return policy in (ReadSourcePolicy.MEMORY, ReadSourcePolicy.LRU)
+        return policy in _SOURCE_LOSS_POLICIES
 
     # -- timing -----------------------------------------------------------------
 
@@ -460,28 +476,22 @@ class Bus:
         op = txn.op
         if response.retry:
             return t.invalidate_cycles
-        if op in (
-            BusOp.UPGRADE,
-            BusOp.WRITE_NO_FETCH,
-            BusOp.MEMORY_LOCK_WRITE,
-            BusOp.UNLOCK_BROADCAST,
-            BusOp.IO_INPUT,
-        ):
+        if op in _ADDRESS_ONLY_OPS:
             return t.invalidate_cycles
-        if op in (BusOp.WRITE_WORD, BusOp.UPDATE_WORD):
+        if op in _WORD_WRITE_OPS:
             cycles = t.word_write_cycles()
             if any(r.flush_words is not None for r in replies.values()):
                 cycles += t.flush_cycles(wpb)
             return cycles
-        if op is BusOp.MEMORY_RMW:
+        if op is _MEMORY_RMW:
             return (
                 t.bus_address_cycles
                 + t.memory_latency
                 + 2 * t.word_transfer_cycles
             )
-        if op is BusOp.FLUSH_BLOCK:
+        if op is _FLUSH_BLOCK:
             return t.flush_cycles(wpb)
-        if op.fetches_block or op is BusOp.IO_OUTPUT_READ:
+        if op.fetches_block or op is _IO_OUTPUT_READ:
             if response.locked or response.memory_locked:
                 # The refused request consumed only its address cycle.
                 return t.invalidate_cycles
@@ -511,7 +521,7 @@ class Bus:
         raise ValueError(f"no duration rule for {op}")
 
     def _count_events(self, txn: BusTransaction, response: BusResponse) -> None:
-        if txn.op is BusOp.UNLOCK_BROADCAST:
+        if txn.op is _UNLOCK_BROADCAST:
             self.stats.unlock_broadcasts += 1
             if not response.shared_hit:
                 self.stats.spurious_unlock_broadcasts += 1

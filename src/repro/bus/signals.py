@@ -52,6 +52,13 @@ class SnoopReply:
 #: flushes nothing and supplies nothing, so the bus drops it from the
 #: replies it aggregates.
 SNOOP_MISS = SnoopReply()
+#: The reply of a caring port with nothing to report (no copy, or a
+#: housekeeping transaction), shared the same way.  It is not
+#: ``SNOOP_MISS``: only the fast miss may be dropped unseen.
+SNOOP_NOTHING = SnoopReply()
+#: A waiter's reply to the unlock broadcast it took up: the hit line
+#: tells the bus the broadcast was not spurious (Section E.4).
+SNOOP_UNLOCK_TAKEN = SnoopReply(hit=True)
 
 
 @dataclass

@@ -9,15 +9,26 @@ transaction then occupies the bus for a duration computed from
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.common.types import BlockAddr, CacheId, WordAddr
+from repro.common.types import BlockAddr, CacheId, IdentityEnum, WordAddr
 
 
-class BusOp(enum.Enum):
-    """The bus request codes used across all ten protocols."""
+#: Codes of the operations that fetch a block.
+_FETCH_CODES = frozenset({"read", "read-excl", "read-lock"})
+#: Codes of the operations that take sole access from every other cache.
+_EXCLUSIVE_CODES = frozenset({"read-excl", "read-lock", "upgrade",
+                              "write-no-fetch", "io-input"})
+
+
+class BusOp(IdentityEnum):
+    """The bus request codes used across all ten protocols.
+
+    Each member carries two plain flags, set once when the class is
+    built and read per transaction: ``fetches_block`` and
+    ``wants_exclusive``.
+    """
 
     #: Fetch a block for read (shared-access) privilege.
     READ_BLOCK = "read"
@@ -52,19 +63,9 @@ class BusOp(enum.Enum):
     #: (Feature 6, first method -- Rudolph & Segall).
     MEMORY_RMW = "mem-rmw"
 
-    @property
-    def fetches_block(self) -> bool:
-        return self in (BusOp.READ_BLOCK, BusOp.READ_EXCL, BusOp.READ_LOCK)
-
-    @property
-    def wants_exclusive(self) -> bool:
-        return self in (
-            BusOp.READ_EXCL,
-            BusOp.READ_LOCK,
-            BusOp.UPGRADE,
-            BusOp.WRITE_NO_FETCH,
-            BusOp.IO_INPUT,
-        )
+    def __init__(self, code: str) -> None:
+        self.fetches_block = code in _FETCH_CODES
+        self.wants_exclusive = code in _EXCLUSIVE_CODES
 
 
 _txn_ids = itertools.count(1)

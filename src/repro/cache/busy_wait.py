@@ -23,41 +23,44 @@ class WaitPhase(enum.Enum):
     FIRED = "fired"  # saw the unlock; contending at high priority
 
 
+_IDLE, _ARMED, _FIRED = WaitPhase.IDLE, WaitPhase.ARMED, WaitPhase.FIRED
+
+
 @dataclass
 class BusyWaitRegister:
     """One busy-wait register per cache (the paper proposes one; waiting on
     more than one lock at a time is impossible for a single process)."""
 
     block: BlockAddr | None = None
-    phase: WaitPhase = WaitPhase.IDLE
+    phase: WaitPhase = _IDLE
     #: Cycle the wait began (for wait-latency statistics).
     armed_at: int = 0
 
     @property
     def active(self) -> bool:
-        return self.phase is not WaitPhase.IDLE
+        return self.phase is not _IDLE
 
     def arm(self, block: BlockAddr, cycle: int) -> None:
-        if self.active:
+        if self.phase is not _IDLE:
             raise RuntimeError(
                 f"busy-wait register already armed for block {self.block}"
             )
         self.block = block
-        self.phase = WaitPhase.ARMED
+        self.phase = _ARMED
         self.armed_at = cycle
 
     def notice_unlock(self, block: BlockAddr) -> bool:
         """Snoop an unlock broadcast; returns True if this register fires."""
-        if self.phase is WaitPhase.ARMED and self.block == block:
-            self.phase = WaitPhase.FIRED
+        if self.phase is _ARMED and self.block == block:
+            self.phase = _FIRED
             return True
         return False
 
     def lost_arbitration(self) -> None:
         """Another waiter won and re-locked the block; keep waiting."""
-        if self.phase is WaitPhase.FIRED:
-            self.phase = WaitPhase.ARMED
+        if self.phase is _FIRED:
+            self.phase = _ARMED
 
     def clear(self) -> None:
         self.block = None
-        self.phase = WaitPhase.IDLE
+        self.phase = _IDLE

@@ -15,7 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.bus.signals import SNOOP_MISS, SnoopReply
+from repro.bus.signals import (
+    SNOOP_MISS, SNOOP_NOTHING, SNOOP_UNLOCK_TAKEN, SnoopReply)
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.cache.busy_wait import BusyWaitRegister, WaitPhase
 from repro.cache.directory import DirectoryModel
@@ -24,7 +25,7 @@ from repro.cache.organization import CacheArray
 from repro.cache.state import CacheState
 from repro.common.config import CacheConfig, RmwMethod
 from repro.common.errors import ProgramError, ProtocolError
-from repro.common.types import BlockAddr, CacheId, Stamp, WordAddr, block_of
+from repro.common.types import BlockAddr, CacheId, Stamp, WordAddr
 from repro.obs.null import NULL_OBS
 from repro.processor.isa import Op, OpKind
 from repro.protocols.base import Done, NeedBus, Outcome, TxnResult
@@ -39,10 +40,38 @@ if TYPE_CHECKING:
     from repro.verify.oracle import WriteOracle
 
 
-#: Bound once for the snoop fast path, which runs N-1 times per bus
-#: transaction.
+# Enum members bound once: the snoop runs N-1 times per bus
+# transaction and the access path once per processor access, and reading
+# a member through its class is a Python-level ``EnumType.__getattr__``
+# call (DESIGN.md section 4).
 _UNLOCK_BROADCAST = BusOp.UNLOCK_BROADCAST
-_IDLE = WaitPhase.IDLE
+_BUS_READ_LOCK, _BUS_READ_EXCL, _BUS_UPGRADE, _BUS_UPDATE_WORD = (
+    BusOp.READ_LOCK, BusOp.READ_EXCL, BusOp.UPGRADE, BusOp.UPDATE_WORD)
+_BUS_MEMORY_RMW, _BUS_WRITE_NO_FETCH = (BusOp.MEMORY_RMW,
+                                        BusOp.WRITE_NO_FETCH)
+#: Detached housekeeping transactions, which complete trivially.
+_DETACHED_OPS = (BusOp.UNLOCK_BROADCAST, BusOp.FLUSH_BLOCK,
+                 BusOp.MEMORY_LOCK_WRITE)
+_IDLE, _FIRED = WaitPhase.IDLE, WaitPhase.FIRED
+_OP_READ, _OP_LOCK, _OP_UNLOCK, _OP_RMW, _OP_SAVE_BLOCK, _OP_COMPUTE = (
+    OpKind.READ, OpKind.LOCK, OpKind.UNLOCK, OpKind.RMW, OpKind.SAVE_BLOCK,
+    OpKind.COMPUTE)
+#: Op kinds by how the cache dispatches, counts and completes them.
+_READ_KINDS = (OpKind.READ, OpKind.LOCK)
+_WRITE_KINDS = (OpKind.WRITE, OpKind.RELEASE)
+_STORE_KINDS = (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE)
+_WRITE_HIT_KINDS = (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE,
+                    OpKind.RMW)
+_WRITE_MISS_KINDS = (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE,
+                     OpKind.RMW, OpKind.SAVE_BLOCK)
+_OPTIMISTIC, _MEMORY_HOLD, _LOCK_STATE, _BUS_HOLD = (
+    RmwMethod.OPTIMISTIC, RmwMethod.MEMORY_HOLD, RmwMethod.LOCK_STATE,
+    RmwMethod.BUS_HOLD)
+_INVALID, _WRITE_CLEAN, _WRITE_DIRTY, _LOCK_WAITER = (
+    CacheState.INVALID, CacheState.WRITE_CLEAN, CacheState.WRITE_DIRTY,
+    CacheState.LOCK_WAITER)
+_OUTCOME_DONE, _REBUS, _WAIT_LOCK = (Outcome.DONE, Outcome.REBUS,
+                                     Outcome.WAIT_LOCK)
 
 
 def _no_processor(completes: bool = False) -> None:
@@ -56,19 +85,27 @@ class AccessStatus(enum.Enum):
     ABORT = "abort"  # optimistic RMW lost the block (Feature 6, method 3)
 
 
-@dataclass
+_ACCESS_DONE, _ACCESS_PENDING = AccessStatus.DONE, AccessStatus.PENDING
+
+
+@dataclass(slots=True)
 class PendingAccess:
     """The in-flight processor operation and its current bus phase."""
 
     op: Op
     request: NeedBus | None
     posted_at: int
+    #: The block ``op`` addresses.
+    block: BlockAddr
     phase: int = 0
     lock_wait: bool = False
     write_applied: bool = False
     #: The request that was refused because the block was locked; re-posted
     #: at high priority when the unlock broadcast arrives (Figure 9).
     retry_request: NeedBus | None = None
+    #: ``retry_request`` with the priority bit asserted, built once per
+    #: wait: what every wakeup of the wait re-posts.
+    wake_request: NeedBus | None = None
     #: Logical effects applied at grant; the processor may collect the
     #: result once the bus occupancy expires (``completed``).
     ready: bool = False
@@ -141,7 +178,9 @@ class SnoopingCache:
     # -- small helpers -----------------------------------------------------
 
     def block_of(self, addr: WordAddr) -> BlockAddr:
-        return block_of(addr, self.config.words_per_block)
+        # ``block_of`` inline: the configuration already checked that
+        # the block size is positive.
+        return addr - addr % self.config.words_per_block
 
     def offset(self, addr: WordAddr) -> int:
         return addr - self.block_of(addr)
@@ -170,92 +209,92 @@ class SnoopingCache:
                 f"cache {self.id} is blocking: operation already in flight"
             )
         assert self.protocol is not None
-        if op.kind is not OpKind.COMPUTE and op.addr is None:
+        if op.addr is None and op.kind is not _OP_COMPUTE:
             raise ProgramError(f"{op.kind} without address")
-        block = self.block_of(op.addr)  # type: ignore[arg-type]
+        block = self.block_of(op.addr)
         line = self.array.lookup(block)
+        cycle = self.clock.cycle
         if line is not None:
-            line.last_used = self.clock.cycle
+            line.last_used = cycle
 
         action = self._dispatch(op, line)
 
         if isinstance(action, Done):
             self._count_hit(op, line)
             self._finish_local(op, line, action)
-            return AccessStatus.DONE
+            return _ACCESS_DONE
         self._count_miss(op, line)
-        self._pending = PendingAccess(op=op, request=action,
-                                      posted_at=self.clock.cycle)
+        self._pending = PendingAccess(op, action, cycle, block)
         self._sync_request()
         if self.obs.active:
-            self.obs.record_request_posted(self.id, op.kind.name, block,
-                                           self.clock.cycle)
-        return AccessStatus.PENDING
+            self.obs.record_request_posted(self.id, op.kind._name_, block,
+                                           cycle)
+        return _ACCESS_PENDING
 
     def _dispatch(self, op: Op, line: CacheLine | None) -> Done | NeedBus:
-        assert self.protocol is not None
-        if op.kind is OpKind.READ:
-            return self.protocol.processor_read(line, op.addr, op.private_hint)
-        if op.kind in (OpKind.WRITE, OpKind.RELEASE):
+        protocol = self.protocol
+        assert protocol is not None
+        kind = op.kind
+        if kind is _OP_READ:
+            return protocol.processor_read(line, op.addr, op.private_hint)
+        if kind in _WRITE_KINDS:
             assert op.stamp is not None
-            return self.protocol.processor_write(line, op.addr, op.stamp)
-        if op.kind is OpKind.LOCK:
-            return self.protocol.processor_lock(line, op.addr)
-        if op.kind is OpKind.UNLOCK:
+            return protocol.processor_write(line, op.addr, op.stamp)
+        if kind is _OP_LOCK:
+            return protocol.processor_lock(line, op.addr)
+        if kind is _OP_UNLOCK:
             assert op.stamp is not None
-            return self.protocol.processor_unlock(line, op.addr, op.stamp)
-        if op.kind is OpKind.SAVE_BLOCK:
-            return self.protocol.processor_write_block(line, op.addr)
-        if op.kind is OpKind.RMW:
+            return protocol.processor_unlock(line, op.addr, op.stamp)
+        if kind is _OP_SAVE_BLOCK:
+            return protocol.processor_write_block(line, op.addr)
+        if kind is _OP_RMW:
             return self._dispatch_rmw(op, line)
-        raise ProgramError(f"cache cannot execute {op.kind}")
+        raise ProgramError(f"cache cannot execute {kind}")
 
     def _dispatch_rmw(self, op: Op, line: CacheLine | None) -> Done | NeedBus:
         """Route an atomic RMW per the configured Feature-6 method.  An RMW
         is atomic whenever it reads and writes with sole access in a single
         completion; with write privilege in hand that is a hit."""
         assert self.protocol is not None
-        if self.rmw_method is RmwMethod.MEMORY_HOLD:
-            return NeedBus(op=BusOp.MEMORY_RMW, word=op.addr)
-        if self.rmw_method is RmwMethod.LOCK_STATE and self.protocol.supports_lock_state():
-            if line is not None and line.state.writable:
+        method = self.rmw_method
+        if method is _MEMORY_HOLD:
+            return NeedBus(op=_BUS_MEMORY_RMW, word=op.addr)
+        state = line.state if line is not None else None
+        if method is _LOCK_STATE and self.protocol.supports_lock_state():
+            if state is not None and state.writable:
                 return Done()
-            if line is not None and line.state.readable:
+            if state is not None and state.readable:
                 # Figure 5: with a valid copy in hand, request lock
                 # privilege only -- never refetch over one's own (possibly
                 # dirty-source) data.
-                return NeedBus(op=BusOp.UPGRADE, lock_intent=True)
-            return NeedBus(op=BusOp.READ_LOCK, lock_intent=True)
-        if line is not None and line.state.writable:
+                return NeedBus(op=_BUS_UPGRADE, lock_intent=True)
+            return NeedBus(op=_BUS_READ_LOCK, lock_intent=True)
+        if state is not None and state.writable:
             return Done()
-        if line is not None and line.state.readable:
-            need = NeedBus(op=BusOp.UPGRADE)
+        if state is not None and state.readable:
+            need = NeedBus(op=_BUS_UPGRADE)
         else:
-            need = NeedBus(op=BusOp.READ_EXCL)
-        if self.rmw_method is RmwMethod.BUS_HOLD:
+            need = NeedBus(op=_BUS_READ_EXCL)
+        if method is _BUS_HOLD:
             need.extra_hold = self.rmw_modify_cycles
         return need
 
     def _count_hit(self, op: Op, line: CacheLine | None) -> None:
-        if op.kind is OpKind.READ or op.kind is OpKind.LOCK:
+        kind = op.kind
+        if kind in _READ_KINDS:
             self.stats.read_hits += 1
-        elif op.kind in (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE, OpKind.RMW):
+        elif kind in _WRITE_HIT_KINDS:
             self.stats.write_hits += 1
 
     def _count_miss(self, op: Op, line: CacheLine | None) -> None:
-        valid = line is not None and line.valid
-        if op.kind is OpKind.READ or op.kind is OpKind.LOCK:
+        valid = line is not None and line.state.valid
+        kind = op.kind
+        if kind in _READ_KINDS:
             if valid:
                 self.stats.read_hits += 1  # e.g. upgrade path still had data
             else:
                 self.stats.read_misses += 1
-        elif op.kind in (
-            OpKind.WRITE,
-            OpKind.UNLOCK,
-            OpKind.RELEASE,
-            OpKind.RMW,
-            OpKind.SAVE_BLOCK,
-        ):
+        elif kind in _WRITE_MISS_KINDS:
             if valid:
                 self.stats.write_hits += 1  # write hit needing an upgrade
             else:
@@ -263,21 +302,22 @@ class SnoopingCache:
 
     def _finish_local(self, op: Op, line: CacheLine | None, action: Done) -> None:
         """Apply a locally-completed (hit) operation's effects."""
-        if op.kind in (OpKind.READ, OpKind.LOCK):
+        kind = op.kind
+        if kind in _READ_KINDS:
             assert line is not None
             stamp = line.read_word(self.offset(op.addr))
             op.result = stamp
             self._check_read(op.addr, stamp)
-            if op.kind is OpKind.LOCK:
+            if kind is _OP_LOCK:
                 self.stats.lock_acquisitions += 1
-        elif op.kind in (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE):
+        elif kind in _STORE_KINDS:
             if not action.write_applied:
                 assert line is not None and op.stamp is not None
                 self.apply_write(line, op.addr, op.stamp)
-        elif op.kind is OpKind.RMW:
+        elif kind is _OP_RMW:
             assert line is not None
             self._apply_rmw(op, line)
-        elif op.kind is OpKind.SAVE_BLOCK:
+        elif kind is _OP_SAVE_BLOCK:
             assert line is not None
             self._apply_save_block(op, line)
 
@@ -303,10 +343,10 @@ class SnoopingCache:
 
     def take_completion(self) -> Op | None:
         """Collect the completed pending operation, if any."""
-        if self._pending is not None and self._pending.completed:
-            op = self._pending.op
+        pending = self._pending
+        if pending is not None and pending.completed:
             self._pending = None
-            return op
+            return pending.op
         return None
 
     def cancel_wait(self) -> None:
@@ -357,7 +397,7 @@ class SnoopingCache:
             return self._detached[0][1]
         pending = self._pending
         if pending is not None and pending.request is not None:
-            return self.block_of(pending.op.addr)  # type: ignore[arg-type]
+            return pending.block
         return None
 
     def bus_request_revalidates(self) -> bool:
@@ -378,26 +418,35 @@ class SnoopingCache:
         """Re-file this cache in the requester index after a change to
         its posted request: under the bus owning the request's block,
         with the request's priority bit and whether it revalidates, or
-        under none."""
+        under none.  The filing is what :meth:`current_request_block`,
+        :meth:`bus_request_priority` and :meth:`bus_request_revalidates`
+        answer, read off the request directly: this runs on every
+        change to a posted request."""
         entry = self._requester_entry
         if entry is None:
             return
-        block = self.current_request_block()
-        if block is None:
+        detached = self._detached
+        if detached:
+            # A detached request neither asserts priority nor revalidates.
+            entry.place(True, detached[0][1])
+            return
+        pending = self._pending
+        request = pending.request if pending is not None else None
+        if request is None:
             entry.place(False)
         else:
-            entry.place(True, block, self.bus_request_priority(),
-                        self.bus_request_revalidates())
+            entry.place(True, pending.block, request.high_priority,
+                        request.op in self.protocol.revalidated_ops)
 
     def _revalidate_pending(self, pending: PendingAccess) -> None:
         """Re-check the queued request against our own tags (idempotent)."""
         assert self.protocol is not None and pending.request is not None
         need = pending.request
         if (
-            need.op is BusOp.UPGRADE
-            and pending.op.kind is OpKind.RMW
-            and self.rmw_method is RmwMethod.OPTIMISTIC
-            and self.line_for(self.block_of(pending.op.addr)) is None
+            need.op is _BUS_UPGRADE
+            and pending.op.kind is _OP_RMW
+            and self.rmw_method is _OPTIMISTIC
+            and self.line_for(pending.block) is None
         ):
             # The block was stolen between the read and the write: the
             # optimistic RMW aborts without touching the bus (Feature 6).
@@ -411,8 +460,8 @@ class SnoopingCache:
             if self.obs.active:
                 self.obs.record_request_aborted(self.id, self.now())
             return
-        block = self.block_of(pending.op.addr)  # type: ignore[arg-type]
-        pending.request = self.protocol.revalidate_request(need, block)
+        pending.request = self.protocol.revalidate_request(need,
+                                                           pending.block)
         # A converted request may differ in priority and in whether it
         # revalidates: re-file it.
         self._sync_request()
@@ -431,12 +480,11 @@ class SnoopingCache:
             return self._build_txn(need, block)
         pending = self._pending
         assert pending is not None and pending.request is not None
-        need = pending.request
-        block = self.block_of(pending.op.addr)  # type: ignore[arg-type]
-        self.stats.bus_wait_cycles += max(0, self.now() - pending.posted_at)
+        now = self.clock.cycle
+        self.stats.bus_wait_cycles += max(0, now - pending.posted_at)
         self.stats.bus_waits += 1
-        pending.posted_at = self.now()  # re-posted for multi-phase ops
-        return self._build_txn(need, block)
+        pending.posted_at = now  # re-posted for multi-phase ops
+        return self._build_txn(pending.request, pending.block)
 
     def _build_txn(self, need: NeedBus, block: BlockAddr) -> BusTransaction:
         words_moved = None
@@ -469,10 +517,11 @@ class SnoopingCache:
         """Called by the bus at grant time, after snoop aggregation."""
         assert self.protocol is not None
         self._install_effects = _InstallEffects()
+        op = txn.op
 
-        if txn.op in (BusOp.UNLOCK_BROADCAST, BusOp.FLUSH_BLOCK, BusOp.MEMORY_LOCK_WRITE):
+        if op in _DETACHED_OPS:
             # Detached housekeeping transactions complete trivially.
-            return CompletionInfo(outcome=Outcome.DONE)
+            return CompletionInfo(outcome=_OUTCOME_DONE)
 
         pending = self._pending
         if pending is None:
@@ -480,25 +529,26 @@ class SnoopingCache:
 
         if response.retry:
             # A cache is holding the block (RMW cache-hold); retry later.
-            return CompletionInfo(outcome=Outcome.REBUS)
+            return CompletionInfo(outcome=_REBUS)
 
-        if txn.op is BusOp.MEMORY_RMW:
+        if op is _BUS_MEMORY_RMW:
             return CompletionInfo(
-                outcome=Outcome.DONE,
+                outcome=_OUTCOME_DONE,
                 victim_flush_words=self._apply_memory_rmw(pending, txn))
 
         result = self.protocol.after_txn(pending, txn, response, data)
+        outcome = result.outcome
 
-        if result.outcome is Outcome.WAIT_LOCK:
+        if outcome is _WAIT_LOCK:
             self._enter_lock_wait(txn)
-            return CompletionInfo(outcome=Outcome.WAIT_LOCK)
+            return CompletionInfo(outcome=_WAIT_LOCK)
 
-        if result.outcome is Outcome.REBUS:
+        if outcome is _REBUS:
             assert result.next_bus is not None
             if (
-                pending.op.kind is OpKind.RMW
-                and self.rmw_method is RmwMethod.OPTIMISTIC
-                and txn.op is BusOp.UPGRADE
+                pending.op.kind is _OP_RMW
+                and self.rmw_method is _OPTIMISTIC
+                and op is _BUS_UPGRADE
             ):
                 # The block was stolen between the read and the write:
                 # atomicity is violated, the instruction aborts (Feature 6,
@@ -508,17 +558,17 @@ class SnoopingCache:
                 pending.request = None
                 pending.ready = True
                 self._sync_request()
-                return CompletionInfo(outcome=Outcome.DONE)
+                return CompletionInfo(outcome=_OUTCOME_DONE)
             pending.request = result.next_bus
             pending.phase += 1
             self._sync_request()
-            return CompletionInfo(outcome=Outcome.REBUS)
+            return CompletionInfo(outcome=_REBUS)
 
         # DONE: apply the processor-visible effect of the operation.
         self._finish_pending(pending, txn, response)
         effects = self._install_effects
         return CompletionInfo(
-            outcome=Outcome.DONE,
+            outcome=_OUTCOME_DONE,
             victim_flush_words=effects.flush_words,
             lock_spilled=effects.lock_spilled,
             installed=True,
@@ -530,6 +580,7 @@ class SnoopingCache:
         self.notify_processor()
         if pending.request is not None:
             pending.retry_request = pending.request
+            pending.wake_request = pending.request.prioritized()
         pending.request = None
         pending.lock_wait = True
         self._sync_request()
@@ -547,42 +598,45 @@ class SnoopingCache:
         pending.request = None  # consumed; do not re-arbitrate
         self._sync_request()
         op = pending.op
-        if self.busy_wait.active and self.busy_wait.block == txn.block:
+        block = txn.block
+        wait = self.busy_wait
+        if wait.phase is not _IDLE and wait.block == block:
             # Whatever op was waiting (lock, read, write, RMW) has now
             # completed: stop watching for unlock broadcasts.
-            self.busy_wait.clear()
-        line = self.line_for(txn.block)
-        if op.kind in (OpKind.READ, OpKind.LOCK):
+            wait.clear()
+        line = self.array.lookup(block)
+        kind = op.kind
+        if kind in _READ_KINDS:
             assert line is not None
             stamp = line.read_word(self.offset(op.addr))
             op.result = stamp
             self._check_read(op.addr, stamp)
-            if op.kind is OpKind.LOCK:
+            if kind is _OP_LOCK:
                 self.stats.lock_acquisitions += 1
-        elif op.kind in (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE):
+        elif kind in _STORE_KINDS:
             if not pending.write_applied:
                 assert line is not None and op.stamp is not None
                 self.apply_write(line, op.addr, op.stamp)
-        elif op.kind is OpKind.RMW:
+        elif kind is _OP_RMW:
             assert line is not None
             self._apply_rmw(op, line)
-            if line.locked:
+            if line.state.locked:
                 # Lock-state RMW (Feature 6, fourth method): the lock taken
                 # at the read is released at the write, in zero time.
                 self._unlock_after_rmw(line)
-        elif op.kind is OpKind.SAVE_BLOCK:
+        elif kind is _OP_SAVE_BLOCK:
             assert line is not None
             self._apply_save_block(op, line)
-            if txn.op is BusOp.WRITE_NO_FETCH:
+            if txn.op is _BUS_WRITE_NO_FETCH:
                 self.stats.fetches_avoided += 1
         pending.ready = True
 
     def _unlock_after_rmw(self, line: CacheLine) -> None:
-        if line.state is CacheState.LOCK_WAITER:
-            self.queue_detached(NeedBus(op=BusOp.UNLOCK_BROADCAST), line.block)
+        if line.state is _LOCK_WAITER:
+            self.queue_detached(NeedBus(op=_UNLOCK_BROADCAST), line.block)
             if self.obs.active:
                 self.obs.record_unlock_queued(self.id, line.block, self.now())
-        line.state = CacheState.WRITE_DIRTY
+        line.state = _WRITE_DIRTY
 
     def _apply_memory_rmw(self, pending: PendingAccess, txn: BusTransaction) -> int:
         """Memory-hold RMW (Feature 6, first method): read-modify-write the
@@ -648,7 +702,7 @@ class SnoopingCache:
         if self._held_block == block:
             return True
         wait = self.busy_wait
-        return wait.phase is not WaitPhase.IDLE and wait.block == block
+        return wait.phase is not _IDLE and wait.block == block
 
     def snoop(self, txn: BusTransaction) -> SnoopReply:
         """React to another cache's granted transaction.
@@ -672,48 +726,46 @@ class SnoopingCache:
         if op is _UNLOCK_BROADCAST:
             return self._snoop_unlock_broadcast(txn)
 
-        if (
-            txn.op is BusOp.READ_LOCK
-            and self.busy_wait.phase is WaitPhase.FIRED
-            and self.busy_wait.block == txn.block
-        ):
+        wait = self.busy_wait
+        if op is _BUS_READ_LOCK and wait.phase is _FIRED and wait.block == block:
             # Another waiter won the post-unlock arbitration (Figure 9):
             # stand down and keep waiting; no bus access.  The snoop still
             # proceeds below (a waiting cache holds no copy of the block,
             # so this is normally a miss -- but the tag array, not the
             # register, decides).
-            self.busy_wait.lost_arbitration()
-            if self._pending is not None and self._pending.lock_wait is False:
+            wait.lost_arbitration()
+            pending = self._pending
+            if pending is not None and pending.lock_wait is False:
                 self.notify_processor()
-                self._pending.request = None
-                self._pending.lock_wait = True
+                pending.request = None
+                pending.lock_wait = True
                 self._sync_request()
                 if self.obs.active:
                     self.obs.record_wait_rearmed(self.id, self.now())
 
-        if self._held_block is not None and self._held_block == txn.block:
+        if self._held_block is not None and self._held_block == block:
             return SnoopReply(retry=True)
 
-        line = self.array.lookup(txn.block)
+        line = self.array.lookup(block)
         if line is None:
-            if txn.op is BusOp.UPDATE_WORD and txn.update_invalid:
+            if op is _BUS_UPDATE_WORD and txn.update_invalid:
                 return self._update_invalid_copy(txn)
-            return SnoopReply()
+            return SNOOP_NOTHING
         return self.protocol.snoop(line, txn)
 
     def _snoop_unlock_broadcast(self, txn: BusTransaction) -> SnoopReply:
         if self.busy_wait.notice_unlock(txn.block):
             pending = self._pending
-            assert pending is not None and pending.retry_request is not None
+            assert pending is not None and pending.wake_request is not None
             self.notify_processor()
             pending.lock_wait = False
-            pending.request = pending.retry_request.prioritized()
+            pending.request = pending.wake_request
             self._sync_request()
-            pending.posted_at = self.now()  # bus-wait measured from the wakeup
+            pending.posted_at = self.clock.cycle  # bus wait from the wakeup
             if self.obs.active:
                 self.obs.record_wait_wakeup(self.id, txn.block, self.now())
-            return SnoopReply(hit=True)  # tells the bus the unlock was taken up
-        return SnoopReply()
+            return SNOOP_UNLOCK_TAKEN  # tells the bus the unlock was taken up
+        return SNOOP_NOTHING
 
     def _update_invalid_copy(self, txn: BusTransaction) -> SnoopReply:
         """Rudolph-Segall: a write-through updates invalid copies too,
@@ -724,8 +776,8 @@ class SnoopingCache:
                 line.write_word(self.offset(txn.word), txn.stamp)
                 line.state = CacheState.READ
                 self.stats.updates_received += 1
-                return SnoopReply(hit=False)
-        return SnoopReply()
+                return SNOOP_NOTHING
+        return SNOOP_NOTHING
 
     # -- services used by protocols --------------------------------------------
 
@@ -750,7 +802,7 @@ class SnoopingCache:
         if victim.locked:
             # Section E.3 "minor modification": spill the lock to memory.
             self.memory.write_lock_tag(victim.block, self.id)
-            if victim.state is CacheState.LOCK_WAITER:
+            if victim.state is _LOCK_WAITER:
                 self.memory.mark_lock_waiter(victim.block)
             self.memory.write_block(victim.block, victim.snapshot())
             self.stats.memory_lock_writes += 1
@@ -763,7 +815,7 @@ class SnoopingCache:
             self.memory.write_block(victim.block, victim.snapshot())
             self.stats.flushes += 1
             self._install_effects.flush_words += self._flush_word_count(victim)
-        victim.state = CacheState.INVALID
+        victim.state = _INVALID
 
     def _flush_word_count(self, line: CacheLine) -> int:
         if self.config.transfer_unit_words is None or line.unit_dirty is None:
@@ -776,7 +828,7 @@ class SnoopingCache:
             raise ProtocolError(
                 f"cache {self.id}: attempt to invalidate locked block {line.block}"
             )
-        line.state = CacheState.INVALID
+        line.state = _INVALID
         self.stats.invalidations_received += 1
         if self.obs.active:
             self.obs.record_invalidation(line.block, self.id)
@@ -808,14 +860,13 @@ class SnoopingCache:
 
     def _mark_dirty(self, line: CacheLine) -> None:
         state = line.state
-        if state is CacheState.WRITE_CLEAN:
-            line.state = CacheState.WRITE_DIRTY
+        if state is _WRITE_CLEAN:
+            line.state = _WRITE_DIRTY
             self.stats.write_hits_to_clean += 1
             self.directory.record_status_write(self.clock.cycle)
-        elif state in (CacheState.WRITE_DIRTY, CacheState.LOCK, CacheState.LOCK_WAITER):
-            pass  # already dirty
-        elif state in (CacheState.READ, CacheState.READ_SOURCE_CLEAN,
-                       CacheState.READ_SOURCE_DIRTY):
+        elif state.writable:
+            pass  # write-dirty, lock, lock-waiter: already dirty
+        elif state.readable:
             raise ProtocolError(
                 f"cache {self.id}: write applied without write privilege "
                 f"(state {state})"

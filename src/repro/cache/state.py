@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 
+from repro.common.types import IdentityEnum
+
 
 class Privilege(enum.Enum):
     INVALID = 0
@@ -21,8 +23,31 @@ class Privilege(enum.Enum):
     LOCK = 3  # sole-access privilege, locked by this cache
 
 
-class CacheState(enum.Enum):
-    """Union state space over all protocols reproduced here."""
+#: Privilege of each state's code (see :class:`CacheState`).
+_PRIVILEGE_OF = {
+    "I": Privilege.INVALID,
+    "R": Privilege.READ,
+    "RSC": Privilege.READ,
+    "RSD": Privilege.READ,
+    "WC": Privilege.WRITE,
+    "WD": Privilege.WRITE,
+    "L": Privilege.LOCK,
+    "LW": Privilege.LOCK,
+}
+#: Codes of the states whose data is newer than memory's.
+_DIRTY_CODES = frozenset({"RSD", "WD", "L", "LW"})
+
+
+class CacheState(IdentityEnum):
+    """Union state space over all protocols reproduced here.
+
+    Each member carries its decomposition as plain attributes, set once
+    when the class is built: ``privilege``, and the flags ``valid``,
+    ``readable``, ``writable`` (the processor may write without a bus
+    transaction), ``locked``, ``dirty`` and ``waiter``.  The caches read
+    them on every access and snoop, where a property would cost a
+    Python call per read.
+    """
 
     INVALID = "I"
     #: Read privilege, non-source, clean (Goodman's Valid).
@@ -40,51 +65,16 @@ class CacheState(enum.Enum):
     #: Lock privilege with a recorded waiter (Figure 7).
     LOCK_WAITER = "LW"
 
-    @property
-    def privilege(self) -> Privilege:
-        return _PRIVILEGE[self]
+    def __init__(self, code: str) -> None:
+        privilege = _PRIVILEGE_OF[code]
+        self.privilege = privilege
+        self.valid = code != "I"
+        self.readable = privilege is not Privilege.INVALID
+        self.writable = privilege in (Privilege.WRITE, Privilege.LOCK)
+        self.locked = privilege is Privilege.LOCK
+        self.dirty = code in _DIRTY_CODES
+        self.waiter = code == "LW"
 
-    @property
-    def valid(self) -> bool:
-        return self is not CacheState.INVALID
-
-    @property
-    def readable(self) -> bool:
-        return self.privilege is not Privilege.INVALID
-
-    @property
-    def writable(self) -> bool:
-        """The processor may write without a bus transaction."""
-        return self.privilege in (Privilege.WRITE, Privilege.LOCK)
-
-    @property
-    def locked(self) -> bool:
-        return self.privilege is Privilege.LOCK
-
-    @property
-    def dirty(self) -> bool:
-        return self in (
-            CacheState.READ_SOURCE_DIRTY,
-            CacheState.WRITE_DIRTY,
-            CacheState.LOCK,
-            CacheState.LOCK_WAITER,
-        )
-
-    @property
-    def waiter(self) -> bool:
-        return self is CacheState.LOCK_WAITER
-
-
-_PRIVILEGE = {
-    CacheState.INVALID: Privilege.INVALID,
-    CacheState.READ: Privilege.READ,
-    CacheState.READ_SOURCE_CLEAN: Privilege.READ,
-    CacheState.READ_SOURCE_DIRTY: Privilege.READ,
-    CacheState.WRITE_CLEAN: Privilege.WRITE,
-    CacheState.WRITE_DIRTY: Privilege.WRITE,
-    CacheState.LOCK: Privilege.LOCK,
-    CacheState.LOCK_WAITER: Privilege.LOCK,
-}
 
 #: States a snooping cache may legally hold while *another* cache holds
 #: write or lock privilege: none but INVALID (single-writer invariant).

@@ -8,6 +8,7 @@ they can be used freely as dict keys and in numpy arrays.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 # Type aliases -- used pervasively in signatures for readability.
@@ -30,6 +31,20 @@ NEVER_WRITTEN: Stamp = 0
 #: parked on a lock waits for another cache's unlock broadcast).  A large
 #: int rather than ``math.inf`` so arithmetic stays in the fast int path.
 NEVER: Cycle = 1 << 62
+
+
+class IdentityEnum(enum.Enum):
+    """An enum whose members hash as plain objects do.
+
+    ``Enum.__hash__`` is Python code (``hash(self._name_)``); a dict or
+    set probe keyed by a member pays for that call on every lookup.
+    Members compare by identity, so the C-level object hash is
+    consistent with equality.  The vocabularies the simulator looks up
+    per event (bus ops, op kinds, cache states, table events) derive
+    from this class.
+    """
+
+    __hash__ = object.__hash__
 
 
 def block_of(addr: WordAddr, words_per_block: int) -> BlockAddr:

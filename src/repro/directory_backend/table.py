@@ -55,10 +55,10 @@ must cover the whole request alphabet (``directory-completeness``).
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.bus.transaction import BusOp
+from repro.common.types import IdentityEnum
 from repro.protocols.table import Rule, TableVocabulary, TransitionTable, rule
 
 if TYPE_CHECKING:
@@ -66,7 +66,7 @@ if TYPE_CHECKING:
     from repro.directory_backend.state import DirectoryEntry
 
 
-class HomeState(Enum):
+class HomeState(IdentityEnum):
     """Directory-entry occupancy at the home bank."""
 
     UNCACHED = "home-uncached"
@@ -75,7 +75,7 @@ class HomeState(Enum):
     OVERFLOW = "home-overflow"
 
 
-class DirEvent(Enum):
+class DirEvent(IdentityEnum):
     """Request classes of the bus-op alphabet, as seen by a home bank."""
 
     REQ_FETCH = "req-fetch"
@@ -193,16 +193,24 @@ def build_home_bank_table() -> DirectoryTable:
 HOME_BANK_TABLE = build_home_bank_table()
 
 
+# Bound once: :func:`home_state_of` runs on every transaction, and
+# reading a member through its class is a Python-level
+# ``EnumType.__getattr__`` call (DESIGN.md section 4).
+_UNCACHED, _SHARED, _OWNED, _OVERFLOW = (
+    HomeState.UNCACHED, HomeState.SHARED, HomeState.OWNED,
+    HomeState.OVERFLOW)
+
+
 def home_state_of(entry: "DirectoryEntry") -> HomeState:
     """Derive the entry's occupancy state for table dispatch."""
     sharers = entry.sharers
     if sharers.overflowed:
-        return HomeState.OVERFLOW
+        return _OVERFLOW
     if entry.owner is not None:
-        return HomeState.OWNED
+        return _OWNED
     if len(sharers):
-        return HomeState.SHARED
-    return HomeState.UNCACHED
+        return _SHARED
+    return _UNCACHED
 
 
 def guard_bits_of(entry: "DirectoryEntry", requester: "CacheId",

@@ -145,6 +145,9 @@ class Observability:
         self._open_txn: dict | None = None
         self._episodes: dict[int, _Episode] = {}    # requester -> state
         self._last_collect: dict[int, int] = {}     # pid -> last collect cycle
+        #: pid -> the episode its last DONE grant closed, and the cycle
+        #: that grant's transfer ends.
+        self._last_done: dict[int, tuple[_Episode, int]] = {}
         self._last_spin: dict[int, int] = {}        # pid -> last spin-step cycle
         self._last_episode: dict[int, int] = {}     # pid -> last closed span id
         self._pending_inval: dict[tuple, int] = {}  # (cache, block) -> txn id
@@ -239,10 +242,23 @@ class Observability:
         self.sampler.finalize(cycles)
         if not self.tracing:
             return
-        # Close anything still open, marked truncated.
+        # A DONE grant closes its episode at once, booking the whole
+        # transfer occupancy; a run cut before the occupancy ends
+        # stalled the processor only up to the cut.
+        for pid in sorted(self._last_done):
+            episode, end = self._last_done[pid]
+            if end > cycles:
+                self._take_back_transfer(pid, episode, end - cycles)
+        # Close anything still open, marked truncated.  An episode cut
+        # during a REBUS phase's occupancy (``arb_since`` still ahead)
+        # banked that whole phase as transfer: take back the part past
+        # the cut.
         for pid in sorted(self._episodes):
             episode = self._episodes[pid]
-            episode.arb += max(0, cycles - episode.arb_since)
+            if cycles >= episode.arb_since:
+                episode.arb += cycles - episode.arb_since
+            else:
+                episode.transfer -= episode.arb_since - cycles
             self._close_episode(pid, episode, cycles, truncated=True)
         for pid in sorted(self._waits):
             self._close_window(pid, self._waits.pop(pid), cycles,
@@ -302,6 +318,26 @@ class Observability:
         self._span_cycles["episode"].observe(dur)
         self._last_episode[pid] = span["id"]
         self._episodes.pop(pid, None)
+
+    def _take_back_transfer(self, pid: int, episode: _Episode,
+                            excess: int) -> None:
+        """Un-book the last ``excess`` transfer cycles of a closed
+        episode, which the run ended before (see :meth:`on_run_end`),
+        from its span and its processor's tally.  The histograms keep
+        what they observed at the close."""
+        episode.transfer -= excess
+        span = episode.span
+        span["dur"] -= excess
+        args = span["args"]
+        args["transfer"] = episode.transfer
+        args["truncated"] = True
+        tally = self.tallies[pid]
+        if episode.in_window:
+            tally.win_stall -= excess
+        elif episode.inval:
+            tally.inval_wait -= excess
+        else:
+            tally.out_transfer -= excess
 
     def _close_wait(self, pid: int, wait: list, cycle: int,
                     outcome: str) -> int | None:
@@ -396,6 +432,7 @@ class Observability:
             episode.transfer += duration
             self._close_episode(requester, episode, cycle + duration)
             self._last_collect[requester] = cycle + duration
+            self._last_done[requester] = (episode, cycle + duration)
 
     def record_invalidation(self, block: int, cache: int) -> None:
         self._invalidations(block).inc()

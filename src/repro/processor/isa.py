@@ -11,14 +11,13 @@ model the busy-wait alternatives of Section E.4.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.common.types import WordAddr
+from repro.common.types import IdentityEnum, WordAddr
 
 
-class OpKind(enum.Enum):
+class OpKind(IdentityEnum):
     READ = "read"
     WRITE = "write"
     COMPUTE = "compute"

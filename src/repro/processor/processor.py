@@ -43,6 +43,27 @@ class _SpinKind(enum.Enum):
     TTAS_TAS = "ttas-tas"  # saw it free; attempting the test-and-set
 
 
+# Enum members bound once for the per-cycle paths: reading a member
+# through its class is a Python-level ``EnumType.__getattr__`` call
+# (DESIGN.md section 4).  The engine imports the state aliases too.
+_READY, _COMPUTING, _STALLED, _DONE = (
+    _State.READY, _State.COMPUTING, _State.STALLED, _State.DONE)
+_NO_SPIN, _TAS, _TTAS_READ, _TTAS_TAS = (
+    _SpinKind.NONE, _SpinKind.TAS, _SpinKind.TTAS_READ, _SpinKind.TTAS_TAS)
+_OP_READ, _OP_LOCK, _OP_COMPUTE, _OP_RMW, _OP_TAS_ACQUIRE = (
+    OpKind.READ, OpKind.LOCK, OpKind.COMPUTE, OpKind.RMW,
+    OpKind.TAS_ACQUIRE)
+#: Op kinds by what the processor does with them at issue and retire.
+_SPIN_KINDS = (OpKind.TAS_ACQUIRE, OpKind.TTAS_ACQUIRE)
+_STAMPED_KINDS = (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE,
+                  OpKind.SAVE_BLOCK)
+_WRITE_KINDS = (OpKind.WRITE, OpKind.SAVE_BLOCK)
+_RELEASE_KINDS = (OpKind.UNLOCK, OpKind.RELEASE)
+_CROSSBAR_KINDS = (OpKind.READ, OpKind.WRITE)
+_WORK = WaitMode.WORK
+_ACCESS_DONE = AccessStatus.DONE
+
+
 class Processor:
     """One in-order processor attached to one cache."""
 
@@ -64,9 +85,9 @@ class Processor:
         self.wait_mode = wait_mode
         self.obs = obs
         self._pc = 0
-        self._state = _State.READY if program.ops else _State.DONE
+        self._state = _READY if program.ops else _DONE
         self._compute_left = 0
-        self._spin = _SpinKind.NONE
+        self._spin = _NO_SPIN
         self._spin_op: Op | None = None  # the macro op being expanded
         self._ready_work_left = 0
         #: Optional Aquarius crossbar port (Figure 11): reads/writes at or
@@ -88,7 +109,7 @@ class Processor:
 
     @property
     def done(self) -> bool:
-        return self._state is _State.DONE
+        return self._state is _DONE
 
     @property
     def pc(self) -> int:
@@ -105,17 +126,17 @@ class Processor:
         cache's transaction, which implies a bus event).
         """
         state = self._state
-        if state is _State.DONE:
+        if state is _DONE:
             return NEVER
-        if state is _State.COMPUTING:
+        if state is _COMPUTING:
             # Ticks at now .. now+left-2 only decrement the counter; the
             # tick at now+left-1 retires the COMPUTE op.
             return now + self._compute_left - 1
-        if state is _State.STALLED:
+        if state is _STALLED:
             if self._crossbar_op is not None:
                 assert self._crossbar_until is not None
                 return max(now, self._crossbar_until)
-            pending = self.cache.pending
+            pending = self.cache._pending
             if pending is not None and pending.completed:
                 return now
             return NEVER
@@ -144,15 +165,15 @@ class Processor:
         nothing issued, nothing retired), which this reproduces exactly.
         """
         state = self._state
-        if state is _State.DONE:
+        if state is _DONE:
             self.stats.done_cycles += cycles
-        elif state is _State.COMPUTING:
+        elif state is _COMPUTING:
             assert cycles < self._compute_left
             self._compute_left -= cycles
             self.stats.compute_cycles += cycles
-        elif state is _State.STALLED:
+        elif state is _STALLED:
             if self._crossbar_op is None and self.cache.waiting_for_lock:
-                if self.wait_mode is WaitMode.WORK and self._ready_work_left > 0:
+                if self.wait_mode is _WORK and self._ready_work_left > 0:
                     worked = min(cycles, self._ready_work_left)
                     self._ready_work_left -= worked
                     self.stats.wait_work_cycles += worked
@@ -169,16 +190,17 @@ class Processor:
         self.settle(cycle)
         self._synced = cycle + 1
         self._now = cycle
-        if self._state is _State.DONE:
+        state = self._state
+        if state is _DONE:
             self.stats.done_cycles += 1
             return
-        if self._state is _State.COMPUTING:
+        if state is _COMPUTING:
             self._compute_left -= 1
             self.stats.compute_cycles += 1
             if self._compute_left <= 0:
                 self._retire(self.program.ops[self._pc])
             return
-        if self._state is _State.STALLED:
+        if state is _STALLED:
             self._tick_stalled()
             return
         if self._pending_spin_result is not None:
@@ -213,7 +235,7 @@ class Processor:
             self._on_completed(completed)
             return
         if self.cache.waiting_for_lock:
-            if self.wait_mode is WaitMode.WORK and self._ready_work_left > 0:
+            if self.wait_mode is _WORK and self._ready_work_left > 0:
                 self._ready_work_left -= 1
                 self.stats.wait_work_cycles += 1
             else:
@@ -229,7 +251,7 @@ class Processor:
             op.result = None
             self._start_access(op)
             return
-        if self._spin is not _SpinKind.NONE:
+        if self._spin is not _NO_SPIN:
             self._continue_spin(op)
             return
         self._retire(op)
@@ -238,21 +260,22 @@ class Processor:
 
     def _issue_next(self) -> None:
         op = self.program.ops[self._pc]
-        if op.kind is OpKind.COMPUTE:
-            self._state = _State.COMPUTING
+        kind = op.kind
+        if kind is _OP_COMPUTE:
+            self._state = _COMPUTING
             self._compute_left = op.cycles - 1
             self.stats.compute_cycles += 1
             if self._compute_left <= 0:
                 self._retire(op)
             return
-        if op.kind in (OpKind.TAS_ACQUIRE, OpKind.TTAS_ACQUIRE):
+        if kind in _SPIN_KINDS:
             self._begin_spin(op)
         else:
             self._start_access(op)
         # The issue cycle lands in exactly one bucket: compute if the
         # access completed (or a spin iteration was queued), stall if the
         # processor is now blocked on the cache.
-        if self._state is _State.STALLED:
+        if self._state is _STALLED:
             self.stats.stall_cycles += 1
         else:
             self.stats.compute_cycles += 1
@@ -266,45 +289,46 @@ class Processor:
             assert op.addr is not None
             self.obs.record_wait_start(
                 self.pid, self.cache.block_of(op.addr), self._now)
-        if op.kind is OpKind.TAS_ACQUIRE:
-            self._spin = _SpinKind.TAS
+        if op.kind is _OP_TAS_ACQUIRE:
+            self._spin = _TAS
             self._start_access(self._make_tas(op))
         else:
-            self._spin = _SpinKind.TTAS_READ
-            self._start_access(Op(OpKind.READ, op.addr))
+            self._spin = _TTAS_READ
+            self._start_access(Op(_OP_READ, op.addr))
 
     def _make_tas(self, macro: Op) -> Op:
         assert macro.addr is not None
-        return Op(OpKind.RMW, macro.addr, rmw=test_and_set(macro.value), value=macro.value)
+        return Op(_OP_RMW, macro.addr, rmw=test_and_set(macro.value), value=macro.value)
 
     def _continue_spin(self, op: Op) -> None:
         macro = self._spin_op
         assert macro is not None
-        if self._spin in (_SpinKind.TAS, _SpinKind.TTAS_TAS):
+        spin = self._spin
+        if spin is _TAS or spin is _TTAS_TAS:
             if op.result == 1:
                 self._end_spin(acquired=True)
                 return
             # Lost the race: fall back per the spin discipline.
-            if self._spin is _SpinKind.TAS:
+            if spin is _TAS:
                 self._start_access(self._make_tas(macro))
             else:
-                self._spin = _SpinKind.TTAS_READ
-                self._start_access(Op(OpKind.READ, macro.addr))
+                self._spin = _TTAS_READ
+                self._start_access(Op(_OP_READ, macro.addr))
             return
         # TTAS_READ: examine the value we read.
         assert op.result is not None
         value = self.stamp_clock.value_of(op.result)
         if value == 0:
-            self._spin = _SpinKind.TTAS_TAS
+            self._spin = _TTAS_TAS
             self._start_access(self._make_tas(macro))
         else:
             # Still held: keep looping on the cached copy (local hits).
-            self._start_access(Op(OpKind.READ, macro.addr))
+            self._start_access(Op(_OP_READ, macro.addr))
 
     def _end_spin(self, acquired: bool) -> None:
         macro = self._spin_op
         assert macro is not None
-        self._spin = _SpinKind.NONE
+        self._spin = _NO_SPIN
         self._spin_op = None
         if acquired:
             self.stats.lock_acquisitions += 1
@@ -318,23 +342,24 @@ class Processor:
     # -- access plumbing ----------------------------------------------------------------
 
     def _start_access(self, op: Op) -> None:
-        if op.kind in (OpKind.WRITE, OpKind.UNLOCK, OpKind.RELEASE, OpKind.SAVE_BLOCK):
+        kind = op.kind
+        if kind in _STAMPED_KINDS:
             op.stamp = self.stamp_clock.next_stamp(op.value)
-        if op.kind is OpKind.LOCK:
+        elif kind is _OP_LOCK:
             self._ready_work_left = op.ready_work
         if self._routes_to_crossbar(op):
             self._start_crossbar(op)
             return
         status = self.cache.access(op)
-        if status is AccessStatus.DONE:
-            if self._spin is not _SpinKind.NONE:
+        if status is _ACCESS_DONE:
+            if self._spin is not _NO_SPIN:
                 # Defer to the next cycle so each spin iteration costs one.
                 self._pending_spin_result = op
-                self._state = _State.READY
+                self._state = _READY
             else:
                 self._retire(op)
             return
-        self._state = _State.STALLED
+        self._state = _STALLED
 
     def _routes_to_crossbar(self, op: Op) -> bool:
         if self.crossbar is None or op.addr is None:
@@ -343,7 +368,7 @@ class Processor:
 
         if op.addr < CROSSBAR_BASE:
             return False
-        if op.kind not in (OpKind.READ, OpKind.WRITE):
+        if op.kind not in _CROSSBAR_KINDS:
             raise ProgramError(
                 f"{op.kind} at crossbar address {op.addr}: hard atoms "
                 "reside on the synchronization bus (Section G.1)"
@@ -358,28 +383,30 @@ class Processor:
         op.result = stamp
         self._crossbar_op = op
         self._crossbar_until = done_at
-        self._state = _State.STALLED
+        self._state = _STALLED
         if self.obs.active:
             self.obs.record_crossbar(self.pid, self._now, done_at)
 
     def _retire(self, op: Op) -> None:
-        self.stats.ops_completed += 1
-        if op.kind in (OpKind.READ,):
-            self.stats.reads += 1
-        elif op.kind in (OpKind.WRITE, OpKind.SAVE_BLOCK):
-            self.stats.writes += 1
-        if op.kind is OpKind.LOCK:
-            self.stats.lock_acquisitions += 1
+        stats = self.stats
+        stats.ops_completed += 1
+        kind = op.kind
+        if kind is _OP_READ:
+            stats.reads += 1
+        elif kind in _WRITE_KINDS:
+            stats.writes += 1
+        elif kind is _OP_LOCK:
+            stats.lock_acquisitions += 1
             assert op.addr is not None
             self._lock_held_since[op.addr] = self._now
             if self.obs.active:
                 self.obs.record_lock_acquired(
                     self.pid, self.cache.block_of(op.addr), self._now)
-        if op.kind in (OpKind.UNLOCK, OpKind.RELEASE):
+        elif kind in _RELEASE_KINDS:
             assert op.addr is not None
             since = self._lock_held_since.pop(op.addr, None)
             if since is not None:
-                self.stats.lock_hold_cycles += self._now - since
+                stats.lock_hold_cycles += self._now - since
                 if self.obs.active:
                     self.obs.record_lock_released(
                         self.pid, self.cache.block_of(op.addr),
@@ -388,8 +415,11 @@ class Processor:
 
     def _advance(self) -> None:
         self._pc += 1
-        self._state = _State.READY if self._pc < len(self.program.ops) else _State.DONE
-        if self._state is _State.DONE and self._lock_held_since:
+        if self._pc < len(self.program.ops):
+            self._state = _READY
+            return
+        self._state = _DONE
+        if self._lock_held_since:
             raise ProgramError(
                 f"processor {self.pid} finished holding locks: "
                 f"{sorted(self._lock_held_since)}"

@@ -38,8 +38,12 @@ class NeedBus:
     extra_hold: int = 0
 
     def prioritized(self) -> "NeedBus":
-        """A copy of this request asserting the busy-wait priority bit
-        (Section E.4): a waiter re-posting after an unlock broadcast."""
+        """This request asserting the busy-wait priority bit (Section
+        E.4), for a waiter to re-post after an unlock broadcast: a copy,
+        or the request itself when it asserts the bit already.  Posted
+        requests are read-only, so the two may be shared."""
+        if self.high_priority:
+            return self
         return NeedBus(op=self.op, word=self.word, stamp=self.stamp,
                        lock_intent=self.lock_intent, high_priority=True,
                        update_invalid=self.update_invalid,

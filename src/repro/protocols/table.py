@@ -33,16 +33,15 @@ and renderable (``repro diagram``).
 from __future__ import annotations
 
 import abc
-import enum
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping
 
-from repro.bus.signals import SnoopReply
+from repro.bus.signals import SNOOP_NOTHING, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.cache.state import CacheState
 from repro.common.config import RmwMethod
 from repro.common.errors import ConfigError, ProgramError, ProtocolError
-from repro.common.types import Stamp, WordAddr
+from repro.common.types import IdentityEnum, Stamp, WordAddr
 from repro.processor.isa import OpKind
 from repro.protocols.base import Action, Done, NeedBus, Outcome, TxnResult
 from repro.protocols.features import ProtocolFeatures
@@ -52,7 +51,7 @@ if TYPE_CHECKING:
     from repro.cache.line import CacheLine
 
 
-class Event(enum.Enum):
+class Event(IdentityEnum):
     """Occasions on which a transition-table row is consulted."""
 
     # Processor-side accesses (the ``processor_*`` hooks).
@@ -374,6 +373,8 @@ class TransitionTable:
             for key, bucket in index.items()
         }
         self._rows: list[list[Rule | None] | None] | None = None
+        #: The events some row handles.
+        self._events = frozenset(event for _state, event in self._index)
 
     # -- lookup ----------------------------------------------------------
 
@@ -440,7 +441,7 @@ class TransitionTable:
     # -- structure queries (shared by interpreter, linter, diagrams) -----
 
     def has_event(self, event: Event) -> bool:
-        return any(r.event is event for r in self.rules)
+        return event in self._events
 
     @property
     def has_lock_rows(self) -> bool:
@@ -604,7 +605,29 @@ RMW_BUS_OPS: dict[RmwMethod, tuple[BusOp, ...]] = {
 # -- the protocol -------------------------------------------------------------
 
 #: Op kinds whose completion context carries the ``writish`` atom.
-_WRITISH_KINDS = frozenset({OpKind.WRITE, OpKind.RELEASE})
+_WRITISH_KINDS = (OpKind.WRITE, OpKind.RELEASE)
+
+# Enum members bound once for the per-access and per-snoop hooks:
+# reading a member through its class is a Python-level
+# ``EnumType.__getattr__`` call (DESIGN.md section 4).
+_INVALID = CacheState.INVALID
+_PR_READ, _PR_WRITE, _PR_LOCK, _PR_UNLOCK, _PR_WRITE_BLOCK = (
+    Event.PR_READ, Event.PR_WRITE, Event.PR_LOCK, Event.PR_UNLOCK,
+    Event.PR_WRITE_BLOCK)
+_SN_READ, _SN_EXCL, _SN_UPGRADE, _SN_WRITE_WORD, _SN_UPDATE_WORD = (
+    Event.SN_READ, Event.SN_EXCL, Event.SN_UPGRADE, Event.SN_WRITE_WORD,
+    Event.SN_UPDATE_WORD)
+_SN_WRITE_NO_FETCH = Event.SN_WRITE_NO_FETCH
+_BUS_READ_BLOCK, _BUS_READ_EXCL, _BUS_READ_LOCK, _BUS_UPGRADE = (
+    BusOp.READ_BLOCK, BusOp.READ_EXCL, BusOp.READ_LOCK, BusOp.UPGRADE)
+_BUS_UPDATE_WORD, _BUS_WRITE_NO_FETCH, _BUS_IO_INPUT = (
+    BusOp.UPDATE_WORD, BusOp.WRITE_NO_FETCH, BusOp.IO_INPUT)
+_BUS_IO_OUTPUT_READ = BusOp.IO_OUTPUT_READ
+#: Snooped word writes, and the housekeeping ops a snooper ignores.
+_WORD_WRITE_OPS = (BusOp.WRITE_WORD, BusOp.UPDATE_WORD, BusOp.MEMORY_RMW)
+_INERT_SNOOP_OPS = (BusOp.UNLOCK_BROADCAST, BusOp.MEMORY_LOCK_WRITE,
+                    BusOp.FLUSH_BLOCK)
+_DONE, _REBUS, _WAIT_LOCK = Outcome.DONE, Outcome.REBUS, Outcome.WAIT_LOCK
 
 
 class TableProtocol(abc.ABC):
@@ -721,37 +744,37 @@ class TableProtocol(abc.ABC):
 
     def processor_read(self, line: "CacheLine | None", addr: WordAddr,
                        private_hint: bool = False) -> Action:
-        return self._processor_access(Event.PR_READ, line, addr, None,
+        return self._processor_access(_PR_READ, line, addr, None,
                                       private_hint)
 
     def processor_write(self, line: "CacheLine | None", addr: WordAddr,
                         stamp: Stamp) -> Action:
-        return self._processor_access(Event.PR_WRITE, line, addr, stamp)
+        return self._processor_access(_PR_WRITE, line, addr, stamp)
 
     def processor_lock(self, line: "CacheLine | None",
                        addr: WordAddr) -> Action:
-        if not self.table.has_event(Event.PR_LOCK):
+        if not self._table.has_event(_PR_LOCK):
             raise ProgramError(
                 f"protocol {self.name!r} has no lock instruction; "
                 "lower LOCK/UNLOCK to test-and-set for this protocol"
             )
-        return self._processor_access(Event.PR_LOCK, line, addr, None)
+        return self._processor_access(_PR_LOCK, line, addr, None)
 
     def processor_unlock(self, line: "CacheLine | None", addr: WordAddr,
                          stamp: Stamp) -> Action:
-        if not self.table.has_event(Event.PR_UNLOCK):
+        if not self._table.has_event(_PR_UNLOCK):
             raise ProgramError(
                 f"protocol {self.name!r} has no unlock instruction")
-        return self._processor_access(Event.PR_UNLOCK, line, addr, stamp)
+        return self._processor_access(_PR_UNLOCK, line, addr, stamp)
 
     def processor_write_block(self, line: "CacheLine | None",
                               addr: WordAddr) -> Action:
-        return self._processor_access(Event.PR_WRITE_BLOCK, line, addr, None)
+        return self._processor_access(_PR_WRITE_BLOCK, line, addr, None)
 
     def _processor_access(self, event: Event, line: "CacheLine | None",
                           addr: WordAddr, stamp: Stamp | None,
                           private_hint: bool = False) -> Action:
-        state = line.state if line is not None else CacheState.INVALID
+        state = line.state if line is not None else _INVALID
         row = self._lookup_processor(state, event, addr, private_hint)
         request: NeedBus | None = None
         for action in row.actions:
@@ -768,13 +791,14 @@ class TableProtocol(abc.ABC):
         # Lock and unlock transitions happen in zero time at the
         # processor (Figure 6/8); the other processor rows leave state
         # application to the shared write machinery.
-        if event in (Event.PR_LOCK, Event.PR_UNLOCK) and line is not None:
-            line.state = row.next_state
-        if event in (Event.PR_READ, Event.PR_LOCK):
+        if event is _PR_LOCK or event is _PR_UNLOCK:
+            if line is not None:
+                line.state = row.next_state
+            if event is _PR_UNLOCK:
+                return Done(write_applied=True)
+        if event is _PR_READ or event is _PR_LOCK:
             assert line is not None
             return Done(value=line.read_word(self.cache.offset(addr)))
-        if event is Event.PR_UNLOCK:
-            return Done(write_applied=True)
         return Done()
 
     def _raise_table_error(self, key: str, addr: WordAddr,
@@ -821,7 +845,7 @@ class TableProtocol(abc.ABC):
         if name == "read-lock":
             return NeedBus(op=op, lock_intent=True)
         if name == "upgrade":
-            return NeedBus(op=op, lock_intent=event is Event.PR_LOCK)
+            return NeedBus(op=op, lock_intent=event is _PR_LOCK)
         if name in ("write-word", "update-word", "update-word-inval"):
             return NeedBus(op=op, word=addr, stamp=stamp,
                            update_invalid=name == "update-word-inval")
@@ -841,11 +865,11 @@ class TableProtocol(abc.ABC):
         refetch = self.table.lost_copy.get(need.op)
         if refetch is not None:
             return NeedBus(op=refetch)
-        if need.op is BusOp.UPGRADE:
+        if need.op is _BUS_UPGRADE:
             if need.lock_intent:
-                return NeedBus(op=BusOp.READ_LOCK, lock_intent=True,
+                return NeedBus(op=_BUS_READ_LOCK, lock_intent=True,
                                high_priority=need.high_priority)
-            return NeedBus(op=BusOp.READ_EXCL)
+            return NeedBus(op=_BUS_READ_EXCL)
         return need
 
     def after_txn(self, pending: "PendingAccess", txn: BusTransaction,
@@ -857,57 +881,57 @@ class TableProtocol(abc.ABC):
         fill = FILL_EVENT.get(op)
         if fill is not None:
             if response.locked or response.memory_locked:
-                return TxnResult(Outcome.WAIT_LOCK)
-            row = self._lookup_completion(CacheState.INVALID, fill,
+                return TxnResult(_WAIT_LOCK)
+            row = self._lookup_completion(_INVALID, fill,
                                           pending, txn, response)
             assert data is not None
             line = cache.install_block(txn.block, row.next_state, data)
             rebus = self._rebus_request(row, pending, txn)
             if rebus is not None:
-                return TxnResult(Outcome.REBUS, rebus)
+                return TxnResult(_REBUS, rebus)
             self._run_completion_actions(row, line, txn)
             self.after_fill(pending, line)
-            return TxnResult(Outcome.DONE)
+            return TxnResult(_DONE)
 
         event = DONE_EVENT.get(op)
         if event is None:
             raise ProtocolError(f"{self.name}: no completion row for "
                                 f"{op.value}")
         line = cache.line_for(txn.block)
-        state = line.state if line is not None else CacheState.INVALID
+        state = line.state if line is not None else _INVALID
 
-        if op is BusOp.WRITE_NO_FETCH:
+        if op is _BUS_WRITE_NO_FETCH:
             row = self._lookup_completion(state, event, pending, txn,
                                           response)
             blank = [0] * cache.config.words_per_block
             cache.install_block(txn.block, row.next_state, blank)
-            return TxnResult(Outcome.DONE)
+            return TxnResult(_DONE)
 
-        if op is BusOp.UPGRADE:
+        if op is _BUS_UPGRADE:
             if line is None:
                 row = self._lookup_completion(state, event, pending, txn,
                                               response)
                 rebus = self._rebus_request(row, pending, txn)
                 assert rebus is not None
-                return TxnResult(Outcome.REBUS, rebus)
+                return TxnResult(_REBUS, rebus)
             if response.locked and self.table.has_lock_states:
-                return TxnResult(Outcome.WAIT_LOCK)
+                return TxnResult(_WAIT_LOCK)
             row = self._lookup_completion(state, event, pending, txn,
                                           response)
             self._run_completion_actions(row, line, txn)
             line.state = row.next_state
-            return TxnResult(Outcome.DONE)
+            return TxnResult(_DONE)
 
         # A word write or update.
         row = self._lookup_completion(state, event, pending, txn, response)
         rebus = self._rebus_request(row, pending, txn)
         if rebus is not None:
-            return TxnResult(Outcome.REBUS, rebus)
+            return TxnResult(_REBUS, rebus)
         self._run_completion_actions(row, line, txn)
         if line is not None:
             line.state = row.next_state
         pending.write_applied = True
-        return TxnResult(Outcome.DONE)
+        return TxnResult(_DONE)
 
     def after_fill(self, pending: "PendingAccess",
                    line: "CacheLine") -> None:
@@ -968,41 +992,41 @@ class TableProtocol(abc.ABC):
         op = txn.op
         if op.wants_exclusive:
             return self.snoop_exclusive(line, txn)
-        if op is BusOp.READ_BLOCK:
+        if op is _BUS_READ_BLOCK:
             return self.snoop_read(line, txn)
-        if op in (BusOp.WRITE_WORD, BusOp.UPDATE_WORD, BusOp.MEMORY_RMW):
+        if op in _WORD_WRITE_OPS:
             return self.snoop_word_write(line, txn)
-        if op is BusOp.IO_OUTPUT_READ:
+        if op is _BUS_IO_OUTPUT_READ:
             return self.snoop_io_output(line, txn)
-        if op in (BusOp.UNLOCK_BROADCAST, BusOp.MEMORY_LOCK_WRITE,
-                  BusOp.FLUSH_BLOCK):
-            return SnoopReply(hit=False)
+        if op in _INERT_SNOOP_OPS:
+            return SNOOP_NOTHING
         raise ProtocolError(f"{self.name}: cannot snoop {txn}")
 
     def snoop_read(self, line: "CacheLine",
                    txn: BusTransaction) -> SnoopReply:
-        return self._snoop_table(Event.SN_READ, line, txn)
+        return self._snoop_table(_SN_READ, line, txn)
 
     def snoop_exclusive(self, line: "CacheLine",
                         txn: BusTransaction) -> SnoopReply:
-        if txn.op is BusOp.IO_INPUT:
+        op = txn.op
+        if op is _BUS_IO_INPUT:
             # I/O input takes the block away without a cache supplying it
             # (Section E.2); identical across protocols, kept procedural.
             reply = SnoopReply(hit=True, dirty=line.state.dirty)
             self.cache.invalidate_line(line)
             return reply
-        if txn.op is BusOp.UPGRADE:
-            event = Event.SN_UPGRADE
-        elif txn.op is BusOp.WRITE_NO_FETCH:
-            event = Event.SN_WRITE_NO_FETCH
+        if op is _BUS_UPGRADE:
+            event = _SN_UPGRADE
+        elif op is _BUS_WRITE_NO_FETCH:
+            event = _SN_WRITE_NO_FETCH
         else:
-            event = Event.SN_EXCL
+            event = _SN_EXCL
         return self._snoop_table(event, line, txn)
 
     def snoop_word_write(self, line: "CacheLine",
                          txn: BusTransaction) -> SnoopReply:
-        event = (Event.SN_UPDATE_WORD if txn.op is BusOp.UPDATE_WORD
-                 else Event.SN_WRITE_WORD)
+        event = (_SN_UPDATE_WORD if txn.op is _BUS_UPDATE_WORD
+                 else _SN_WRITE_WORD)
         return self._snoop_table(event, line, txn)
 
     def _snoop_table(self, event: Event, line: "CacheLine",
@@ -1011,10 +1035,11 @@ class TableProtocol(abc.ABC):
         reply = SnoopReply(hit=True)
         for action in row.actions:
             self._run_snoop_action(action, reply, line, txn)
-        if row.next_state is CacheState.INVALID:
+        next_state = row.next_state
+        if next_state is _INVALID:
             self.cache.invalidate_line(line)
-        elif row.next_state is not line.state:
-            line.state = row.next_state
+        elif next_state is not line.state:
+            line.state = next_state
         return reply
 
     def _run_snoop_action(self, action: str, reply: SnoopReply,

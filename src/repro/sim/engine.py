@@ -47,7 +47,8 @@ from repro.common.config import SystemConfig, WaitMode
 from repro.common.errors import ConfigError, DeadlockError, WatchdogTimeout
 from repro.common.types import NEVER
 from repro.memory.main_memory import MainMemory
-from repro.processor.processor import Processor, _State
+from repro.processor.processor import (
+    _COMPUTING, _DONE, _STALLED, Processor)
 from repro.processor.program import Program
 from repro.obs.null import NULL_OBS
 from repro.protocols import get_protocol
@@ -64,6 +65,8 @@ if TYPE_CHECKING:
 #: Stepped-loop iterations between wall-clock watchdog checks; keeps the
 #: hot path at one integer compare per cycle when a watchdog is armed.
 WATCHDOG_STRIDE = 1024
+
+_WORK = WaitMode.WORK
 
 
 class Simulator:
@@ -277,21 +280,25 @@ class Simulator:
     def _tick_every(self, cycle: int) -> None:
         """The stepped reference: tick every processor on every cycle.
 
-        A processor that cannot act this cycle (mid-compute, parked on
-        its cache or a lock, or finished) only increments one counter;
-        that is done inline here, branch for branch as
-        :meth:`Processor.tick` does it, and leaves its schedule as it
-        is.  Anything that may act goes through :meth:`_tick`.
+        A tick that only increments one counter is done inline here,
+        branch for branch as :meth:`Processor.tick` does it, and leaves
+        the processor's schedule as it is: a finished processor, one
+        with more than one compute cycle left, and one stalled on its
+        cache whose access has not completed (stalled, or waiting for a
+        lock, idle or working through its ready section).  Every other
+        processor goes through :meth:`_tick`: one ready to issue, one
+        whose compute op retires this cycle, one collecting its access,
+        and one waiting on the crossbar.
         """
         synced = cycle + 1
         for p in self.processors:
             state = p._state
-            if state is _State.STALLED:
+            if state is _STALLED:
                 if p._crossbar_op is None:
-                    pend = p.cache.pending
+                    pend = p.cache._pending
                     if pend is None or not pend.completed:
                         if pend is not None and pend.lock_wait:
-                            if (p.wait_mode is WaitMode.WORK
+                            if (p.wait_mode is _WORK
                                     and p._ready_work_left > 0):
                                 p._ready_work_left -= 1
                                 p.stats.wait_work_cycles += 1
@@ -301,13 +308,13 @@ class Simulator:
                             p.stats.stall_cycles += 1
                         p._synced = synced
                         continue
-            elif state is _State.COMPUTING:
+            elif state is _COMPUTING:
                 if p._compute_left > 1:
                     p._compute_left -= 1
                     p.stats.compute_cycles += 1
                     p._synced = synced
                     continue
-            elif state is _State.DONE:
+            elif state is _DONE:
                 p.stats.done_cycles += 1
                 p._synced = synced
                 continue
@@ -317,11 +324,11 @@ class Simulator:
         """Tick one processor and schedule its next tick."""
         stats = processor.stats
         before = stats.ops_completed + stats.compute_cycles
-        was_computing = processor._state is _State.COMPUTING
+        was_computing = processor._state is _COMPUTING
         processor.tick(cycle)
         if stats.ops_completed + stats.compute_cycles != before:
             self._progress_ticks += 1
-        computing = processor._state is _State.COMPUTING
+        computing = processor._state is _COMPUTING
         if computing is not was_computing:
             self._computing += 1 if computing else -1
         after = processor.next_event_cycle(cycle + 1)

@@ -26,7 +26,7 @@ def lock_contention(
     lock_style: LockStyle = LockStyle.CACHE_LOCK,
     ready_work: int = 0,
 ) -> list[Program]:
-    """One shared atom, every processor loops lock/работа/unlock."""
+    """One shared atom, every processor loops lock/work/unlock."""
     layout = layout_for(config)
     atom = Atom.allocate(layout, atom_words)
     data = atom.data_words()

@@ -11,6 +11,7 @@ from repro import api
 from repro.common.config import (TOPOLOGY_KINDS, SystemConfig,
                                  TopologyConfig)
 from repro.common.errors import ConfigError
+from tests.conftest import child_env
 
 
 class TestTopologyConfig:
@@ -188,7 +189,7 @@ class TestResultStamping:
             [sys.executable, str(repo / "scripts" / "validate_trace.py"),
              str(path)],
             capture_output=True, text=True,
-            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+            env=child_env(str(repo / "src")),
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -17,6 +19,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+def child_env(pythonpath: str) -> dict[str, str]:
+    """A bare environment for a child interpreter that imports from
+    ``pythonpath``.  It keeps the caller's ``PYTHONDONTWRITEBYTECODE``:
+    a test run that disabled bytecode writes must not leave
+    ``__pycache__`` behind through its children."""
+    env = {"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
 
 #: Every protocol with the block size it requires and whether the strict
 #: oracle applies (classic write-through legitimately produces stale

@@ -168,3 +168,44 @@ class TestComparison:
         assert bd["lock_sleep"] > bd["lock_spin"]
         assert il["lock_spin"] > il["lock_sleep"]
         assert "bitar-despain" in render_comparison(comparison)
+
+
+#: Cuts at which a traced ``max_cycles`` run ends while a granted
+#: transfer still occupies the bus.
+TRUNCATION_CUTS = [100, 123, 137, 174, 211, 300, 507, 581]
+
+
+def _truncated(protocol: str, style: LockStyle, cut: int, *,
+               fast_forward: bool):
+    config = SystemConfig(num_processors=4, protocol=protocol)
+    programs = lock_contention(config, lock_style=style,
+                               rounds=5, think_cycles=9)
+    obs = Observability(interval=50, tracing=True)
+    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
+    stats = sim.run(max_cycles=cut)
+    assert stats.cycles == cut
+    return obs, stats
+
+
+class TestTruncatedRun:
+    """A run cut by ``max_cycles`` is attributed exactly: an episode
+    whose transfer the cut interrupts counts only the cycles before
+    the cut, as the engine's stall counter does."""
+
+    @pytest.mark.parametrize("fast_forward", [False, True],
+                             ids=["stepped", "fast"])
+    @pytest.mark.parametrize("cut", TRUNCATION_CUTS)
+    def test_illinois_ttas(self, cut, fast_forward):
+        obs, stats = _truncated("illinois", LockStyle.TTAS, cut,
+                                fast_forward=fast_forward)
+        report = AttributionReport.from_dict(obs.result().attribution)
+        for entry in report.per_pid:
+            assert sum(entry["buckets"].values()) == entry["total"]
+
+    def test_bitar_despain(self):
+        reports = []
+        for fast_forward in (False, True):
+            obs, stats = _truncated("bitar-despain", LockStyle.TTAS, 211,
+                                    fast_forward=fast_forward)
+            reports.append(obs.result().attribution)
+        assert reports[0] == reports[1]

@@ -14,6 +14,7 @@ from repro.common.config import TopologyConfig
 from repro.protocols import get_protocol
 from repro.sim.engine import Simulator
 from repro.workloads.registry import build_workload
+from tests.conftest import child_env
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -58,7 +59,7 @@ def _probe(code: str) -> list:
     """Run ``code`` in a fresh interpreter; return the JSON it prints."""
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+                          env=child_env(str(SRC)))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import WORKLOADS, _topology, build_parser, main
 from repro.common.config import TopologyConfig
 from repro.protocols import PROTOCOLS
+from tests.conftest import child_env
 
 
 class TestParser:
@@ -470,8 +471,7 @@ class TestWithoutNumpy:
                 + f"sys.exit(main({argv!r}))\n")
         return subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True,
-                              env={"PYTHONPATH": str(self.SRC),
-                                   "PATH": "/usr/bin:/bin"})
+                              env=child_env(str(self.SRC)))
 
     @pytest.mark.parametrize("argv", [
         ["run", "--protocol", "bitar-despain",
