@@ -147,9 +147,10 @@ class SnoopingCache:
         self.stats = stats
         self.obs = obs
         self.array = CacheArray(config)
-        #: The array's tag index (block -> tagged frames), read directly
-        #: by the snoop fast-miss test.
-        self._tagged = self.array._tagged
+        #: The array's interest index (block -> tagged frames and pins),
+        #: read directly by the snoop fast-miss test; the RMW hold and
+        #: the armed busy-wait register pin their blocks in it.
+        self._interest = self.array._interest
         self.busy_wait = BusyWaitRegister()
         self.directory = DirectoryModel(kind=config.directory)
         self.protocol: "TableProtocol | None" = None  # set by the engine
@@ -354,6 +355,8 @@ class SnoopingCache:
         if self._pending is None or not self._pending.lock_wait:
             raise ProgramError("no lock wait to cancel")
         self.notify_processor()
+        # A lock wait keeps the register armed (or fired) until it ends.
+        self.array.unpin(self.busy_wait.block)
         self.busy_wait.clear()
         self._pending = None
         if self.obs.active:
@@ -586,6 +589,7 @@ class SnoopingCache:
         self._sync_request()
         if not self.busy_wait.active:
             self.busy_wait.arm(txn.block, self.now())
+            self.array.pin(txn.block)
         else:
             # Re-arm after losing post-unlock arbitration to a new locker.
             self.busy_wait.lost_arbitration()
@@ -604,6 +608,7 @@ class SnoopingCache:
             # Whatever op was waiting (lock, read, write, RMW) has now
             # completed: stop watching for unlock broadcasts.
             wait.clear()
+            self.array.unpin(block)
         line = self.array.lookup(block)
         kind = op.kind
         if kind in _READ_KINDS:
@@ -689,38 +694,39 @@ class SnoopingCache:
 
         True when a frame is tagged with the block (valid or invalid,
         which also covers the update-invalid revalidation scan), the
-        busy-wait register watches the block, or an RMW hold matches.
+        busy-wait register watches the block, or an RMW hold matches:
+        exactly when the block is in the array's interest index.  The
+        index changes at three kinds of point -- a tag re-assigned by
+        :meth:`CacheArray.install`, :meth:`hold_block`/
+        :meth:`release_hold`, and the register's arm in
+        :meth:`_enter_lock_wait` and clear in :meth:`_finish_pending`
+        and :meth:`cancel_wait` -- and the invariant checker compares it
+        with the three sources every ``check_interval`` cycles.
+
         This is the membership predicate the directory fabric uses to
-        keep sharer sets honest, and the fast-miss test :meth:`snoop`
-        writes out inline (which additionally exempts unlock broadcasts,
-        always taking the full path) -- the two must stay identical for
-        directory pruning to be sound, which
-        ``tests/cache/test_snoop_fast_miss.py`` checks.
+        keep sharer sets honest, and the probe :meth:`snoop` makes
+        inline for its fast miss (which additionally exempts unlock
+        broadcasts, always taking the full path) -- the two must stay
+        one decision for directory pruning to be sound, which
+        ``tests/cache/test_snoop_fast_miss.py`` checks against the
+        three-source definition.
         """
-        if block in self._tagged:
-            return True
-        if self._held_block == block:
-            return True
-        wait = self.busy_wait
-        return wait.phase is not _IDLE and wait.block == block
+        return block in self._interest
 
     def snoop(self, txn: BusTransaction) -> SnoopReply:
         """React to another cache's granted transaction.
 
         This runs on N-1 caches per bus transaction, so the common case
-        is straight-line code: a cache that does not :meth:`cares_about`
-        the block returns the shared :data:`SNOOP_MISS` without
-        consulting its protocol.  The directory consultation is charged
-        by the fabric that delivers the snoop (see
+        is one probe: a cache that does not :meth:`cares_about` the
+        block returns the shared :data:`SNOOP_MISS` without consulting
+        its protocol.  The directory consultation is charged by the
+        fabric that delivers the snoop (see
         :mod:`repro.cache.directory`), not here.
         """
         block = txn.block
         op = txn.op
-        if (block not in self._tagged and self._held_block != block
-                and op is not _UNLOCK_BROADCAST):
-            wait = self.busy_wait
-            if wait.phase is _IDLE or wait.block != block:
-                return SNOOP_MISS
+        if block not in self._interest and op is not _UNLOCK_BROADCAST:
+            return SNOOP_MISS
 
         assert self.protocol is not None
         if op is _UNLOCK_BROADCAST:
@@ -890,7 +896,12 @@ class SnoopingCache:
     # -- RMW hold support (Feature 6, cache-hold method) -----------------------
 
     def hold_block(self, block: BlockAddr) -> None:
+        self.release_hold()
         self._held_block = block
+        self.array.pin(block)
 
     def release_hold(self) -> None:
-        self._held_block = None
+        held = self._held_block
+        if held is not None:
+            self._held_block = None
+            self.array.unpin(held)

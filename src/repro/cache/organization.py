@@ -20,10 +20,27 @@ from repro.cache.state import CacheState
 from repro.common.config import CacheConfig
 from repro.common.types import NEVER_WRITTEN, BlockAddr
 
+# Read by ``lookup`` per entry it passes (DESIGN.md section 4).
+_INVALID = CacheState.INVALID
+
 #: The tag of a frame that has never been filled: no block has it, so an
 #: update-invalid snoop (which checks tags of invalid lines) never
 #: matches it.
 UNUSED_TAG = -1
+
+
+class _Pin:
+    """An entry of the interest index that is not a frame: one reason,
+    other than a tag, for the owning cache to react to snoops on a block.
+    It reads as an invalid frame, so :meth:`CacheArray.lookup` passes
+    over it."""
+
+    __slots__ = ()
+    state = _INVALID
+
+
+#: The one pin entry; a block carries it once per pin.
+PIN = _Pin()
 
 
 class CacheArray:
@@ -34,13 +51,19 @@ class CacheArray:
         #: Set index -> the set's frames filled so far, in fill order;
         #: a set never filled has no entry.
         self._sets: dict[int, list[CacheLine]] = {}
-        # Tag index: block -> frames currently *tagged* with it, valid or
-        # not.  Tags change only in install(), so the index stays exact
-        # while validity flips freely on the lines themselves; lookup()
-        # filters by state.  Every snoop performs a lookup, making this
-        # the simulator's hottest data structure -- the index turns the
-        # per-snoop set scan into a dict probe.
-        self._tagged: dict[BlockAddr, list[CacheLine]] = {}
+        # Interest index: block -> the frames currently *tagged* with it,
+        # valid or not, then one PIN per pin the owning cache holds on it
+        # (its RMW hold, its armed busy-wait register).  Tags change only
+        # in install() and pins only in pin()/unpin(), so the index stays
+        # exact while validity flips freely on the lines themselves;
+        # lookup() filters by state, and a pin reads as invalid.  A block
+        # is in the index exactly when the cache would react to a snoop
+        # on it, so the snoop fast miss -- N-1 calls per bus transaction,
+        # the simulator's hottest test -- is one dict probe, and a snoop
+        # that does react looks its frame up without scanning the set.
+        # Pins share the tag lists rather than a dict of their own: a
+        # second dict per cache costs memory for a few pinned blocks.
+        self._interest: dict[BlockAddr, list[CacheLine | _Pin]] = {}
 
     def _set_index(self, block: BlockAddr) -> int:
         block_number = block // self.config.words_per_block
@@ -48,11 +71,11 @@ class CacheArray:
 
     def lookup(self, block: BlockAddr) -> CacheLine | None:
         """Return the valid line holding ``block``, if present."""
-        lines = self._tagged.get(block)
+        lines = self._interest.get(block)
         if lines is None:
             return None
         for line in lines:
-            if line.state is not CacheState.INVALID:
+            if line.state is not _INVALID:
                 return line
         return None
 
@@ -85,17 +108,29 @@ class CacheArray:
                 self._sets.setdefault(self._set_index(block),
                                       []).append(victim)
             else:
-                old = self._tagged.get(victim.block)
-                if old is not None:
-                    old.remove(victim)
-                    if not old:
-                        del self._tagged[victim.block]
-            self._tagged.setdefault(block, []).append(victim)
+                self._drop(victim.block, victim)
+            self._interest.setdefault(block, []).append(victim)
         victim.block = block
         victim.state = state
         victim.fill(words)
         victim.last_used = cycle
         return victim
+
+    def pin(self, block: BlockAddr) -> None:
+        """Enter one reason other than a tag to care about ``block``."""
+        self._interest.setdefault(block, []).append(PIN)
+
+    def unpin(self, block: BlockAddr) -> None:
+        """Withdraw one :meth:`pin` of ``block``."""
+        self._drop(block, PIN)
+
+    def _drop(self, block: BlockAddr, entry: CacheLine | _Pin) -> None:
+        """Remove one entry (a re-tagged frame or a pin) from
+        ``block``'s list; the block leaves the index with its last."""
+        entries = self._interest[block]
+        entries.remove(entry)
+        if not entries:
+            del self._interest[block]
 
     def lines(self) -> list[CacheLine]:
         """All valid lines, in set order (for invariant checks and purge

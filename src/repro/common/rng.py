@@ -7,7 +7,6 @@ Every stochastic component takes a seed and derives an independent
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 
@@ -20,6 +19,11 @@ def derive_rng(seed: int, *path: object) -> random.Random:
     randomized per process, which would make "deterministic" workloads
     differ between runs.
     """
+    # Imported here: ``hashlib`` loads the ``_hashlib`` extension, a few
+    # milliseconds per interpreter that a run deriving no stream (the
+    # lock workloads) need not pay.
+    import hashlib
+
     key = "\x1f".join([str(seed)] + [str(p) for p in path]).encode()
     digest = hashlib.sha256(key).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

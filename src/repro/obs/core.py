@@ -323,21 +323,35 @@ class Observability:
                             excess: int) -> None:
         """Un-book the last ``excess`` transfer cycles of a closed
         episode, which the run ended before (see :meth:`on_run_end`),
-        from its span and its processor's tally.  The histograms keep
-        what they observed at the close."""
-        episode.transfer -= excess
+        from its span, its processor's tally, and the ``span_cycles``
+        and ``bucket_wait_cycles`` observations :meth:`_close_episode`
+        made of it: each moves to the clipped value (a bucket
+        observation the clip brings to 0 is withdrawn, as the close
+        skips zero ones)."""
         span = episode.span
+        episode_cycles = self._span_cycles["episode"]
+        episode_cycles.unobserve(span["dur"])
         span["dur"] -= excess
+        episode_cycles.observe(span["dur"])
+        tally = self.tallies[pid]
+        buckets = self._bucket_cycles
+        if episode.in_window:
+            tally.win_stall -= excess
+            bucket, booked = buckets["lock_spin"], episode.arb
+        elif episode.inval:
+            tally.inval_wait -= excess
+            bucket, booked = buckets["inval_refetch"], episode.arb
+        else:
+            tally.out_transfer -= excess
+            bucket, booked = buckets["miss_wait"], 0
+        booked += episode.transfer
+        bucket.unobserve(booked)
+        if booked > excess:
+            bucket.observe(booked - excess)
+        episode.transfer -= excess
         args = span["args"]
         args["transfer"] = episode.transfer
         args["truncated"] = True
-        tally = self.tallies[pid]
-        if episode.in_window:
-            tally.win_stall -= excess
-        elif episode.inval:
-            tally.inval_wait -= excess
-        else:
-            tally.out_transfer -= excess
 
     def _close_wait(self, pid: int, wait: list, cycle: int,
                     outcome: str) -> int | None:

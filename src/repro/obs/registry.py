@@ -60,6 +60,14 @@ class HistogramChild(_Child):
         series[-2] += value
         series[-1] += 1
 
+    def unobserve(self, value: float) -> None:
+        """Withdraw one earlier :meth:`observe` of ``value`` (a run cut
+        short revises a duration it already reported)."""
+        series = self._series
+        series[bisect_left(self._metric.buckets, value)] -= 1
+        series[-2] -= value
+        series[-1] -= 1
+
 
 class _Metric:
     """Shared plumbing: name, help, label keys and child binding (each

@@ -38,6 +38,11 @@ class OpKind(IdentityEnum):
     RMW = "rmw"
 
 
+# Members read by ``Op.__post_init__`` -- once per op a workload
+# builds -- bound once: reading one through its class is a Python-level
+# ``EnumType.__getattr__`` call (DESIGN.md section 4).
+_COMPUTE, _RMW = OpKind.COMPUTE, OpKind.RMW
+
 #: An RMW function maps the old word *value* to the new value, or ``None``
 #: to write nothing (e.g. test-and-set finding the lock held).
 RmwFunc = Callable[[int], int | None]
@@ -84,13 +89,15 @@ class Op:
     aborted: bool = False
 
     def __post_init__(self) -> None:
-        needs_addr = self.kind is not OpKind.COMPUTE
-        if needs_addr and self.addr is None:
-            raise ValueError(f"{self.kind} requires an address")
-        if self.kind is OpKind.RMW and self.rmw is None:
+        kind = self.kind
+        if kind is _COMPUTE:
+            if self.cycles <= 0:
+                raise ValueError("COMPUTE requires positive cycles")
+            return
+        if self.addr is None:
+            raise ValueError(f"{kind} requires an address")
+        if kind is _RMW and self.rmw is None:
             raise ValueError("RMW op requires an rmw function")
-        if self.kind is OpKind.COMPUTE and self.cycles <= 0:
-            raise ValueError("COMPUTE requires positive cycles")
 
 
 # Convenience constructors -- workload generators read much better with

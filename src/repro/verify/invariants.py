@@ -14,11 +14,16 @@ reduces cache synchronization to:
   a lock-waiter record somewhere (cache state, memory lock tag, or an
   unlock broadcast already in flight), so a waiter cannot be stranded.
 
-Given the fabric, it also checks the engine's own bookkeeping:
+It also checks the engine's own bookkeeping:
 
-* **requester index** -- each bus's index of requesting ports (what
-  arbitration and the fast-forward engine read instead of polling every
-  port) is exactly the set of its ports with a posted request.
+* **interest index** -- each cache's interest index (what the snoop
+  fast miss and ``cares_about`` probe) lists, per block, exactly the
+  frames tagged with it, plus a pin for an RMW hold on it and one for
+  an armed busy-wait register watching it;
+* **requester index** (given the fabric) -- each bus's index of
+  requesting ports (what arbitration and the fast-forward engine read
+  instead of polling every port) is exactly the set of its ports with
+  a posted request.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.bus.transaction import BusOp
+from repro.cache.organization import PIN
 from repro.cache.state import EXCLUSIVE_STATES, CacheState
 from repro.common.errors import CoherenceViolation
 from repro.common.types import BlockAddr
@@ -98,6 +104,7 @@ class InvariantChecker:
         if self.oracle is not None and self.check_latest:
             self._check_latest_reachable(by_block)
         self._check_waiter_liveness()
+        self._check_interest_index()
         if self.fabric is not None:
             self.fabric.check_requester_index()
 
@@ -180,6 +187,31 @@ class InvariantChecker:
                 f"lock-waiter record exists anywhere"
             )
 
+    def _check_interest_index(self) -> None:
+        """A missed pin or unpin would make the snoop fast-miss a block
+        the cache must react to (or probe one it need not): re-derive the
+        index from its three sources -- the frames of every set, the RMW
+        hold and the armed busy-wait register -- and compare entry for
+        entry."""
+        for cache in self.caches:
+            expected: dict[BlockAddr, list] = {}
+            for frames in cache.array._sets.values():
+                for line in frames:
+                    expected.setdefault(line.block, []).append(line)
+            pins = [cache._held_block] if cache._held_block is not None else []
+            if cache.busy_wait.active:
+                pins.append(cache.busy_wait.block)
+            for block in pins:
+                expected.setdefault(block, []).append(PIN)
+            indexed = cache.array._interest
+            if _entries(indexed) != _entries(expected):
+                raise CoherenceViolation(
+                    f"cache {cache.id}: interest index "
+                    f"{_entries(indexed, count=True)} but tags, RMW hold "
+                    f"and busy-wait register give "
+                    f"{_entries(expected, count=True)} (entries per block)"
+                )
+
     def _waiter_recorded(self, block) -> bool:
         for other in self.caches:
             line = other.array.lookup(block)
@@ -204,3 +236,11 @@ class InvariantChecker:
             if cache.id == cache_id:
                 return cache
         raise KeyError(cache_id)
+
+
+
+def _entries(index: dict, *, count: bool = False) -> dict:
+    """An interest index as ``{block: entry ids}``, comparable whatever
+    the entries' order -- or, with ``count``, ``{block: entries}``."""
+    return {block: len(entries) if count else sorted(map(id, entries))
+            for block, entries in sorted(index.items())}

@@ -233,7 +233,7 @@ class TestCaresAbout:
         sim = _sharing_sim()
         sim.run()
         for cache in sim.caches:
-            tagged = set(cache.array._tagged)
+            tagged = {line.block for line in cache.array.lines()}
             assert tagged, "sharing workload left a cache empty"
             for block in tagged:
                 assert cache.cares_about(block)
@@ -249,7 +249,7 @@ class TestCaresAbout:
         sim = _sharing_sim()
         sim.run()
         cache = sim.caches[0]
-        cared = next(iter(cache.array._tagged))
+        cared = cache.array.lines()[0].block
         uncared = cared + 64
         assert not cache.cares_about(uncared)
         reply = cache.snoop(BusTransaction(

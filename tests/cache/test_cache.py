@@ -114,9 +114,12 @@ class TestCancelWait:
         two_caches.run_op(0, isa.lock(B))
         two_caches.submit(1, isa.lock(B))
         two_caches.drain()
+        assert two_caches.caches[1].cares_about(B)
         two_caches.caches[1].cancel_wait()
         assert not two_caches.caches[1].busy_wait.active
         assert two_caches.caches[1].pending is None
+        # The register's pin goes with it: snoops on B fast-miss again.
+        assert not two_caches.caches[1].cares_about(B)
 
     def test_cancel_without_wait_raises(self, two_caches):
         with pytest.raises(ProgramError):

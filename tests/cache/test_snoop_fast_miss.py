@@ -1,14 +1,27 @@
-"""``SnoopingCache.snoop`` fast-misses exactly when ``cares_about`` is false.
+"""``SnoopingCache.snoop`` fast-misses exactly when the cache cares.
 
-The snoop writes its fast-miss test out inline (it runs on N-1 caches
-per bus transaction), while the directory fabric prunes its probes with
-``cares_about``.  Directory pruning is sound only if the two are one
-decision, so over every state of the snooped block's frame, every RMW
-hold and every busy-wait register, and for every transaction but the
+The snoop's fast miss and ``cares_about`` are both one probe of the
+cache's interest index, which is kept at its change points (tags
+re-assigned, an RMW hold taken or released, the busy-wait register
+armed or cleared).  Directory pruning is sound only if that probe gives
+the definition of caring, so this test writes the definition out from
+its three sources -- a frame tagged with the block (valid or not), an
+RMW hold on it, a busy-wait register armed or fired on it -- and checks
+both against it, over every state of the snooped block's frame, every
+RMW hold and every busy-wait register, for every transaction but the
 unlock broadcast (which always takes the full path): the snoop returns
 the shared ``SNOOP_MISS`` reply, changing nothing, if and only if the
-cache does not care about the block.  Either way the snoop leaves the cache's directory-duality model
-untouched: the fabric that delivers a snoop charges it, not the cache.
+cache does not care about the block.  Either way the snoop leaves the
+cache's directory-duality model untouched: the fabric that delivers a
+snoop charges it, not the cache.
+
+Every state is entered through the cache's own paths, so a change
+point that forgot its pin leaves the index stale and fails here: the
+register is armed by a refused lock request and fired by the holder's
+unlock broadcast, and the hold is taken with ``hold_block``.  The one
+exception is an idle register still naming a block, set by assignment:
+an idle register pins nothing, so the index is right without a change
+point.
 """
 
 import itertools
@@ -21,31 +34,63 @@ from repro.cache.busy_wait import WaitPhase
 from repro.cache.state import CacheState
 from repro.common.config import CacheConfig
 from repro.common.errors import ProtocolError
+from repro.processor import isa
 from repro.sim.harness import ManualSystem
 
 WPB = 4
 #: The snooped block, another block the cache always holds, and a block
-#: it never touches.
+#: it never tags.
 SNOOPED, HELD_ELSEWHERE, UNTOUCHED = 0, WPB, 2 * WPB
 OPS = [op for op in BusOp if op is not BusOp.UNLOCK_BROADCAST]
 #: The snooped block's frame: untagged, or tagged in any state (an
 #: INVALID frame stays tagged).
 FRAMES = [None, *sorted(CacheState, key=lambda state: state.name)]
 HOLDS = [None, SNOOPED, UNTOUCHED]
-WAITS = [(phase, block) for phase in WaitPhase
-         for block in (None, SNOOPED, UNTOUCHED)]
+#: The register: idle (naming no block, or a stale one), or armed or
+#: fired on a block.  An armed or fired register always names one.
+WAITS = [(WaitPhase.IDLE, block) for block in (None, SNOOPED, UNTOUCHED)] + [
+    (phase, block) for phase in (WaitPhase.ARMED, WaitPhase.FIRED)
+    for block in (SNOOPED, UNTOUCHED)]
+
+
+def _wait_on(system: ManualSystem, phase: WaitPhase, block: int) -> None:
+    """Bring cache 0's register to ``phase`` on ``block``: cache 1
+    locks the block, cache 0's lock request is refused (ARMED), and
+    cache 1's unlock broadcast fires the register (FIRED)."""
+    register = system.caches[0].busy_wait
+    system.run_op(1, isa.lock(block))
+    system.submit(0, isa.lock(block))
+    system.drain()
+    assert register.phase is WaitPhase.ARMED and register.block == block
+    if phase is WaitPhase.FIRED:
+        system.submit(1, isa.unlock(block))
+        while register.phase is not WaitPhase.FIRED:
+            system.step()
 
 
 def _cache(frame, held, wait):
     system = ManualSystem(n_caches=2, cache_config=CacheConfig(
         words_per_block=WPB, num_blocks=4, assoc=2))
     cache = system.caches[0]
+    phase, block = wait
+    if phase is WaitPhase.IDLE:
+        cache.busy_wait.block = block  # idle: pins nothing
+    else:
+        _wait_on(system, phase, block)
     cache.install_block(HELD_ELSEWHERE, CacheState.READ, [0] * WPB)
     if frame is not None:
         cache.install_block(SNOOPED, frame, [0] * WPB)
-    cache._held_block = held
-    cache.busy_wait.phase, cache.busy_wait.block = wait
+    if held is not None:
+        cache.hold_block(held)
     return cache
+
+
+def _cares(cache, block) -> bool:
+    """The definition the interest index stands for, from its sources."""
+    tagged = any(line.block == block for line in cache.array.set_of(block))
+    register = cache.busy_wait
+    armed = register.phase is not WaitPhase.IDLE and register.block == block
+    return tagged or cache._held_block == block or armed
 
 
 def _model(cache) -> tuple:
@@ -56,7 +101,9 @@ def _model(cache) -> tuple:
 def _snapshot(cache) -> tuple:
     lines = tuple((line.block, line.state, tuple(line.words),
                    line.last_used) for line in cache.array.lines())
-    return (lines, sorted(cache._tagged), cache._held_block,
+    interest = {block: list(entries)
+                for block, entries in cache.array._interest.items()}
+    return (lines, interest, cache._held_block,
             cache.busy_wait.phase, cache.busy_wait.block, cache._pending,
             tuple(cache._detached), cache.directory.status_writes,
             cache.stats.to_payload())
@@ -64,15 +111,18 @@ def _snapshot(cache) -> tuple:
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
 def test_fast_miss_iff_not_cares_about(op):
-    misses = 0
+    misses = pinned_only = 0
     for frame, held, wait in itertools.product(FRAMES, HOLDS, WAITS):
         cache = _cache(frame, held, wait)
-        cares = cache.cares_about(SNOOPED)
+        cares = _cares(cache, SNOOPED)
+        case = (frame, held, wait)
+        assert cache.cares_about(SNOOPED) is cares, case
+        if cares and frame is None:
+            pinned_only += 1
         before = _snapshot(cache)
         model = _model(cache)
         txn = BusTransaction(op=op, block=SNOOPED, requester=1,
                              word=SNOOPED, stamp=1)
-        case = (frame, held, wait)
         try:
             reply = cache.snoop(txn)
         except ProtocolError:
@@ -85,4 +135,5 @@ def test_fast_miss_iff_not_cares_about(op):
         if not cares:
             misses += 1
             assert _snapshot(cache) == before, case
-    assert misses > 0
+    # The grid reaches caring through a pin alone (hold or register).
+    assert misses > 0 and pinned_only > 0

@@ -202,6 +202,30 @@ class TestTruncatedRun:
         for entry in report.per_pid:
             assert sum(entry["buckets"].values()) == entry["total"]
 
+    @pytest.mark.parametrize("fast_forward", [False, True],
+                             ids=["stepped", "fast"])
+    @pytest.mark.parametrize("cut", TRUNCATION_CUTS)
+    def test_histograms_agree_with_spans(self, cut, fast_forward):
+        """The clipped episodes' ``span_cycles`` and
+        ``bucket_wait_cycles`` observations move with their spans and
+        tallies (at N = 123 the histogram once summed 399 against the
+        spans' 394)."""
+        obs, stats = _truncated("illinois", LockStyle.TTAS, cut,
+                                fast_forward=fast_forward)
+        episodes = [span["dur"] for span in obs.spans
+                    if span["kind"] == "episode"]
+        spans = obs.registry.get("span_cycles")
+        assert spans.sum(kind="episode") == sum(episodes)
+        assert spans.count(kind="episode") == len(episodes)
+        tallies = obs.tallies.values()
+        buckets = obs.registry.get("bucket_wait_cycles")
+        for bucket, field in (("lock_spin", "win_stall"),
+                              ("inval_refetch", "inval_wait"),
+                              ("bus_arb_wait", "out_arb"),
+                              ("miss_wait", "out_transfer")):
+            assert buckets.sum(bucket=bucket) == sum(
+                getattr(tally, field) for tally in tallies), bucket
+
     def test_bitar_despain(self):
         reports = []
         for fast_forward in (False, True):

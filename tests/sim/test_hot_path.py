@@ -1,14 +1,14 @@
 """Guards on the per-event path.
 
 The functions below run once per executed cycle, processor tick, cache
-access, snoop delivery or bus transaction.  On CPython 3.11 reading an
-enum member through its class (``OpKind.READ``) goes through the
-Python-level ``EnumType.__getattr__``, and a membership test against a
-tuple literal of members builds the tuple and reads every member that
-way each time it runs; the per-event code binds members to module
-aliases and tests membership against module-level tuples instead
-(DESIGN.md section 4).  The scan below fails on either form creeping
-back in.
+access, snoop delivery or bus transaction (or, at set-up, once per op a
+workload builds).  On CPython 3.11 reading an enum member through its
+class (``OpKind.READ``) goes through the Python-level
+``EnumType.__getattr__``, and a membership test against a tuple literal
+of members builds the tuple and reads every member that way each time
+it runs; the per-event code binds members to module aliases and tests
+membership against module-level tuples instead (DESIGN.md section 4).
+The scan below fails on either form creeping back in.
 
 The snoop path also returns shared, read-only replies
 (:data:`~repro.bus.signals.SNOOP_MISS`, ``SNOOP_NOTHING``,
@@ -33,10 +33,11 @@ from repro.bus.signals import (
     SNOOP_MISS, SNOOP_NOTHING, SNOOP_UNLOCK_TAKEN, SnoopReply)
 from repro.cache.busy_wait import BusyWaitRegister
 from repro.cache.cache import SnoopingCache
+from repro.cache.organization import CacheArray
 from repro.common.config import TopologyConfig
 from repro.directory_backend import table as directory_table
 from repro.directory_backend.system import DirectoryFabric
-from repro.processor.isa import OpKind
+from repro.processor.isa import Op, OpKind
 from repro.processor.processor import Processor
 from repro.protocols.table import TableProtocol, TransitionTable
 from repro.sim.engine import Simulator
@@ -61,6 +62,7 @@ HOT_PATH = [
                      "finish_bus_release", "cares_about", "snoop",
                      "_snoop_unlock_broadcast", "invalidate_line",
                      "_purge", "apply_write", "_mark_dirty")),
+    (CacheArray, ("lookup",)),
     (Bus, ("step", "next_event_cycle", "_arbitrate", "_execute",
            "_snoop_all", "_resolve_data", "_duration", "_base_duration",
            "_count_events")),
@@ -80,6 +82,9 @@ HOT_PATH = [
                      "snoop_word_write", "_snoop_table")),
     (BusyWaitRegister, ("active", "arm", "notice_unlock",
                         "lost_arbitration", "clear")),
+    # Set-up rather than per-event, but it runs once per op a workload
+    # builds (6,144 ops at lock16's size).
+    (Op, ("__post_init__",)),
 ]
 
 

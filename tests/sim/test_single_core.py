@@ -107,6 +107,23 @@ def test_a_snoop_run_loads_one_protocol_and_one_fabric():
     assert loaded == []
 
 
+def test_a_run_deriving_no_stream_loads_no_hashlib():
+    """``derive_rng`` imports ``hashlib`` (and its ``_hashlib``
+    extension) on first use, so a lock workload built next to a seeded
+    generator that it never calls does not load it."""
+    loaded = _probe(
+        "import json, sys\n"
+        "from repro.common.config import SystemConfig\n"
+        "from repro.sim.engine import Simulator\n"
+        "from repro.workloads import lock_contention, scale_probe\n"
+        "config = SystemConfig(protocol='bitar-despain')\n"
+        "Simulator(config, lock_contention(config)).run()\n"
+        "print(json.dumps([m for m in ('hashlib', '_hashlib')\n"
+        "                  if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
 def test_importing_the_cli_loads_no_protocol_module():
     loaded = _probe(
         "import json, sys\n"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.organization import PIN
 from repro.cache.state import CacheState
 from repro.common.errors import CoherenceViolation
 from repro.processor import isa
@@ -120,3 +121,54 @@ class TestRequesterIndex:
         two_caches.bus._sensitive.discard(0)
         with pytest.raises(CoherenceViolation, match="revalidation index"):
             self._checker(two_caches).check_all()
+
+
+class TestInterestIndex:
+    """Each cache's interest index counts its tagged frames plus its
+    RMW hold and armed busy-wait register; a missed pin or unpin would
+    let the snoop fast-miss a block the cache must react to."""
+
+    def test_tags_hold_and_register_pass(self, two_caches):
+        two_caches.run_op(0, isa.lock(B))
+        two_caches.submit(1, isa.lock(B))
+        two_caches.drain()
+        waiter = two_caches.caches[1]
+        waiter.hold_block(B)
+        assert waiter.array._interest == {B: [PIN, PIN]}  # register, hold
+        checker_for(two_caches).check_all()
+        waiter.release_hold()
+        checker_for(two_caches).check_all()
+
+    def test_completed_wait_unpins(self, two_caches):
+        two_caches.run_op(0, isa.lock(B))
+        two_caches.submit(1, isa.lock(B))
+        two_caches.drain()
+        two_caches.submit(0, isa.unlock(B))
+        two_caches.drain()
+        waiter = two_caches.caches[1]
+        assert waiter.take_completion() is not None
+        assert not waiter.busy_wait.active
+        assert waiter.array._interest == {B: [waiter.line_for(B)]}
+        checker_for(two_caches).check_all()
+
+    def test_missed_register_pin_detected(self, two_caches):
+        two_caches.run_op(0, isa.lock(B))
+        two_caches.submit(1, isa.lock(B))
+        two_caches.drain()
+        two_caches.caches[1].array.unpin(B)  # corrupt: forget the pin
+        with pytest.raises(CoherenceViolation, match="interest index"):
+            checker_for(two_caches).check_all()
+
+    def test_stale_hold_pin_detected(self, two_caches):
+        cache = two_caches.caches[0]
+        cache.hold_block(B)
+        cache._held_block = None  # corrupt: the hold ends, the pin stays
+        with pytest.raises(CoherenceViolation, match="interest index"):
+            checker_for(two_caches).check_all()
+
+    def test_frame_listed_twice_detected(self, two_caches):
+        two_caches.run_op(0, isa.read(B))
+        array = two_caches.caches[0].array
+        array._interest[B].append(array.lookup(B))  # a frame listed twice
+        with pytest.raises(CoherenceViolation, match="interest index"):
+            checker_for(two_caches).check_all()
