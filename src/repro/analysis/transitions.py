@@ -132,14 +132,6 @@ def _force_state(sys: ManualSystem, state: CacheState) -> None:
         raise ProgramError(f"recipe for {state} produced {actual}")
 
 
-def _environment_of(state: CacheState) -> str:
-    """The other-cache status implied by the recipe for ``state``."""
-    if state in (CacheState.READ, CacheState.READ_SOURCE_CLEAN,
-                 CacheState.READ_SOURCE_DIRTY):
-        return SHARED
-    return ALONE
-
-
 _PROC_OPS = {
     "read": isa.read,
     "write": isa.write,

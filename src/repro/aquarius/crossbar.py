@@ -80,8 +80,3 @@ class Crossbar:
 
     def peek(self, addr: WordAddr) -> Stamp:
         return self._words.get(addr, 0)
-
-    @property
-    def utilization_possible(self) -> int:
-        """Upper bound on concurrent service (one request per bank)."""
-        return self.n_banks

@@ -19,7 +19,6 @@ from repro.cache.directory import BroadcastLog
 from repro.common.config import TimingConfig
 from repro.common.errors import CoherenceViolation
 from repro.common.types import NEVER, BlockAddr, CacheId, Stamp
-from repro.protocols.base import Outcome
 from repro.protocols.features import ReadSourcePolicy
 
 from repro.obs.null import NULL_OBS
@@ -28,13 +27,13 @@ if TYPE_CHECKING:
     from repro.cache.directory import DirectoryModel
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
+    from repro.protocols.table import TableProtocol
     from repro.sim.clock import Clock
     from repro.sim.stats import SimStats
 
 # Enum members bound once for the per-transaction path: reading a
 # member through its class is a Python-level ``EnumType.__getattr__``
 # call (DESIGN.md section 4).
-_REBUS = Outcome.REBUS
 _UNLOCK_BROADCAST, _IO_OUTPUT_READ, _MEMORY_RMW, _FLUSH_BLOCK = (
     BusOp.UNLOCK_BROADCAST, BusOp.IO_OUTPUT_READ, BusOp.MEMORY_RMW,
     BusOp.FLUSH_BLOCK)
@@ -104,6 +103,9 @@ class BusPort(Protocol):
     #: The port's directory-duality model (Feature 3), which the fabric
     #: charges for the snoops it delivers; ``None`` for a cacheless port.
     directory: "DirectoryModel | None"
+    #: The port's coherence protocol, read for source-loss accounting;
+    #: ``None`` for a cacheless port.
+    protocol: "TableProtocol | None"
 
     def route_requests(self, entry: RequesterEntry) -> None:
         """Keep ``entry`` placed from now on (see :class:`RequesterEntry`)."""
@@ -111,6 +113,10 @@ class BusPort(Protocol):
     def has_bus_request(self) -> bool: ...
 
     def has_request_hint(self) -> bool: ...
+
+    def current_request_block(self) -> BlockAddr | None:
+        """The block the posted request targets, which picks the bus
+        that arbitrates it; ``None`` (no routing information) is bus 0's."""
 
     def bus_request_priority(self) -> bool: ...
 
@@ -164,8 +170,6 @@ class Bus:
         self._arbiter: Arbiter | None = None
         self._busy_until = 0
         self._active_port: BusPort | None = None
-        #: Retries forced by cache-hold RMW snOop refusals.
-        self.retries = 0
         #: Every grant's broadcast, which settles the duality models of
         #: the caches it snoops (see :meth:`_snoop_all`).
         self._broadcasts = BroadcastLog()
@@ -197,7 +201,10 @@ class Bus:
             port.directory.watch(self._broadcasts)
 
     def _route(self, block) -> "Bus":
-        """Every request on a single bus is this bus's to grant."""
+        """Every request on a single bus is this bus's to grant.  A
+        multi-bus fabric replaces this with its own routing, so a
+        request is filed (:class:`RequesterEntry`) and checked
+        (:meth:`check_requester_index`) by one decision."""
         return self
 
     @property
@@ -207,11 +214,14 @@ class Bus:
 
     def check_requester_index(self) -> None:
         """Raise :class:`CoherenceViolation` unless the requester index
-        lists exactly the ports with a posted request on this bus, its
-        ``_high`` set exactly those asserting the priority bit, and its
-        ``_sensitive`` set exactly those whose request revalidates."""
+        lists exactly the ports with a posted request this bus owns (its
+        block routes here), its ``_high`` set exactly those asserting
+        the priority bit, and its ``_sensitive`` set exactly those whose
+        request revalidates."""
+        route = self._route
         posted = {slot for slot, port in enumerate(self._port_list)
-                  if port.has_request_hint()}
+                  if port.has_request_hint()
+                  and route(port.current_request_block()) is self}
         if posted != self._requesters:
             raise CoherenceViolation(
                 f"bus {self.index}: requester index "
@@ -343,8 +353,6 @@ class Bus:
         data = self._resolve_data(port, txn, response, replies)
 
         info = port.on_txn_granted(txn, response, data)
-        if info.outcome is _REBUS and response.retry:
-            self.retries += 1
 
         duration = self._duration(txn, response, replies, info)
         name = txn.op._name_
@@ -443,7 +451,7 @@ class Bus:
         return data
 
     def _tracks_source_loss(self, port: BusPort) -> bool:
-        protocol = getattr(port, "protocol", None)
+        protocol = port.protocol
         if protocol is None:
             return False
         policy = protocol.features().read_source_policy
@@ -474,8 +482,6 @@ class Bus:
 
     def _base_duration(self, txn, response, replies, t: TimingConfig, wpb: int) -> int:
         op = txn.op
-        if response.retry:
-            return t.invalidate_cycles
         if op in _ADDRESS_ONLY_OPS:
             return t.invalidate_cycles
         if op in _WORD_WRITE_OPS:

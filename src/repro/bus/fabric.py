@@ -10,7 +10,7 @@ that assembles the corresponding fabric from a
   against, so the default stays bit-identical).
 * ``multibus`` -- :class:`~repro.bus.multibus.MultiBusSystem` with
   ``topology.buses`` block-interleaved buses (built even for one bus, so
-  the port-view wrapper itself is exercised by the conformance matrix).
+  its request routing is exercised by the conformance matrix).
 * ``clustered`` -- :class:`~repro.bus.hierarchy.ClusteredBusSystem`.
 * ``directory`` -- :class:`~repro.directory_backend.DirectorySystem`.
 """

@@ -8,10 +8,10 @@ inter-cluster link joins them, and a per-block interest set -- which
 clusters have ever issued a transaction on the block -- gates snoop
 delivery so a cluster that never touched a block never hears about it.
 
-The filter is sound because every way a cache can come to care about a
-snoop (a tagged frame, a busy-wait register armed on the block, an RMW
-hold) is established only by that cache's *own* prior bus transaction on
-the same block, which enrolled its cluster in the interest set.  The set
+The filter is sound because both ways a cache can come to care about a
+snoop (a tagged frame, a busy-wait register armed on the block) are
+established only by that cache's *own* prior bus transaction on the
+same block, which enrolled its cluster in the interest set.  The set
 only ever grows, so staleness errs toward extra (harmless) snoops, never
 missing ones.  With one cluster the filter admits everything and the
 fabric is cycle-identical to the flat multi-bus system.

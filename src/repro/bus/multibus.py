@@ -16,10 +16,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.bus.bus import Bus, BusPort, RequesterEntry
-from repro.bus.signals import SnoopReply
-from repro.bus.transaction import BusTransaction
 from repro.common.config import TimingConfig
-from repro.common.types import BlockAddr, CacheId, Stamp
+from repro.common.types import BlockAddr
 from repro.obs.null import NULL_OBS
 
 if TYPE_CHECKING:
@@ -27,57 +25,6 @@ if TYPE_CHECKING:
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
     from repro.sim.stats import SimStats
-
-
-class _BusPortView:
-    """One cache's face toward one of the buses: offers the cache's
-    current request only when this bus owns the request's block."""
-
-    def __init__(self, port: BusPort, system: "MultiBusSystem",
-                 bus_index: int) -> None:
-        self._port = port
-        self._system = system
-        self._bus_index = bus_index
-        self.id: CacheId = port.id
-        self.directory = port.directory
-
-    def has_bus_request(self) -> bool:
-        # The bus asks only the ports its requester index lists, and a
-        # port is listed on exactly the bus that owns its request.
-        return self._port.has_bus_request()
-
-    def has_request_hint(self) -> bool:
-        """Does the port have a posted request this bus owns?  The
-        defining predicate of the bus's requester index, which the
-        invariant checker compares the index against."""
-        if not self._port.has_request_hint():
-            return False
-        block = getattr(self._port, "current_request_block", lambda: None)()
-        return self._system.bus_index_of(block) == self._bus_index
-
-    def bus_request_priority(self) -> bool:
-        return self._port.bus_request_priority()
-
-    def bus_request_revalidates(self) -> bool:
-        return self._port.bus_request_revalidates()
-
-    def take_bus_transaction(self) -> BusTransaction:
-        return self._port.take_bus_transaction()
-
-    def on_txn_granted(self, txn: BusTransaction, response,
-                       data: list[Stamp] | None):
-        return self._port.on_txn_granted(txn, response, data)
-
-    def snoop(self, txn: BusTransaction) -> SnoopReply:
-        return self._port.snoop(txn)
-
-    def finish_bus_release(self) -> None:
-        self._port.finish_bus_release()
-
-    # The single-bus Bus peeks at `protocol` for source-loss accounting.
-    @property
-    def protocol(self):
-        return getattr(self._port, "protocol", None)
 
 
 class MultiBusSystem:
@@ -101,6 +48,10 @@ class MultiBusSystem:
         self.stats = stats
         self.obs = obs
         self.buses = [self._make_bus(i) for i in range(n_buses)]
+        # Each bus checks its requester index against the same routing
+        # that files the requests (:class:`RequesterEntry`).
+        for bus in self.buses:
+            bus._route = self._route
 
     def _make_bus(self, index: int) -> Bus:
         """Factory for one serialization domain; subclasses (clustered,
@@ -121,20 +72,19 @@ class MultiBusSystem:
         block_number = block // self.memory.words_per_block
         return block_number % self.n_buses
 
-    def bus_index_of(self, block: BlockAddr | None) -> int:
-        """The bus owning a request on ``block``; ports without routing
-        information (``None``, e.g. the I/O processor) use bus 0."""
-        return 0 if block is None else self.bus_of(block)
-
     def attach(self, port: BusPort) -> None:
-        slots = {bus.register(_BusPortView(port, self, index))
-                 for index, bus in enumerate(self.buses)}
+        """Register ``port`` itself on every bus: every cache snoops
+        every bus, and a bus arbitrates the port's request only while
+        the request's block routes to it."""
+        slots = {bus.register(port) for bus in self.buses}
         # Every bus attaches the same ports in the same order.
         (slot,) = slots
         port.route_requests(RequesterEntry(self._route, slot))
 
     def _route(self, block: BlockAddr | None) -> Bus:
-        return self.buses[self.bus_index_of(block)]
+        """The bus owning a request on ``block``; a port without routing
+        information (``None``: the I/O processor) uses bus 0."""
+        return self.buses[0 if block is None else self.bus_of(block)]
 
     def step(self) -> bool:
         active = False

@@ -37,9 +37,6 @@ class SnoopReply:
     #: (flush-on-transfer, Feature 7 ``F``; or Synapse's flush-then-memory
     #: service of a read request).
     flush_words: list[int] | None = None
-    #: The snooped request must be retried (a cache is holding the block
-    #: for an atomic read-modify-write, Feature 6 cache-hold method).
-    retry: bool = False
     #: Words the supply moves under sub-block transfer units (D.3);
     #: ``None`` means whole-block.
     supply_words_moved: int | None = None
@@ -73,8 +70,6 @@ class BusResponse:
     supplier_dirty: bool = False
     #: The block is locked in another cache; no data is transferred.
     locked: bool = False
-    #: The request must be retried (cache-hold RMW in progress).
-    retry: bool = False
     #: Lock tag found set in main memory (purged-lock fallback, E.3),
     #: owned by another cache: the request is refused.
     memory_locked: bool = False
@@ -87,10 +82,6 @@ class BusResponse:
     arbitration_candidates: int = 0
     #: Caches that replied at all (for tests/inspection).
     repliers: list[CacheId] = field(default_factory=list)
-
-    @property
-    def from_cache(self) -> bool:
-        return self.supplier is not None
 
     @staticmethod
     def combine(replies: dict[CacheId, SnoopReply],
@@ -111,8 +102,6 @@ class BusResponse:
                 response.shared_hit = True
             if reply.locked:
                 response.locked = True
-            if reply.retry:
-                response.retry = True
             if reply.supplies:
                 response.supplier = cache_id
                 response.supplier_dirty = reply.dirty

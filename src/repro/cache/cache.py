@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.bus.signals import (
@@ -28,7 +28,7 @@ from repro.common.errors import ProgramError, ProtocolError
 from repro.common.types import BlockAddr, CacheId, Stamp, WordAddr
 from repro.obs.null import NULL_OBS
 from repro.processor.isa import Op, OpKind
-from repro.protocols.base import Done, NeedBus, Outcome, TxnResult
+from repro.protocols.base import Done, NeedBus, Outcome
 
 if TYPE_CHECKING:
     from repro.bus.bus import RequesterEntry
@@ -102,8 +102,8 @@ class PendingAccess:
     write_applied: bool = False
     #: The request that was refused because the block was locked; re-posted
     #: at high priority when the unlock broadcast arrives (Figure 9).
-    retry_request: NeedBus | None = None
-    #: ``retry_request`` with the priority bit asserted, built once per
+    refused_request: NeedBus | None = None
+    #: ``refused_request`` with the priority bit asserted, built once per
     #: wait: what every wakeup of the wait re-posts.
     wake_request: NeedBus | None = None
     #: Logical effects applied at grant; the processor may collect the
@@ -148,8 +148,8 @@ class SnoopingCache:
         self.obs = obs
         self.array = CacheArray(config)
         #: The array's interest index (block -> tagged frames and pins),
-        #: read directly by the snoop fast-miss test; the RMW hold and
-        #: the armed busy-wait register pin their blocks in it.
+        #: read directly by the snoop fast-miss test; the armed
+        #: busy-wait register pins its block in it.
         self._interest = self.array._interest
         self.busy_wait = BusyWaitRegister()
         self.directory = DirectoryModel(kind=config.directory)
@@ -158,7 +158,6 @@ class SnoopingCache:
         self.oracle: "WriteOracle | None" = None  # set by the engine
         self._pending: PendingAccess | None = None
         self._detached: deque[tuple[NeedBus, BlockAddr]] = deque()
-        self._held_block: BlockAddr | None = None
         self._install_effects = _InstallEffects()
         #: How atomic read-modify-writes are serialized (Feature 6).
         self.rmw_method = RmwMethod.CACHE_HOLD
@@ -188,9 +187,6 @@ class SnoopingCache:
 
     def line_for(self, block: BlockAddr) -> CacheLine | None:
         return self.array.lookup(block)
-
-    def line_for_addr(self, addr: WordAddr) -> CacheLine | None:
-        return self.array.lookup(self.block_of(addr))
 
     def now(self) -> int:
         return self.clock.cycle
@@ -530,10 +526,6 @@ class SnoopingCache:
         if pending is None:
             raise ProtocolError(f"cache {self.id}: grant with no pending op: {txn}")
 
-        if response.retry:
-            # A cache is holding the block (RMW cache-hold); retry later.
-            return CompletionInfo(outcome=_REBUS)
-
         if op is _BUS_MEMORY_RMW:
             return CompletionInfo(
                 outcome=_OUTCOME_DONE,
@@ -582,7 +574,7 @@ class SnoopingCache:
         assert pending is not None
         self.notify_processor()
         if pending.request is not None:
-            pending.retry_request = pending.request
+            pending.refused_request = pending.request
             pending.wake_request = pending.request.prioritized()
         pending.request = None
         pending.lock_wait = True
@@ -693,15 +685,14 @@ class SnoopingCache:
         """Would this cache react to a transaction on ``block``?
 
         True when a frame is tagged with the block (valid or invalid,
-        which also covers the update-invalid revalidation scan), the
-        busy-wait register watches the block, or an RMW hold matches:
-        exactly when the block is in the array's interest index.  The
-        index changes at three kinds of point -- a tag re-assigned by
-        :meth:`CacheArray.install`, :meth:`hold_block`/
-        :meth:`release_hold`, and the register's arm in
-        :meth:`_enter_lock_wait` and clear in :meth:`_finish_pending`
-        and :meth:`cancel_wait` -- and the invariant checker compares it
-        with the three sources every ``check_interval`` cycles.
+        which also covers the update-invalid revalidation scan) or the
+        busy-wait register watches the block: exactly when the block is
+        in the array's interest index.  The index changes at two kinds
+        of point -- a tag re-assigned by :meth:`CacheArray.install`, and
+        the register's arm in :meth:`_enter_lock_wait` and clear in
+        :meth:`_finish_pending` and :meth:`cancel_wait` -- and the
+        invariant checker compares it with the two sources every
+        ``check_interval`` cycles.
 
         This is the membership predicate the directory fabric uses to
         keep sharer sets honest, and the probe :meth:`snoop` makes
@@ -709,7 +700,7 @@ class SnoopingCache:
         broadcasts, always taking the full path) -- the two must stay
         one decision for directory pruning to be sound, which
         ``tests/cache/test_snoop_fast_miss.py`` checks against the
-        three-source definition.
+        two-source definition.
         """
         return block in self._interest
 
@@ -748,9 +739,6 @@ class SnoopingCache:
                 self._sync_request()
                 if self.obs.active:
                     self.obs.record_wait_rearmed(self.id, self.now())
-
-        if self._held_block is not None and self._held_block == block:
-            return SnoopReply(retry=True)
 
         line = self.array.lookup(block)
         if line is None:
@@ -892,16 +880,3 @@ class SnoopingCache:
             return None
         dirty_units = sum(1 for d in (line.unit_dirty or []) if d)
         return max(1, dirty_units) * tu
-
-    # -- RMW hold support (Feature 6, cache-hold method) -----------------------
-
-    def hold_block(self, block: BlockAddr) -> None:
-        self.release_hold()
-        self._held_block = block
-        self.array.pin(block)
-
-    def release_hold(self) -> None:
-        held = self._held_block
-        if held is not None:
-            self._held_block = None
-            self.array.unpin(held)

@@ -52,8 +52,8 @@ class CacheArray:
         #: a set never filled has no entry.
         self._sets: dict[int, list[CacheLine]] = {}
         # Interest index: block -> the frames currently *tagged* with it,
-        # valid or not, then one PIN per pin the owning cache holds on it
-        # (its RMW hold, its armed busy-wait register).  Tags change only
+        # valid or not, then one PIN while the owning cache's busy-wait
+        # register is armed on it.  Tags change only
         # in install() and pins only in pin()/unpin(), so the index stays
         # exact while validity flips freely on the lines themselves;
         # lookup() filters by state, and a pin reads as invalid.  A block

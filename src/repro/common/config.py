@@ -83,7 +83,11 @@ class RmwMethod(enum.Enum):
     """Feature 6 of Table 1: the four atomic read-modify-write methods."""
 
     MEMORY_HOLD = "memory-hold"  # hold the memory unit throughout (Rudolph/Segall)
-    CACHE_HOLD = "cache-hold"  # fetch exclusive, hold the cache (Frank)
+    #: Fetch exclusive and hold the cache (Frank).  The hold is the
+    #: atomic completion: the RMW reads and writes in the one grant (or
+    #: write-privileged hit) that gives it sole access, so no other
+    #: transaction can come between them and no snoop is ever refused.
+    CACHE_HOLD = "cache-hold"
     BUS_HOLD = "bus-hold"  # P&P variant: hold the bus through to the write
     OPTIMISTIC = "optimistic"  # fetch at the write; abort on steal
     LOCK_STATE = "lock-state"  # use the cache lock state (the proposal)

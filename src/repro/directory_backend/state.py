@@ -1,8 +1,8 @@
 """Per-block directory state held at a home bank.
 
 Each entry tracks the *sharer vector* -- the caches that might react to
-a transaction on the block (a tagged frame, an armed busy-wait, or an
-RMW hold) -- and the *owner*, the cache whose copy is dirty.  The vector
+a transaction on the block (a tagged frame or an armed busy-wait) --
+and the *owner*, the cache whose copy is dirty.  The vector
 is deliberately conservative: a cache stays listed until a probe shows
 it no longer cares, so the directory can prune deliveries but never
 starve a cache of a message it needed.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.common.types import BlockAddr, CacheId
+from repro.common.types import CacheId
 from repro.directory_backend.representations import FullBitVector, SharerSet
 
 
@@ -77,7 +77,3 @@ class DirectoryState:
             "invalidations": self.invalidations,
             "acks": self.acks,
         }
-
-
-def block_number_of(block: BlockAddr, words_per_block: int) -> int:
-    return block // words_per_block

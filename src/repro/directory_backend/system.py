@@ -13,15 +13,15 @@ hop/lookup timing.
 
 **Why pruning is sound.**  A cache reacts to a snoop only when
 :meth:`~repro.cache.cache.Cache.cares_about` holds -- the block is
-tagged in a frame, the busy-wait register is armed on the block, or an
-RMW hold matches.  Every one of those conditions is created exclusively
-by that cache's *own* bus transaction on the same block, so a cache
-outside the sharer set would have answered miss; pruning it changes no
-replies, only traffic.  The obligations that keep the sharer set honest
-are lint rules over the table rather than prose: every delivery row
-must ``enroll`` the requester, probe, and ``refresh`` the caches the
-transaction could have changed (``directory-sharer-drop``), and rows
-meeting an overflowed -- imprecise -- representation must broadcast
+tagged in a frame, or the busy-wait register is armed on the block.
+Both conditions are created exclusively by that cache's *own* bus
+transaction on the same block, so a cache outside the sharer set would
+have answered miss; pruning it changes no replies, only traffic.  The
+obligations that keep the sharer set honest are lint rules over the
+table rather than prose: every delivery row must ``enroll`` the
+requester, probe, and ``refresh`` the caches the transaction could have
+changed (``directory-sharer-drop``), and rows meeting an overflowed --
+imprecise -- representation must broadcast
 (``directory-overflow-policy``).  See
 :mod:`repro.directory_backend.table`.
 
@@ -58,11 +58,6 @@ if TYPE_CHECKING:
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
     from repro.sim.stats import SimStats
-
-
-def _underlying(port: BusPort):
-    """Unwrap a multi-bus port view down to the attached component."""
-    return getattr(port, "_port", port)
 
 
 class DirectoryFabric(Bus):
@@ -157,10 +152,9 @@ class DirectoryFabric(Bus):
         keep: list[CacheId] = []
         drop: list[CacheId] = []
         for cid in probed:
-            view = self._ports.get(cid)
-            if view is None:
+            cache = self._ports.get(cid)
+            if cache is None:
                 continue
-            cache = _underlying(view)
             if not hasattr(cache, "array"):
                 # Cacheless ports (I/O) answer every snoop with a miss;
                 # the directory never needs to list them.

@@ -7,8 +7,8 @@ therefore cover everything that can influence future transitions:
 
 * every cache's valid lines (tag, state, word stamps, sub-block dirty
   bits) plus the LRU ordering within each set (it picks future victims);
-* the busy-wait register, in-flight pending access, detached request
-  queue, and RMW hold of each cache;
+* the busy-wait register, in-flight pending access and detached request
+  queue of each cache;
 * main memory's block contents, lock tags, and source bits;
 * each processor's program counter, state machine, spin expansion, and
   held locks;
@@ -81,7 +81,7 @@ def _pending_sig(pending) -> tuple | None:
         pending.phase,
         pending.lock_wait,
         pending.write_applied,
-        _need_sig(pending.retry_request),
+        _need_sig(pending.refused_request),
         pending.ready,
         pending.completed,
     )
@@ -94,7 +94,6 @@ def _cache_sig(cache) -> tuple:
         (cache.busy_wait.phase.value, cache.busy_wait.block),
         _pending_sig(cache._pending),
         tuple((_need_sig(need), block) for need, block in cache._detached),
-        cache._held_block,
         _freeze(cache.scratch),
     )
 

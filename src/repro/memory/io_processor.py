@@ -47,6 +47,8 @@ class IOProcessor:
 
     #: No directory, so no duality model for the fabric to charge.
     directory = None
+    #: No protocol, so no read source whose loss the bus could count.
+    protocol = None
 
     def __init__(self, memory: "MainMemory", stamp_clock: "StampClock",
                  stats: "SimStats") -> None:
@@ -91,6 +93,10 @@ class IOProcessor:
     def has_request_hint(self) -> bool:
         """I/O requests need no revalidation; the hint is exact."""
         return bool(self._queue) and self._in_flight is None
+
+    def current_request_block(self) -> None:
+        """I/O requests carry no routing block: they go to bus 0."""
+        return None
 
     def bus_request_priority(self) -> bool:
         return False

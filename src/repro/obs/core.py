@@ -143,6 +143,8 @@ class Observability:
         self.block_waits: dict[int, int] = {}
         self.end_cycle: int | None = None
         self._open_txn: dict | None = None
+        #: bus -> the span of its last granted transaction.
+        self._last_txn: dict[int, dict] = {}
         self._episodes: dict[int, _Episode] = {}    # requester -> state
         self._last_collect: dict[int, int] = {}     # pid -> last collect cycle
         #: pid -> the episode its last DONE grant closed, and the cycle
@@ -249,6 +251,17 @@ class Observability:
             episode, end = self._last_done[pid]
             if end > cycles:
                 self._take_back_transfer(pid, episode, end - cycles)
+        # Likewise a grant books its whole occupancy as its ``txn``
+        # span; a run cut before the occupancy ends clips it to the cut.
+        txn_cycles = self._span_cycles["txn"]
+        for bus in sorted(self._last_txn):
+            span = self._last_txn[bus]
+            end = span["start"] + span["dur"]
+            if end > cycles:
+                txn_cycles.unobserve(span["dur"])
+                span["dur"] -= end - cycles
+                txn_cycles.observe(span["dur"])
+                span["args"]["truncated"] = True
         # Close anything still open, marked truncated.  An episode cut
         # during a REBUS phase's occupancy (``arb_since`` still ahead)
         # banked that whole phase as transfer: take back the part past
@@ -422,6 +435,7 @@ class Observability:
             span["dur"] = duration
             span["args"]["outcome"] = outcome
             self._span_cycles["txn"].observe(duration)
+            self._last_txn[bus] = span
         if op in DETACHED_OPS:
             return
         episode = self._episodes.get(requester)

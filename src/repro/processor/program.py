@@ -83,8 +83,3 @@ def lower_locks(ops: list[Op], style: LockStyle) -> list[Op]:
         else:
             lowered.append(replace(op))
     return lowered
-
-
-def total_memory_ops(program: Program) -> int:
-    """Number of memory-touching operations (COMPUTE excluded)."""
-    return sum(1 for op in program.ops if op.kind is not OpKind.COMPUTE)

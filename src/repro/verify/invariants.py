@@ -18,12 +18,12 @@ It also checks the engine's own bookkeeping:
 
 * **interest index** -- each cache's interest index (what the snoop
   fast miss and ``cares_about`` probe) lists, per block, exactly the
-  frames tagged with it, plus a pin for an RMW hold on it and one for
-  an armed busy-wait register watching it;
+  frames tagged with it, plus a pin for an armed busy-wait register
+  watching it;
 * **requester index** (given the fabric) -- each bus's index of
   requesting ports (what arbitration and the fast-forward engine read
   instead of polling every port) is exactly the set of its ports with
-  a posted request.
+  a posted request whose block routes to that bus.
 """
 
 from __future__ import annotations
@@ -190,25 +190,21 @@ class InvariantChecker:
     def _check_interest_index(self) -> None:
         """A missed pin or unpin would make the snoop fast-miss a block
         the cache must react to (or probe one it need not): re-derive the
-        index from its three sources -- the frames of every set, the RMW
-        hold and the armed busy-wait register -- and compare entry for
-        entry."""
+        index from its two sources -- the frames of every set and the
+        armed busy-wait register -- and compare entry for entry."""
         for cache in self.caches:
             expected: dict[BlockAddr, list] = {}
             for frames in cache.array._sets.values():
                 for line in frames:
                     expected.setdefault(line.block, []).append(line)
-            pins = [cache._held_block] if cache._held_block is not None else []
             if cache.busy_wait.active:
-                pins.append(cache.busy_wait.block)
-            for block in pins:
-                expected.setdefault(block, []).append(PIN)
+                expected.setdefault(cache.busy_wait.block, []).append(PIN)
             indexed = cache.array._interest
             if _entries(indexed) != _entries(expected):
                 raise CoherenceViolation(
                     f"cache {cache.id}: interest index "
-                    f"{_entries(indexed, count=True)} but tags, RMW hold "
-                    f"and busy-wait register give "
+                    f"{_entries(indexed, count=True)} but tags and "
+                    f"busy-wait register give "
                     f"{_entries(expected, count=True)} (entries per block)"
                 )
 

@@ -1,8 +1,7 @@
-"""The bus: grant execution, durations, retries, snoop exclusion."""
+"""The bus: grant execution, durations, snoop exclusion."""
 
 import pytest
 
-from repro.bus.transaction import BusOp
 from repro.common.config import CacheConfig, TimingConfig
 from repro.processor import isa
 from repro.sim.harness import ManualSystem
@@ -84,23 +83,6 @@ class TestDurations:
         assert total - direct == (
             t.cache_block_cycles(4, arbitrate=True)
         )
-
-
-class TestRetry:
-    def test_held_block_forces_retry(self):
-        """Feature 6 cache-hold: a snooped request for a held block is
-        refused and retried."""
-        sys = ManualSystem(n_caches=2)
-        sys.run_op(0, isa.write(B))
-        sys.caches[0].hold_block(B)
-        sys.submit(1, isa.read(B))
-        for _ in range(20):
-            sys.step()
-        assert sys.bus.retries > 0
-        assert sys.caches[1].take_completion() is None
-        sys.caches[0].release_hold()
-        sys.drain()
-        assert sys.caches[1].take_completion() is not None
 
 
 class TestSnoopScope:

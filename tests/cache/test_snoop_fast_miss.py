@@ -2,26 +2,24 @@
 
 The snoop's fast miss and ``cares_about`` are both one probe of the
 cache's interest index, which is kept at its change points (tags
-re-assigned, an RMW hold taken or released, the busy-wait register
-armed or cleared).  Directory pruning is sound only if that probe gives
-the definition of caring, so this test writes the definition out from
-its three sources -- a frame tagged with the block (valid or not), an
-RMW hold on it, a busy-wait register armed or fired on it -- and checks
-both against it, over every state of the snooped block's frame, every
-RMW hold and every busy-wait register, for every transaction but the
-unlock broadcast (which always takes the full path): the snoop returns
-the shared ``SNOOP_MISS`` reply, changing nothing, if and only if the
-cache does not care about the block.  Either way the snoop leaves the
-cache's directory-duality model untouched: the fabric that delivers a
-snoop charges it, not the cache.
+re-assigned, the busy-wait register armed or cleared).  Directory
+pruning is sound only if that probe gives the definition of caring, so
+this test writes the definition out from its two sources -- a frame
+tagged with the block (valid or not), a busy-wait register armed or
+fired on it -- and checks both against it, over every state of the
+snooped block's frame and every busy-wait register, for every
+transaction but the unlock broadcast (which always takes the full
+path): the snoop returns the shared ``SNOOP_MISS`` reply, changing
+nothing, if and only if the cache does not care about the block.
+Either way the snoop leaves the cache's directory-duality model
+untouched: the fabric that delivers a snoop charges it, not the cache.
 
 Every state is entered through the cache's own paths, so a change
 point that forgot its pin leaves the index stale and fails here: the
 register is armed by a refused lock request and fired by the holder's
-unlock broadcast, and the hold is taken with ``hold_block``.  The one
-exception is an idle register still naming a block, set by assignment:
-an idle register pins nothing, so the index is right without a change
-point.
+unlock broadcast.  The one exception is an idle register still naming
+a block, set by assignment: an idle register pins nothing, so the index
+is right without a change point.
 """
 
 import itertools
@@ -45,7 +43,6 @@ OPS = [op for op in BusOp if op is not BusOp.UNLOCK_BROADCAST]
 #: The snooped block's frame: untagged, or tagged in any state (an
 #: INVALID frame stays tagged).
 FRAMES = [None, *sorted(CacheState, key=lambda state: state.name)]
-HOLDS = [None, SNOOPED, UNTOUCHED]
 #: The register: idle (naming no block, or a stale one), or armed or
 #: fired on a block.  An armed or fired register always names one.
 WAITS = [(WaitPhase.IDLE, block) for block in (None, SNOOPED, UNTOUCHED)] + [
@@ -68,7 +65,7 @@ def _wait_on(system: ManualSystem, phase: WaitPhase, block: int) -> None:
             system.step()
 
 
-def _cache(frame, held, wait):
+def _cache(frame, wait):
     system = ManualSystem(n_caches=2, cache_config=CacheConfig(
         words_per_block=WPB, num_blocks=4, assoc=2))
     cache = system.caches[0]
@@ -80,8 +77,6 @@ def _cache(frame, held, wait):
     cache.install_block(HELD_ELSEWHERE, CacheState.READ, [0] * WPB)
     if frame is not None:
         cache.install_block(SNOOPED, frame, [0] * WPB)
-    if held is not None:
-        cache.hold_block(held)
     return cache
 
 
@@ -90,7 +85,7 @@ def _cares(cache, block) -> bool:
     tagged = any(line.block == block for line in cache.array.set_of(block))
     register = cache.busy_wait
     armed = register.phase is not WaitPhase.IDLE and register.block == block
-    return tagged or cache._held_block == block or armed
+    return tagged or armed
 
 
 def _model(cache) -> tuple:
@@ -103,8 +98,7 @@ def _snapshot(cache) -> tuple:
                    line.last_used) for line in cache.array.lines())
     interest = {block: list(entries)
                 for block, entries in cache.array._interest.items()}
-    return (lines, interest, cache._held_block,
-            cache.busy_wait.phase, cache.busy_wait.block, cache._pending,
+    return (lines, interest, cache.busy_wait.phase, cache.busy_wait.block, cache._pending,
             tuple(cache._detached), cache.directory.status_writes,
             cache.stats.to_payload())
 
@@ -112,10 +106,10 @@ def _snapshot(cache) -> tuple:
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
 def test_fast_miss_iff_not_cares_about(op):
     misses = pinned_only = 0
-    for frame, held, wait in itertools.product(FRAMES, HOLDS, WAITS):
-        cache = _cache(frame, held, wait)
+    for frame, wait in itertools.product(FRAMES, WAITS):
+        cache = _cache(frame, wait)
         cares = _cares(cache, SNOOPED)
-        case = (frame, held, wait)
+        case = (frame, wait)
         assert cache.cares_about(SNOOPED) is cares, case
         if cares and frame is None:
             pinned_only += 1
@@ -135,5 +129,5 @@ def test_fast_miss_iff_not_cares_about(op):
         if not cares:
             misses += 1
             assert _snapshot(cache) == before, case
-    # The grid reaches caring through a pin alone (hold or register).
+    # The grid reaches caring through a pin alone (the register).
     assert misses > 0 and pinned_only > 0

@@ -226,6 +226,24 @@ class TestTruncatedRun:
             assert buckets.sum(bucket=bucket) == sum(
                 getattr(tally, field) for tally in tallies), bucket
 
+    @pytest.mark.parametrize("fast_forward", [False, True],
+                             ids=["stepped", "fast"])
+    @pytest.mark.parametrize("cut", TRUNCATION_CUTS)
+    def test_no_span_outlasts_the_cut(self, cut, fast_forward):
+        """A grant books its whole occupancy as its ``txn`` span; the
+        transaction the cut interrupts is clipped to the cut, and its
+        ``span_cycles`` observation moves with it (at N = 123 a span
+        once started at 122 with ``dur`` 6)."""
+        obs, stats = _truncated("illinois", LockStyle.TTAS, cut,
+                                fast_forward=fast_forward)
+        late = [span for span in obs.spans
+                if span["start"] + span["dur"] > cut]
+        assert not late
+        txns = [span["dur"] for span in obs.spans if span["kind"] == "txn"]
+        spans = obs.registry.get("span_cycles")
+        assert spans.sum(kind="txn") == sum(txns)
+        assert spans.count(kind="txn") == len(txns)
+
     def test_bitar_despain(self):
         reports = []
         for fast_forward in (False, True):

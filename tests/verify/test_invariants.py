@@ -125,18 +125,16 @@ class TestRequesterIndex:
 
 class TestInterestIndex:
     """Each cache's interest index counts its tagged frames plus its
-    RMW hold and armed busy-wait register; a missed pin or unpin would
-    let the snoop fast-miss a block the cache must react to."""
+    armed busy-wait register; a missed pin or unpin would let the snoop
+    fast-miss a block the cache must react to."""
 
-    def test_tags_hold_and_register_pass(self, two_caches):
+    def test_tags_and_register_pass(self, two_caches):
         two_caches.run_op(0, isa.lock(B))
         two_caches.submit(1, isa.lock(B))
         two_caches.drain()
-        waiter = two_caches.caches[1]
-        waiter.hold_block(B)
-        assert waiter.array._interest == {B: [PIN, PIN]}  # register, hold
-        checker_for(two_caches).check_all()
-        waiter.release_hold()
+        holder, waiter = two_caches.caches
+        assert holder.array._interest == {B: [holder.line_for(B)]}
+        assert waiter.array._interest == {B: [PIN]}  # the register
         checker_for(two_caches).check_all()
 
     def test_completed_wait_unpins(self, two_caches):
@@ -159,10 +157,12 @@ class TestInterestIndex:
         with pytest.raises(CoherenceViolation, match="interest index"):
             checker_for(two_caches).check_all()
 
-    def test_stale_hold_pin_detected(self, two_caches):
-        cache = two_caches.caches[0]
-        cache.hold_block(B)
-        cache._held_block = None  # corrupt: the hold ends, the pin stays
+    def test_stale_register_pin_detected(self, two_caches):
+        two_caches.run_op(0, isa.lock(B))
+        two_caches.submit(1, isa.lock(B))
+        two_caches.drain()
+        # Corrupt: the wait ends, the pin stays.
+        two_caches.caches[1].busy_wait.clear()
         with pytest.raises(CoherenceViolation, match="interest index"):
             checker_for(two_caches).check_all()
 
