@@ -24,7 +24,10 @@ Eight artifact shapes are understood:
 * Causal span traces (``kind == "span-trace"``, from ``repro run
   --spans-out``, schema v4) are checked for a well-formed DAG: ids are
   dense and positional, kinds are known, durations non-negative, and
-  every ``parent``/``cause`` link points strictly backward.
+  every ``parent``/``cause`` link points strictly backward.  The
+  post-unlock race args (schema v10) must name processors of the run
+  other than the txn's requester: ``woken`` on an ``UNLOCK_BROADCAST``
+  txn span, ``stood_down`` on a ``READ_LOCK`` one.
 * Attribution reports (``kind == "attribution-report"``, from ``repro
   run --attribution``, schema v4) are checked for the exhaustive-
   accounting invariant: every processor carries all eight buckets,
@@ -205,6 +208,51 @@ def validate_span_trace(payload: dict) -> list[str]:
             if not isinstance(link, int) or not 0 <= link < i:
                 errors.append(f"spans[{i}].{key}: link {link!r} does not "
                               f"point strictly backward")
+    return errors + _check_race_args(spans)
+
+
+def _check_race_args(spans: list) -> list[str]:
+    """Schema-v10 post-unlock race checks: an ``UNLOCK_BROADCAST`` txn
+    span's ``woken`` and a ``READ_LOCK`` txn span's ``stood_down``
+    ``[pid, cycles]`` pairs name processors of the run (pids with a
+    ``cpu{pid}`` track), never the txn's own requester."""
+    errors: list[str] = []
+    spans = [span for span in spans if isinstance(span, dict)]
+    processors = {span["track"][len("cpu"):] for span in spans
+                  if isinstance(span.get("track"), str)
+                  and span["track"].startswith("cpu")}
+    for span in spans:
+        args = span.get("args")
+        if not isinstance(args, dict):
+            continue
+        where = f"spans[{span.get('id')}]"
+        for key, name in (("woken", "UNLOCK_BROADCAST"),
+                          ("stood_down", "READ_LOCK")):
+            if key not in args:
+                continue
+            if span.get("kind") != "txn" or span.get("name") != name:
+                errors.append(f"{where}.args.{key}: on a {span.get('kind')} "
+                              f"{span.get('name')!r} span, not a {name} txn")
+            entries = args[key]
+            if not isinstance(entries, list):
+                errors.append(f"{where}.args.{key}: not a list")
+                continue
+            for entry in entries:
+                pid = entry
+                if key == "stood_down":
+                    if (not isinstance(entry, list) or len(entry) != 2
+                            or not isinstance(entry[1], int)
+                            or entry[1] < 0):
+                        errors.append(f"{where}.args.stood_down: bad entry "
+                                      f"{entry!r} (want [pid, cycles])")
+                        continue
+                    pid = entry[0]
+                if not isinstance(pid, int) or str(pid) not in processors:
+                    errors.append(f"{where}.args.{key}: {pid!r} is not a "
+                                  f"processor of the run")
+                elif pid == args.get("requester"):
+                    errors.append(f"{where}.args.{key}: names the txn's "
+                                  f"own requester {pid}")
     return errors
 
 

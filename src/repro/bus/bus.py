@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.bus.arbiter import Arbiter
-from repro.bus.signals import SNOOP_MISS, BusResponse, SnoopReply
+from repro.bus.signals import (SNOOP_MISS, SNOOP_UNLOCK_TAKEN, BusResponse,
+                               SnoopReply)
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.cache.directory import BroadcastLog
 from repro.common.config import TimingConfig
@@ -341,12 +342,17 @@ class Bus:
         now = self.clock.cycle
         if self.obs.active:
             # Open the transaction span before snooping so the snoop-time
-            # hooks (invalidations, wakeups, aborts) attach to it as the
-            # cause of whatever they force elsewhere.
+            # hooks (invalidations, stand-downs, aborts) and the wakeups
+            # reported after the snoop attach to it as the cause of
+            # whatever they force elsewhere.
             self.obs.record_txn_begin(now, txn.op._name_, txn.block,
                                       txn.requester, bus=self.index)
 
         replies = self._snoop_all(port, txn)
+        if txn.op is _UNLOCK_BROADCAST and self.obs.active:
+            self.obs.record_waiters_woken(
+                [cid for cid, reply in replies.items()
+                 if reply is SNOOP_UNLOCK_TAKEN], now)
         response = BusResponse.combine(replies, choose=self._choose_source)
 
         self._absorb_flushes(txn, replies)

@@ -90,14 +90,14 @@ _ACCESS_DONE, _ACCESS_PENDING = AccessStatus.DONE, AccessStatus.PENDING
 
 @dataclass(slots=True)
 class PendingAccess:
-    """The in-flight processor operation and its current bus phase."""
+    """The in-flight processor operation and the bus request of its
+    current phase."""
 
     op: Op
     request: NeedBus | None
     posted_at: int
     #: The block ``op`` addresses.
     block: BlockAddr
-    phase: int = 0
     lock_wait: bool = False
     write_applied: bool = False
     #: The request that was refused because the block was locked; re-posted
@@ -555,7 +555,6 @@ class SnoopingCache:
                 self._sync_request()
                 return CompletionInfo(outcome=_OUTCOME_DONE)
             pending.request = result.next_bus
-            pending.phase += 1
             self._sync_request()
             return CompletionInfo(outcome=_REBUS)
 
@@ -756,9 +755,9 @@ class SnoopingCache:
             pending.request = pending.wake_request
             self._sync_request()
             pending.posted_at = self.clock.cycle  # bus wait from the wakeup
-            if self.obs.active:
-                self.obs.record_wait_wakeup(self.id, txn.block, self.now())
-            return SNOOP_UNLOCK_TAKEN  # tells the bus the unlock was taken up
+            # Tells the bus the unlock was taken up; the bus reports the
+            # wakeups it collects to the observer in one call.
+            return SNOOP_UNLOCK_TAKEN
         return SNOOP_NOTHING
 
     def _update_invalid_copy(self, txn: BusTransaction) -> SnoopReply:

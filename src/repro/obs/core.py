@@ -25,6 +25,13 @@ wake, or retire), never from the per-cycle or quiet-span accounting, so
 the spans are bit-identical between the stepped and fast-forward
 engines.
 
+A post-unlock race costs the traced tier one call and one span per
+lock passage, not one per waiter: the bus reports every waiter an
+unlock broadcast woke in one :meth:`Observability.record_waiters_woken`
+call, each woken waiter's episode stays a spanless slotted record until
+something needs its span, and a waiter that stands down is booked into
+its tally and listed on the winner's txn span (``stood_down``).
+
 Outputs are collected into an :class:`ObsResult`, a plain-data bundle
 (picklable, JSON-able) of the interval sample series, the metric
 registry snapshot, the timeline slices, and (traced) the spans and the
@@ -89,15 +96,22 @@ class _Tally:
 
 @dataclass(slots=True)
 class _Episode:
-    """One processor's open stall episode, closed by ``_close_episode``."""
+    """One processor's open stall episode, closed by ``_close_episode``.
 
-    span: dict
+    A woken waiter's episode starts without a span: most woken waiters
+    lose the post-unlock race and stand down, which is booked on the
+    winner's txn span, not as a span of their own.  ``_episode_span``
+    builds the span when something first needs it."""
+
+    span: dict | None
     arb_since: int
     in_window: bool           # posted (or woken) inside a lock wait window
     inval: bool = False       # an invalidation-forced refetch
     arb: int = 0
     transfer: int = 0
     phases: int = 1
+    #: The unlock broadcast's txn span that woke a spanless episode.
+    wake: dict | None = None
 
 
 def _children(metric):
@@ -292,28 +306,49 @@ class Observability:
         self.spans.append(span)
         return span
 
+    def _episode_span(self, pid: int, episode: _Episode) -> dict:
+        """``episode``'s span, built on first need for a woken waiter.
+        Until its first grant a woken episode's ``arb_since`` is still
+        the wake cycle, which is where the span starts."""
+        span = episode.span
+        if span is None:
+            wake = episode.wake
+            block = wake["args"]["block"]
+            span = episode.span = self._span(
+                "episode", f"retry {block}", f"cpu{pid}", episode.arb_since,
+                cause=wake["id"], block=block, op="RETRY")
+        return span
+
     def _close_episode(self, pid: int, episode: _Episode, end: int,
                        aborted: bool = False, truncated: bool = False,
                        rearmed: bool = False) -> None:
-        span = episode.span
+        span = self._episode_span(pid, episode)
         span["dur"] = dur = max(0, end - span["start"])
-        arb, transfer = episode.arb, episode.transfer
         args = span["args"]
-        args["arb"], args["transfer"], args["phases"] = (arb, transfer,
-                                                         episode.phases)
+        args["arb"], args["transfer"], args["phases"] = (
+            episode.arb, episode.transfer, episode.phases)
         if aborted:
             args["aborted"] = True
+            self.tallies[pid].aborted += 1
         if truncated:
             args["truncated"] = True
         if rearmed:
             args["rearmed"] = True
-        tally = self.tallies[pid]
-        tally.episodes += 1
-        if aborted:
-            tally.aborted += 1
-        buckets = self._bucket_cycles
         if episode.in_window:
             args["in_window"] = True
+        self._book(pid, episode)
+        self._span_cycles["episode"].observe(dur)
+        self._last_episode[pid] = span["id"]
+        self._episodes.pop(pid, None)
+
+    def _book(self, pid: int, episode: _Episode) -> None:
+        """Book a closed episode's stall into its processor's tally and
+        the ``bucket_wait_cycles`` histogram."""
+        arb, transfer = episode.arb, episode.transfer
+        tally = self.tallies[pid]
+        tally.episodes += 1
+        buckets = self._bucket_cycles
+        if episode.in_window:
             tally.win_stall += arb + transfer
             if arb + transfer > 0:
                 buckets["lock_spin"].observe(arb + transfer)
@@ -328,9 +363,6 @@ class Observability:
                 buckets["bus_arb_wait"].observe(arb)
             if transfer > 0:
                 buckets["miss_wait"].observe(transfer)
-        self._span_cycles["episode"].observe(dur)
-        self._last_episode[pid] = span["id"]
-        self._episodes.pop(pid, None)
 
     def _take_back_transfer(self, pid: int, episode: _Episode,
                             excess: int) -> None:
@@ -408,7 +440,7 @@ class Observability:
         elif op not in DETACHED_OPS:
             episode = self._episodes.get(requester)
             if episode is not None:
-                parent = episode.span["id"]
+                parent = self._episode_span(requester, episode)["id"]
         span = self._span("txn", op, f"bus{bus}", cycle, parent=parent,
                           block=block, requester=requester)
         if op == "UNLOCK_BROADCAST":
@@ -519,7 +551,7 @@ class Observability:
         if episode is None:
             return
         episode.arb += cycle - episode.arb_since
-        span = episode.span
+        span = self._episode_span(cache, episode)
         if span["cause"] is None and self._open_txn is not None:
             span["cause"] = self._open_txn["id"]
         self._close_episode(cache, episode, cycle, aborted=True)
@@ -567,24 +599,36 @@ class Observability:
                               block=block)
         self._waits[pid] = [block, cycle, span]
 
-    def record_wait_wakeup(self, cache: int, block: int, cycle: int) -> None:
-        if not self.tracing or cache in self._episodes:
+    def record_waiters_woken(self, woken: list[int], cycle: int) -> None:
+        """The open unlock broadcast woke the waiters ``woken`` (in port
+        order), which the txn span lists.  Each opens a spanless retry
+        episode (see :class:`_Episode`)."""
+        if not self.tracing:
             return
         txn = self._open_txn
-        span = {"id": len(self.spans), "kind": "episode",
-                "name": f"retry {block}", "track": f"cpu{cache}",
-                "start": cycle, "dur": 0, "parent": None,
-                "cause": txn["id"] if txn is not None else None,
-                "args": {"block": block, "op": "RETRY"}}
-        self.spans.append(span)
-        self._episodes[cache] = _Episode(span, cycle, cache in self._waits)
+        txn["args"]["woken"] = woken
+        episodes, waits = self._episodes, self._waits
+        for pid in woken:
+            if pid not in episodes:
+                episodes[pid] = _Episode(None, cycle, pid in waits,
+                                         wake=txn)
 
     def record_wait_rearmed(self, cache: int, cycle: int) -> None:
+        """A woken waiter lost the post-unlock race to the open txn, a
+        READ_LOCK, and stands down.  Its stall is booked as an episode's
+        and listed in the txn span's ``stood_down`` as ``[pid, cycles]``."""
         episode = self._episodes.get(cache)  # none open unless tracing
         if episode is None:
             return
-        episode.arb += cycle - episode.arb_since
-        self._close_episode(cache, episode, cycle, rearmed=True)
+        stall = cycle - episode.arb_since
+        episode.arb += stall
+        if episode.span is not None:  # a granted phase built it
+            self._close_episode(cache, episode, cycle, rearmed=True)
+            return
+        del self._episodes[cache]
+        self._book(cache, episode)
+        self._open_txn["args"].setdefault("stood_down", []).append(
+            [cache, stall])
 
     def record_wait_cancelled(self, pid: int, cycle: int) -> None:
         wait = self._waits.pop(pid, None)

@@ -16,7 +16,8 @@ Span model (plain dicts, JSON-able):
 ``kind``
     One of :data:`SPAN_KINDS` -- ``txn`` (one bus transaction,
     grant to release), ``episode`` (one contiguous stall stretch of a
-    processor: post/wake -> arbitration -> transfer -> collect),
+    processor: post/wake -> arbitration -> transfer -> collect; a
+    waiter that loses the post-unlock race gets none, see ``args``),
     ``wait`` (a lock wait window, spin or sleep), ``hold`` (a lock
     hold), ``crossbar`` (a memory-unit RMW round trip), and ``mark``
     (instant annotations such as a locked-victim spill).
@@ -33,7 +34,17 @@ Span model (plain dicts, JSON-able):
 ``cause``
     Cross-processor causality: the txn whose snoop invalidated the
     block (for the forced refetch) or the unlock broadcast that woke
-    the waiter (for the post-wake retry).
+    the waiter (for the post-wake retry of the race's winner, or of a
+    woken waiter whose span an abort or the run's end needed).
+``args``
+    Per-kind details.  The post-unlock race (Section E.4, Figure 9) is
+    recorded once, on two txn spans: an ``UNLOCK_BROADCAST``'s
+    ``woken`` lists the waiters it woke, in port order, and the winning
+    ``READ_LOCK``'s ``stood_down`` lists ``[pid, cycles]`` for each
+    waiter that stood down, with its stall from the wakeup.  So a trace
+    costs O(1) spans per lock passage, and a processor's stall cycles
+    are its episode durations plus its ``stood_down`` cycles plus its
+    crossbar stalls.
 
 The traced tier also keeps the per-processor tallies
 :mod:`repro.obs.attribution` turns into the exhaustive cycle buckets;

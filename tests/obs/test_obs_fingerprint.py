@@ -9,10 +9,16 @@ the order of every span's ``args`` is pinned as well.
 
 Together the cases reach every way an episode closes: inside a lock
 wait window, as an invalidation-forced refetch, outside any window,
-aborted (optimistic RMW), truncated (``max_cycles``), re-armed after a
-lost post-unlock arbitration, and over several REBUS phases; plus a
-crossbar stall, a second bus, directory messages and inter-cluster
-hops.
+aborted (optimistic RMW), truncated (``max_cycles``), and over several
+REBUS phases; a woken waiter that stands down after a lost post-unlock
+race, which closes no span but is listed on the winner's txn span
+(``stood_down``); plus a crossbar stall, a second bus, directory
+messages and inter-cluster hops.
+
+``MODEL_DIGESTS`` hash the same runs without the span model (the spans
+and the ``span_cycles`` histogram): the statistics, attribution report,
+timeline slices, samples and every other metric.  A change to how spans
+are recorded must leave them unchanged.
 """
 
 from __future__ import annotations
@@ -93,28 +99,68 @@ CASES = {
 
 #: sha256 of each case's canonical output, identical on both engines.
 DIGESTS = {
-    "aquarius": "5ae4644864851a3a817d9c901fd8f45d67d8ebd9fb0ae9a060f7df03b669d5dd",
+    "aquarius": "ba1210e3e174f9d073bee8317967fea4ded0825c0f2ac07b94a487301ca0b6fc",
     "clustered": "10be721d8d68595628ab24faa69dbf531b81046f02be1e2d135a1c59c3264a95",
-    "directory": "3cede04c2d872d3bc62730e39fd56b7611593a8e996612cee077fb0e0995c06f",
+    "directory": "d1db0be563fd376ebfe743f32e68eeee60c8379d09092ae9d9e6e2d5d7d25ea1",
     "illinois-optimistic": "6fb323277de78ee36b77842d75d10ccdbd21689b526fa1634d4c84ca18a568d8",
-    "lock16": "30bf14a1fff8f8854756dbfd5e3821546d14009eed6b85b1d2b6d590cc43ec55",
+    "lock16": "a54150efed7738b1af0762b05de4201b6b3ee7b5ab4791d99cf6f844586f61f3",
     "lock16-untraced": "24d292aab8956e64d54b675020c4a6930ee8530e39d674c25c6585f1f4783cb2",
     "multibus": "7de7757e2f527e65ac60cb4f5a9f057f598807f8a5b57eb280445ac62995e2dc",
     "rudolph-segall": "26ce8b4d76002626179ed5ddf2d12cc4ff4787b45cce1a929267c956aad7335c",
-    "truncated": "5197de1929e4042ca70b046583ca344d4f8d5b43d716905457e013935d8b5af6",
+    "truncated": "e965543f66dafe0c7d01ea23b44c863ccfc707675702c869783ca656c285d611",
+}
+
+#: sha256 of each case's :func:`model_fingerprint`, recorded before race
+#: losers stopped getting episode spans: dropping a span may change the
+#: span model, but never what the run says about the machine.
+MODEL_DIGESTS = {
+    "aquarius": "f97230ff5cf39f2706f4c21d8143944bcde091dbae091cbe41ba120732dfd925",
+    "clustered": "ada038023b59bf6ee79dd26b4d5a2d540bdf98135c2aeb486a22bd1fba4280e5",
+    "directory": "c2f5674aa8a477bd0626684af59bda6228eeb0a59eb61dff2247e139b76fd921",
+    "illinois-optimistic": "9e98cf2d2c3870892adc93d45ca8310b452ae6f5f4c47e5b10636bfc273d86f4",
+    "lock16": "2034b75467fe1383a3374b9b5a16704de68a18fadaec4155574cd283698c9e0f",
+    "lock16-untraced": "201bf610bb6626d300439b66d3ee4151a606e68b1255591554d1c698c5cf632a",
+    "multibus": "4c7570747019bf7d729e4e5dd7332e279c89d0de4f2680d01e78c6381a8dc79c",
+    "rudolph-segall": "9955acccb4528f7cea48d8230b2eb775778f078191418ddcc258209a0de5bec7",
+    "truncated": "d1d8a987289d6563803bc86edb4272f8f40f14500dfefe7b4e5b65d0af955b85",
 }
 
 
-def fingerprint(name: str, *, fast_forward: bool) -> str:
+def _run(name: str, *, fast_forward: bool) -> dict:
     config, build, simulator, tracing, max_cycles = CASES[name]
     obs = Observability(interval=50, tracing=tracing)
     sim = simulator(config, build(config), obs=obs,
                     fast_forward=fast_forward)
     stats = sim.run(max_cycles=max_cycles)
-    text = json.dumps({"stats": stats.to_payload(),
-                       "obs": obs.result().to_dict()},
-                      separators=(",", ":"))
+    return {"stats": stats.to_payload(), "obs": obs.result().to_dict()}
+
+
+def _digest(document: dict) -> str:
+    text = json.dumps(document, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(name: str, *, fast_forward: bool) -> str:
+    return _digest(_run(name, fast_forward=fast_forward))
+
+
+def model_fingerprint(name: str, *, fast_forward: bool) -> str:
+    """The digest of what a run reports about the machine, leaving out
+    the span model (its spans and the ``span_cycles`` histogram) and
+    the attribution report's ``schema_version`` stamp."""
+    run = _run(name, fast_forward=fast_forward)
+    obs = run["obs"]
+    metrics = {metric: snapshot
+               for metric, snapshot in obs["metrics"].items()
+               if metric != "span_cycles"}
+    attribution = obs["attribution"]
+    if attribution is not None:
+        attribution = {key: value for key, value in attribution.items()
+                       if key != "schema_version"}
+    return _digest({"stats": run["stats"],
+                    "attribution": attribution,
+                    "slices": obs["slices"], "samples": obs["samples"],
+                    "metrics": metrics})
 
 
 @pytest.mark.parametrize("fast_forward", [False, True],
@@ -122,3 +168,32 @@ def fingerprint(name: str, *, fast_forward: bool) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recorded_digest(name, fast_forward):
     assert fingerprint(name, fast_forward=fast_forward) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("fast_forward", [False, True],
+                         ids=["stepped", "fast"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_model_output_matches_recorded_digest(name, fast_forward):
+    assert (model_fingerprint(name, fast_forward=fast_forward)
+            == MODEL_DIGESTS[name])
+
+
+@pytest.mark.parametrize("fast_forward", [False, True],
+                         ids=["stepped", "fast"])
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items()
+                                        if case[3]))
+def test_stall_cycles_sum_from_spans(name, fast_forward):
+    """A processor's stall cycles are its episode spans' durations, the
+    cycles it stood down after a lost race (listed on the winner's txn
+    span) and its crossbar stalls."""
+    run = _run(name, fast_forward=fast_forward)
+    summed: dict[int, int] = {}
+    for span in run["obs"]["spans"]:
+        if span["kind"] in ("episode", "crossbar"):
+            pid = int(span["track"][len("cpu"):])
+            summed[pid] = summed.get(pid, 0) + span["dur"]
+        for pid, cycles in span["args"].get("stood_down", ()):
+            summed[pid] = summed.get(pid, 0) + cycles
+    stalls = {int(pid): p["stall_cycles"]
+              for pid, p in run["stats"]["processors"].items()}
+    assert {pid: summed.get(pid, 0) for pid in stalls} == stalls
