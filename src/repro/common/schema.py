@@ -105,6 +105,18 @@ Version history
    per-interval install, purge and wait-fire tallies have no
    replacement.  Migration: v8 payloads still load; readers of a
    sample's ``events`` must stop expecting it.
+10. One record per post-unlock race: in span traces (``spans`` of
+    observability results and ``span-trace`` artifacts) a waiter that
+    loses the post-unlock race has no ``retry`` episode span (and the
+    ``rearmed`` episode arg is left only on a waiter whose race
+    episode a granted phase had already opened).  Instead
+    ``UNLOCK_BROADCAST`` txn spans gain ``woken`` (the waiters the
+    broadcast woke, in port order) and the winning ``READ_LOCK`` txn
+    span gains ``stood_down`` (``[pid, stall cycles]`` per waiter that
+    stood down).  The ``span_cycles{kind=episode}`` histogram loses
+    the losers' observations.  Migration: v9 payloads still load; a
+    reader that summed a processor's stall cycles over its episode
+    spans must add its ``stood_down`` cycles.
 """
 
 from __future__ import annotations
@@ -112,7 +124,7 @@ from __future__ import annotations
 from repro.common.errors import ReproError
 
 #: Current version of all exported JSON payload shapes.
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 #: Key under which the version is stamped.
 SCHEMA_KEY = "schema_version"

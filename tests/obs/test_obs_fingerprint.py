@@ -99,15 +99,15 @@ CASES = {
 
 #: sha256 of each case's canonical output, identical on both engines.
 DIGESTS = {
-    "aquarius": "ba1210e3e174f9d073bee8317967fea4ded0825c0f2ac07b94a487301ca0b6fc",
-    "clustered": "10be721d8d68595628ab24faa69dbf531b81046f02be1e2d135a1c59c3264a95",
-    "directory": "d1db0be563fd376ebfe743f32e68eeee60c8379d09092ae9d9e6e2d5d7d25ea1",
-    "illinois-optimistic": "6fb323277de78ee36b77842d75d10ccdbd21689b526fa1634d4c84ca18a568d8",
-    "lock16": "a54150efed7738b1af0762b05de4201b6b3ee7b5ab4791d99cf6f844586f61f3",
+    "aquarius": "2596d224061487ca4a3dc573e12d1d2de1d048df4aa600f382eca5c5c85c9ca4",
+    "clustered": "5b7571bc9b9f84d0a1e4573e2e7b09ec0a3905df5264c35fce4abc6a7fbcecee",
+    "directory": "028821edb686290b3208dcbf49a3c84f25bacaedc439a0ca82a6e620d1732cd8",
+    "illinois-optimistic": "9f18dd7b5d2be737b2997b1a2da9b235e7585e86ac1896b24860cc307588992f",
+    "lock16": "f13d0bbc57f061b1dddac4230ad04f6dbc66960877e46ec05c74cf037becec32",
     "lock16-untraced": "24d292aab8956e64d54b675020c4a6930ee8530e39d674c25c6585f1f4783cb2",
-    "multibus": "7de7757e2f527e65ac60cb4f5a9f057f598807f8a5b57eb280445ac62995e2dc",
-    "rudolph-segall": "26ce8b4d76002626179ed5ddf2d12cc4ff4787b45cce1a929267c956aad7335c",
-    "truncated": "e965543f66dafe0c7d01ea23b44c863ccfc707675702c869783ca656c285d611",
+    "multibus": "44942ab576511eee5c222995c6526d1a2beae0792da918f89b97d46281cddf2b",
+    "rudolph-segall": "234c778cc1e6214bfbdbd780ae394109a790ac7ab4a1ee94484622386047a4e0",
+    "truncated": "36037dafbba9fa5e8b8f4e2150aacbe01de891ee1d433b3124bb0a08341a9c43",
 }
 
 #: sha256 of each case's :func:`model_fingerprint`, recorded before race
