@@ -209,6 +209,12 @@ class Bus:
         return self
 
     @property
+    def buses(self) -> list["Bus"]:
+        """The buses this fabric arbitrates: a single bus is its own
+        (a multi-bus fabric lists its buses)."""
+        return [self]
+
+    @property
     def has_requesters(self) -> bool:
         """Some port has a posted request on this bus."""
         return bool(self._requesters)

@@ -114,9 +114,15 @@ Version history
     broadcast woke, in port order) and the winning ``READ_LOCK`` txn
     span gains ``stood_down`` (``[pid, stall cycles]`` per waiter that
     stood down).  The ``span_cycles{kind=episode}`` histogram loses
-    the losers' observations.  Migration: v9 payloads still load; a
-    reader that summed a processor's stall cycles over its episode
-    spans must add its ``stood_down`` cycles.
+    the losers' observations.  Bus utilization is per bus: run
+    statistics' ``bus_utilization`` and observability samples'
+    ``interval_bus_utilization`` divide the busy cycles, still summed
+    over every bus, by cycles times the number of buses the fabric
+    arbitrates (multi-bus, clustered and directory fabrics; a single
+    bus is unchanged).  Migration: v9 payloads still load; a reader
+    that summed a processor's stall cycles over its episode spans must
+    add its ``stood_down`` cycles, and a v9 multi-bus utilization
+    divided by the bus count is the v10 one.
 """
 
 from __future__ import annotations

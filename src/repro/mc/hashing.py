@@ -115,9 +115,8 @@ def _processor_sig(processor, now: int) -> tuple:
 
 
 def _bus_sig(bus, now: int) -> tuple:
-    buses = bus.buses if hasattr(bus, "buses") else [bus]
     sig = []
-    for one in buses:
+    for one in bus.buses:
         arbiter = one._arbiter
         sig.append((
             max(0, one._busy_until - now),

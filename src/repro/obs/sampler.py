@@ -91,7 +91,8 @@ class IntervalSampler:
             "cycle": cycle,
             "bus_busy_cycles": busy,
             "interval_bus_utilization": (
-                (busy - self._prev_busy) / span if span else 0.0
+                (busy - self._prev_busy) / (span * stats.buses)
+                if span else 0.0
             ),
             "transactions": txns,
             "interval_transactions": txns - self._prev_txns,

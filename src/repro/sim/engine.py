@@ -117,6 +117,7 @@ class Simulator:
         assert config.topology is not None
         self.bus = build_fabric(config.topology, self.memory, config.timing,
                                 self.clock, self.stats, self.obs)
+        self.stats.buses = len(self.bus.buses)
         self.bus.scheduler = scheduler
         self.oracle = WriteOracle(self.stats, strict=config.strict_verify)
 

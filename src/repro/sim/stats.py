@@ -61,7 +61,10 @@ class SimStats:
     """System-wide counters collected during one simulation run."""
 
     cycles: int = 0
+    #: Busy cycles summed over every bus the fabric arbitrates.
     bus_busy_cycles: int = 0
+    #: How many buses the fabric arbitrates (set by the engine).
+    buses: int = 1
     #: Transaction counts / bus cycles keyed by ``BusOp.name``.
     txn_counts: Counter = field(default_factory=Counter)
     txn_cycles: Counter = field(default_factory=Counter)
@@ -140,9 +143,10 @@ class SimStats:
 
     @property
     def bus_utilization(self) -> float:
+        """The share of cycles a bus is busy, per bus: at most 1."""
         if self.cycles == 0:
             return 0.0
-        return self.bus_busy_cycles / self.cycles
+        return self.bus_busy_cycles / (self.cycles * self.buses)
 
     @property
     def total_transactions(self) -> int:

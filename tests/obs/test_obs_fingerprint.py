@@ -100,27 +100,29 @@ CASES = {
 #: sha256 of each case's canonical output, identical on both engines.
 DIGESTS = {
     "aquarius": "2596d224061487ca4a3dc573e12d1d2de1d048df4aa600f382eca5c5c85c9ca4",
-    "clustered": "5b7571bc9b9f84d0a1e4573e2e7b09ec0a3905df5264c35fce4abc6a7fbcecee",
-    "directory": "028821edb686290b3208dcbf49a3c84f25bacaedc439a0ca82a6e620d1732cd8",
+    "clustered": "331a7688458f52f9109cb078ed9aac5efe96fb3c8541db5f39be69d0addb97f6",
+    "directory": "c0c5cb45a8a123cd9adf95f013acf2408ecffa5f417fdd17c34df9a694eccbe8",
     "illinois-optimistic": "9f18dd7b5d2be737b2997b1a2da9b235e7585e86ac1896b24860cc307588992f",
     "lock16": "f13d0bbc57f061b1dddac4230ad04f6dbc66960877e46ec05c74cf037becec32",
     "lock16-untraced": "24d292aab8956e64d54b675020c4a6930ee8530e39d674c25c6585f1f4783cb2",
-    "multibus": "44942ab576511eee5c222995c6526d1a2beae0792da918f89b97d46281cddf2b",
+    "multibus": "397a18c984dd72f0b80142e11482c4edb63f36eebe60a465c68ecbeef93e52f1",
     "rudolph-segall": "234c778cc1e6214bfbdbd780ae394109a790ac7ab4a1ee94484622386047a4e0",
     "truncated": "36037dafbba9fa5e8b8f4e2150aacbe01de891ee1d433b3124bb0a08341a9c43",
 }
 
 #: sha256 of each case's :func:`model_fingerprint`, recorded before race
 #: losers stopped getting episode spans: dropping a span may change the
-#: span model, but never what the run says about the machine.
+#: span model, but never what the run says about the machine.  (The
+#: multibus, clustered and directory digests were re-recorded when bus
+#: utilization became a per-bus share.)
 MODEL_DIGESTS = {
     "aquarius": "f97230ff5cf39f2706f4c21d8143944bcde091dbae091cbe41ba120732dfd925",
-    "clustered": "ada038023b59bf6ee79dd26b4d5a2d540bdf98135c2aeb486a22bd1fba4280e5",
-    "directory": "c2f5674aa8a477bd0626684af59bda6228eeb0a59eb61dff2247e139b76fd921",
+    "clustered": "6c531481a8b90859f3426b24a96b24b83c1562c2d6ffa85c44101d43d169bf3d",
+    "directory": "4d4052e527a73b772dec72d5c05d8fb8fbc837b5c881b97278dc2b065ecf61f8",
     "illinois-optimistic": "9e98cf2d2c3870892adc93d45ca8310b452ae6f5f4c47e5b10636bfc273d86f4",
     "lock16": "2034b75467fe1383a3374b9b5a16704de68a18fadaec4155574cd283698c9e0f",
     "lock16-untraced": "201bf610bb6626d300439b66d3ee4151a606e68b1255591554d1c698c5cf632a",
-    "multibus": "4c7570747019bf7d729e4e5dd7332e279c89d0de4f2680d01e78c6381a8dc79c",
+    "multibus": "56abf7b37d1cd7ee9b7f62f64a96ad2ab51f5cd50a70fd55700a4b3107475ea9",
     "rudolph-segall": "9955acccb4528f7cea48d8230b2eb775778f078191418ddcc258209a0de5bec7",
     "truncated": "d1d8a987289d6563803bc86edb4272f8f40f14500dfefe7b4e5b65d0af955b85",
 }
