@@ -349,16 +349,12 @@ class Bus:
         if self.obs.active:
             # Open the transaction span before snooping so the snoop-time
             # hooks (invalidations, stand-downs, aborts) and the wakeups
-            # reported after the snoop attach to it as the cause of
+            # reported before it closes attach to it as the cause of
             # whatever they force elsewhere.
             self.obs.record_txn_begin(now, txn.op._name_, txn.block,
                                       txn.requester, bus=self.index)
 
         replies = self._snoop_all(port, txn)
-        if txn.op is _UNLOCK_BROADCAST and self.obs.active:
-            self.obs.record_waiters_woken(
-                [cid for cid, reply in replies.items()
-                 if reply is SNOOP_UNLOCK_TAKEN], now)
         response = BusResponse.combine(replies, choose=self._choose_source)
 
         self._absorb_flushes(txn, replies)
@@ -371,6 +367,10 @@ class Bus:
         self.stats.record_txn(name, duration)
         self._count_events(txn, response)
         if self.obs.active:
+            if txn.op is _UNLOCK_BROADCAST:
+                self.obs.record_waiters_woken(
+                    [cid for cid, reply in replies.items()
+                     if reply is SNOOP_UNLOCK_TAKEN], now)
             self.obs.record_bus_txn(now, duration, name, txn.block,
                                     txn.requester, bus=self.index,
                                     outcome=info.outcome._name_)

@@ -2,10 +2,10 @@
 
 Each case runs a traced (or untraced) observed simulation on both
 engines and hashes canonical JSON of ``SimStats.to_payload()`` plus
-``ObsResult.to_dict()``.  The digests were recorded before the obs
-layer's hot paths were rewritten; a refactor of ``repro.obs`` must
-reproduce them byte for byte.  JSON keys keep their insertion order, so
-the order of every span's ``args`` is pinned as well.
+``ObsResult.to_dict()``.  A refactor of ``repro.obs`` must reproduce
+the digests byte for byte; they are re-recorded only for an intended
+output change.  JSON keys keep their insertion order, so the order of
+every span's ``args`` is pinned as well.
 
 Together the cases reach every way an episode closes: inside a lock
 wait window, as an invalidation-forced refetch, outside any window,
@@ -16,9 +16,10 @@ race, which closes no span but is listed on the winner's txn span
 messages and inter-cluster hops.
 
 ``MODEL_DIGESTS`` hash the same runs without the span model (the spans
-and the ``span_cycles`` histogram): the statistics, attribution report,
-timeline slices, samples and every other metric.  A change to how spans
-are recorded must leave them unchanged.
+and the ``span_cycles`` histogram) and without the attribution report's
+schema stamp: the statistics, attribution report, timeline slices,
+samples and every other metric.  A change to how spans are recorded
+must leave them unchanged.
 """
 
 from __future__ import annotations
