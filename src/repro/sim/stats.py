@@ -143,7 +143,8 @@ class SimStats:
 
     @property
     def bus_utilization(self) -> float:
-        """The share of cycles a bus is busy, per bus: at most 1."""
+        """The share of cycles a bus is busy, averaged over the buses
+        the fabric arbitrates."""
         if self.cycles == 0:
             return 0.0
         return self.bus_busy_cycles / (self.cycles * self.buses)
