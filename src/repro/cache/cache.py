@@ -90,14 +90,14 @@ _ACCESS_DONE, _ACCESS_PENDING = AccessStatus.DONE, AccessStatus.PENDING
 
 @dataclass(slots=True)
 class PendingAccess:
-    """The in-flight processor operation and the bus request of its
-    current phase."""
+    """The in-flight processor operation and its current bus phase."""
 
     op: Op
     request: NeedBus | None
     posted_at: int
     #: The block ``op`` addresses.
     block: BlockAddr
+    phase: int = 0
     lock_wait: bool = False
     write_applied: bool = False
     #: The request that was refused because the block was locked; re-posted
@@ -555,6 +555,7 @@ class SnoopingCache:
                 self._sync_request()
                 return CompletionInfo(outcome=_OUTCOME_DONE)
             pending.request = result.next_bus
+            pending.phase += 1
             self._sync_request()
             return CompletionInfo(outcome=_REBUS)
 

@@ -78,6 +78,7 @@ def _pending_sig(pending) -> tuple | None:
     return (
         _op_sig(pending.op),
         _need_sig(pending.request),
+        pending.phase,
         pending.lock_wait,
         pending.write_applied,
         _need_sig(pending.refused_request),
