@@ -107,9 +107,8 @@ Version history
    sample's ``events`` must stop expecting it.
 10. One record per post-unlock race: in span traces (``spans`` of
     observability results and ``span-trace`` artifacts) a waiter that
-    loses the post-unlock race has no ``retry`` episode span (and the
-    ``rearmed`` episode arg is left only on a waiter whose race
-    episode a granted phase had already opened).  Instead
+    loses the post-unlock race has no ``retry`` episode span, and
+    episode spans lose the ``rearmed`` arg.  Instead
     ``UNLOCK_BROADCAST`` txn spans gain ``woken`` (the waiters the
     broadcast woke, in port order) and the winning ``READ_LOCK`` txn
     span gains ``stood_down`` (``[pid, stall cycles]`` per waiter that

@@ -320,8 +320,8 @@ class Observability:
         return span
 
     def _close_episode(self, pid: int, episode: _Episode, end: int,
-                       aborted: bool = False, truncated: bool = False,
-                       rearmed: bool = False) -> None:
+                       aborted: bool = False, truncated: bool = False
+                       ) -> None:
         span = self._episode_span(pid, episode)
         span["dur"] = dur = max(0, end - span["start"])
         args = span["args"]
@@ -332,8 +332,6 @@ class Observability:
             self.tallies[pid].aborted += 1
         if truncated:
             args["truncated"] = True
-        if rearmed:
-            args["rearmed"] = True
         if episode.in_window:
             args["in_window"] = True
         self._book(pid, episode)
@@ -620,11 +618,11 @@ class Observability:
         episode = self._episodes.get(cache)  # none open unless tracing
         if episode is None:
             return
+        # Only a woken waiter stands down, before its own grant: nothing
+        # has built its episode's span yet.
+        assert episode.span is None, (cache, cycle)
         stall = cycle - episode.arb_since
         episode.arb += stall
-        if episode.span is not None:  # a granted phase built it
-            self._close_episode(cache, episode, cycle, rearmed=True)
-            return
         del self._episodes[cache]
         self._book(cache, episode)
         self._open_txn["args"].setdefault("stood_down", []).append(
