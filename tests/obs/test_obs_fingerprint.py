@@ -24,6 +24,7 @@ must leave them unchanged.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -129,22 +130,34 @@ MODEL_DIGESTS = {
 }
 
 
-def _run(name: str, *, fast_forward: bool) -> dict:
+def _canonical(document: dict) -> str:
+    return json.dumps(document, separators=(",", ":"))
+
+
+@functools.cache
+def _run_text(name: str, fast_forward: bool) -> str:
+    """Canonical JSON of one case's run, simulated once per session for
+    every check below."""
     config, build, simulator, tracing, max_cycles = CASES[name]
     obs = Observability(interval=50, tracing=tracing)
     sim = simulator(config, build(config), obs=obs,
                     fast_forward=fast_forward)
     stats = sim.run(max_cycles=max_cycles)
-    return {"stats": stats.to_payload(), "obs": obs.result().to_dict()}
+    return _canonical({"stats": stats.to_payload(),
+                       "obs": obs.result().to_dict()})
+
+
+def _run(name: str, *, fast_forward: bool) -> dict:
+    return json.loads(_run_text(name, fast_forward))
 
 
 def _digest(document: dict) -> str:
-    text = json.dumps(document, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_canonical(document).encode()).hexdigest()
 
 
 def fingerprint(name: str, *, fast_forward: bool) -> str:
-    return _digest(_run(name, fast_forward=fast_forward))
+    return hashlib.sha256(
+        _run_text(name, fast_forward).encode()).hexdigest()
 
 
 def model_fingerprint(name: str, *, fast_forward: bool) -> str:
